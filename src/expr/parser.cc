@@ -52,7 +52,7 @@ class Parser {
     SkipWs();
     if (ConsumeWord("not") || (Peek() == '!' && PeekAt(1) != '=')) {
       if (Peek() == '!') ++pos_;
-      BENTO_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
+      BENTO_ASSIGN_OR_RETURN(ExprPtr e, Nested([&] { return ParseNot(); }));
       return Expr::Unary(UnOpKind::kNot, e);
     }
     return ParseComparison();
@@ -126,7 +126,8 @@ class Parser {
     BENTO_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
     SkipWs();
     if (Consume("**")) {
-      BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParsePower());  // right-assoc
+      BENTO_ASSIGN_OR_RETURN(ExprPtr right,  // right-assoc
+                             Nested([&] { return ParsePower(); }));
       return Expr::Binary(BinOpKind::kPow, left, right);
     }
     return left;
@@ -136,7 +137,7 @@ class Parser {
     SkipWs();
     if (Peek() == '-') {
       ++pos_;
-      BENTO_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
+      BENTO_ASSIGN_OR_RETURN(ExprPtr e, Nested([&] { return ParseUnary(); }));
       // Fold negative numeric literals.
       if (e->kind() == Expr::Kind::kLiteral && e->literal().is_numeric()) {
         if (e->literal().kind() == col::Scalar::Kind::kInt) {
@@ -155,7 +156,7 @@ class Parser {
     if (c == '\0') return Status::Invalid("unexpected end of expression");
     if (c == '(') {
       ++pos_;
-      BENTO_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
+      BENTO_ASSIGN_OR_RETURN(ExprPtr e, Nested([&] { return ParseOr(); }));
       SkipWs();
       if (Peek() != ')') return Status::Invalid("expected ')' at ", pos_);
       ++pos_;
@@ -245,7 +246,7 @@ class Parser {
         return Expr::Call(std::move(name), std::move(args));
       }
       while (true) {
-        BENTO_ASSIGN_OR_RETURN(ExprPtr arg, ParseOr());
+        BENTO_ASSIGN_OR_RETURN(ExprPtr arg, Nested([&] { return ParseOr(); }));
         args.push_back(std::move(arg));
         SkipWs();
         if (Peek() == ',') {
@@ -261,6 +262,21 @@ class Parser {
       return Expr::Call(std::move(name), std::move(args));
     }
     return Expr::Column(std::move(name));
+  }
+
+  /// Runs one recursive production one level deeper. Every recursion in the
+  /// grammar goes through here, so hostile nesting returns a Status instead
+  /// of exhausting the stack.
+  template <typename Fn>
+  Result<ExprPtr> Nested(Fn parse) {
+    if (depth_ >= kMaxDepth) {
+      return Status::Invalid("expression nested deeper than ", kMaxDepth,
+                             " levels at offset ", pos_);
+    }
+    ++depth_;
+    Result<ExprPtr> e = parse();
+    --depth_;
+    return e;
   }
 
   void SkipWs() {
@@ -305,8 +321,11 @@ class Parser {
     return true;
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "io/csv.h"
@@ -16,8 +18,9 @@ bool NeedsQuoting(std::string_view v, char delimiter) {
   return false;
 }
 
-void AppendField(std::string_view v, char delimiter, std::string* out) {
-  if (!NeedsQuoting(v, delimiter)) {
+void AppendField(std::string_view v, char delimiter, std::string* out,
+                 bool force_quotes = false) {
+  if (!force_quotes && !NeedsQuoting(v, delimiter)) {
     out->append(v);
     return;
   }
@@ -29,29 +32,44 @@ void AppendField(std::string_view v, char delimiter, std::string* out) {
   out->push_back('"');
 }
 
+/// True when the readers would decode a bare field `v` as null.
+bool IsDefaultNullLiteral(std::string_view v) {
+  static const CsvReadOptions kDefaults;
+  const std::vector<std::string>& literals = kDefaults.null_literals;
+  return std::find(literals.begin(), literals.end(), v) != literals.end();
+}
+
+/// String content: quoted when it would otherwise read back as null (the
+/// empty string and the null literals), since quoted fields are literal.
+void AppendString(std::string_view v, char delimiter, std::string* out) {
+  AppendField(v, delimiter, out, IsDefaultNullLiteral(v));
+}
+
 void AppendCell(const col::Array& column, int64_t row, char delimiter,
                 std::string* out) {
   if (column.IsNull(row)) return;  // nulls serialize as empty fields
   switch (column.type()) {
-    case col::TypeId::kInt64:
-      out->append(std::to_string(column.int64_data()[row]));
+    case col::TypeId::kInt64: {
+      char buf[24];
+      char* end = std::to_chars(buf, buf + sizeof(buf),
+                                column.int64_data()[row]).ptr;
+      out->append(buf, end);
       break;
-    case col::TypeId::kFloat64:
-      out->append(FormatDouble(column.float64_data()[row]));
+    }
+    case col::TypeId::kFloat64: {
+      char buf[kFormatDoubleBufSize];
+      out->append(buf, FormatDoubleTo(column.float64_data()[row], buf));
       break;
+    }
     case col::TypeId::kBool:
       out->append(column.bool_data()[row] != 0 ? "true" : "false");
       break;
-    case col::TypeId::kString: {
-      std::string_view v = column.GetView(row);
-      if (v.empty()) {
-        // Disambiguate the empty string from null (a bare empty field).
-        out->append("\"\"");
-      } else {
-        AppendField(v, delimiter, out);
-      }
+    case col::TypeId::kString:
+      AppendString(column.GetView(row), delimiter, out);
       break;
-    }
+    case col::TypeId::kCategorical:
+      AppendString(column.ValueToString(row), delimiter, out);
+      break;
     default:
       AppendField(column.ValueToString(row), delimiter, out);
   }

@@ -130,6 +130,29 @@ Result<Scalar> MomentsToScalar(const Moments& m, AggKind kind) {
   return Scalar::Null();
 }
 
+/// The valid, non-NaN values of `values` in ascending order: the input of
+/// every exact quantile.
+std::vector<double> SortedValues(const Array& values) {
+  std::vector<double> data;
+  data.reserve(static_cast<size_t>(values.length()));
+  for (int64_t i = 0; i < values.length(); ++i) {
+    if (!values.IsValid(i)) continue;
+    double v = CellValue(values, i);
+    if (!std::isnan(v)) data.push_back(v);
+  }
+  std::sort(data.begin(), data.end());
+  return data;
+}
+
+/// Linearly interpolated quantile of non-empty sorted `data`.
+double QuantileOfSorted(const std::vector<double>& data, double q) {
+  const double pos = q * static_cast<double>(data.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, data.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return data[lo] * (1.0 - frac) + data[hi] * frac;
+}
+
 }  // namespace
 
 Result<Scalar> Aggregate(const ArrayPtr& values, AggKind kind) {
@@ -166,20 +189,9 @@ Result<Scalar> AggregateParallel(const ArrayPtr& values, AggKind kind,
 Result<double> Quantile(const ArrayPtr& values, double q) {
   BENTO_RETURN_NOT_OK(CheckAggregatable(values));
   if (q < 0.0 || q > 1.0) return Status::Invalid("quantile q must be in [0,1]");
-  std::vector<double> data;
-  data.reserve(static_cast<size_t>(values->length()));
-  for (int64_t i = 0; i < values->length(); ++i) {
-    if (!values->IsValid(i)) continue;
-    double v = CellValue(*values, i);
-    if (!std::isnan(v)) data.push_back(v);
-  }
+  const std::vector<double> data = SortedValues(*values);
   if (data.empty()) return Status::Invalid("quantile of empty column");
-  std::sort(data.begin(), data.end());
-  const double pos = q * static_cast<double>(data.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, data.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return data[lo] * (1.0 - frac) + data[hi] * frac;
+  return QuantileOfSorted(data, q);
 }
 
 Result<double> QuantileApprox(const ArrayPtr& values, double q) {
@@ -219,71 +231,6 @@ Result<double> QuantileApprox(const ArrayPtr& values, double q) {
   return m.max;
 }
 
-Result<TablePtr> Describe(const TablePtr& table, bool approx_quantiles) {
-  col::StringBuilder name_col;
-  col::Float64Builder count_col, mean_col, std_col, min_col, p25_col, p50_col,
-      p75_col, max_col;
-
-  for (int c = 0; c < table->num_columns(); ++c) {
-    const col::Field& field = table->schema()->field(c);
-    if (!col::IsNumeric(field.type) && field.type != TypeId::kBool) continue;
-    const ArrayPtr& values = table->column(c);
-    Moments m = ComputeMoments(*values, 0, values->length());
-    name_col.Append(field.name);
-    count_col.Append(static_cast<double>(m.count));
-    if (m.count == 0) {
-      mean_col.AppendNull();
-      std_col.AppendNull();
-      min_col.AppendNull();
-      p25_col.AppendNull();
-      p50_col.AppendNull();
-      p75_col.AppendNull();
-      max_col.AppendNull();
-      continue;
-    }
-    mean_col.Append(m.sum / static_cast<double>(m.count));
-    bool std_null = false;
-    Scalar std_s = MomentsToScalar(m, AggKind::kStd).ValueOrDie();
-    std_null = std_s.is_null();
-    if (std_null) {
-      std_col.AppendNull();
-    } else {
-      std_col.Append(std_s.double_value());
-    }
-    min_col.Append(m.min);
-    auto quantile = [&](double q) {
-      return approx_quantiles ? QuantileApprox(values, q)
-                              : Quantile(values, q);
-    };
-    BENTO_ASSIGN_OR_RETURN(double p25, quantile(0.25));
-    BENTO_ASSIGN_OR_RETURN(double p50, quantile(0.50));
-    BENTO_ASSIGN_OR_RETURN(double p75, quantile(0.75));
-    p25_col.Append(p25);
-    p50_col.Append(p50);
-    p75_col.Append(p75);
-    max_col.Append(m.max);
-  }
-
-  std::vector<col::Field> fields = {
-      {"column", TypeId::kString},   {"count", TypeId::kFloat64},
-      {"mean", TypeId::kFloat64},    {"std", TypeId::kFloat64},
-      {"min", TypeId::kFloat64},     {"25%", TypeId::kFloat64},
-      {"50%", TypeId::kFloat64},     {"75%", TypeId::kFloat64},
-      {"max", TypeId::kFloat64},
-  };
-  std::vector<ArrayPtr> columns;
-  BENTO_ASSIGN_OR_RETURN(auto a0, name_col.Finish());
-  columns.push_back(a0);
-  for (col::Float64Builder* b :
-       {&count_col, &mean_col, &std_col, &min_col, &p25_col, &p50_col,
-        &p75_col, &max_col}) {
-    BENTO_ASSIGN_OR_RETURN(auto a, b->Finish());
-    columns.push_back(a);
-  }
-  return Table::Make(std::make_shared<col::Schema>(std::move(fields)),
-                     std::move(columns));
-}
-
 namespace {
 
 struct ColumnStats {
@@ -307,12 +254,17 @@ Result<ColumnStats> DescribeOneColumn(const col::Field& field,
   Scalar std_s = MomentsToScalar(cs.m, AggKind::kStd).ValueOrDie();
   cs.std_null = std_s.is_null();
   if (!cs.std_null) cs.std_value = std_s.double_value();
-  auto quantile = [&](double q) {
-    return approx_quantiles ? QuantileApprox(values, q) : Quantile(values, q);
-  };
-  BENTO_ASSIGN_OR_RETURN(cs.p25, quantile(0.25));
-  BENTO_ASSIGN_OR_RETURN(cs.p50, quantile(0.50));
-  BENTO_ASSIGN_OR_RETURN(cs.p75, quantile(0.75));
+  if (approx_quantiles) {
+    BENTO_ASSIGN_OR_RETURN(cs.p25, QuantileApprox(values, 0.25));
+    BENTO_ASSIGN_OR_RETURN(cs.p50, QuantileApprox(values, 0.50));
+    BENTO_ASSIGN_OR_RETURN(cs.p75, QuantileApprox(values, 0.75));
+    return cs;
+  }
+  // One sort serves all three exact quantiles (non-empty: m.count > 0).
+  const std::vector<double> sorted = SortedValues(*values);
+  cs.p25 = QuantileOfSorted(sorted, 0.25);
+  cs.p50 = QuantileOfSorted(sorted, 0.50);
+  cs.p75 = QuantileOfSorted(sorted, 0.75);
   return cs;
 }
 
@@ -367,6 +319,17 @@ Result<TablePtr> AssembleDescribe(const std::vector<ColumnStats>& stats) {
 }
 
 }  // namespace
+
+Result<TablePtr> Describe(const TablePtr& table, bool approx_quantiles) {
+  std::vector<ColumnStats> stats;
+  for (int c = 0; c < table->num_columns(); ++c) {
+    BENTO_ASSIGN_OR_RETURN(
+        ColumnStats cs, DescribeOneColumn(table->schema()->field(c),
+                                          table->column(c), approx_quantiles));
+    stats.push_back(std::move(cs));
+  }
+  return AssembleDescribe(stats);
+}
 
 Result<TablePtr> DescribeParallel(const TablePtr& table, bool approx_quantiles,
                                   const sim::ParallelOptions& options) {

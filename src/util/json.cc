@@ -188,7 +188,8 @@ std::string JsonValue::Dump(int indent) const {
 
 namespace {
 
-/// Recursive-descent JSON parser over a string_view.
+/// Recursive-descent JSON parser over a string_view. Nesting deeper than
+/// kMaxDepth is rejected, so hostile input cannot exhaust the stack.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -205,14 +206,23 @@ class JsonParser {
   }
 
  private:
+  static constexpr int kMaxDepth = 256;
+
   Status ParseValue(JsonValue* out) {
     if (pos_ >= text_.size()) return Status::Invalid("unexpected end of JSON");
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        if (depth_ >= kMaxDepth) {
+          return Status::Invalid("JSON nested deeper than ", kMaxDepth,
+                                 " levels at offset ", pos_);
+        }
+        ++depth_;
+        Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return st;
+      }
       case '"': {
         std::string s;
         BENTO_RETURN_NOT_OK(ParseString(&s));
@@ -397,6 +407,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects currently open
 };
 
 }  // namespace

@@ -100,18 +100,35 @@ Result<bool> ParseBool(std::string_view s) {
   return Status::Invalid("not a boolean: '", std::string(s), "'");
 }
 
-std::string FormatDouble(double v) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  // Shortest representation that round-trips: try increasing precision.
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = 0.0;
-    std::from_chars(buf, buf + std::strlen(buf), back);
-    if (back == v) break;
+size_t FormatDoubleTo(double v, char* buf) {
+  if (!std::isfinite(v)) {
+    const std::string_view s = std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf";
+    std::memcpy(buf, s.data(), s.size());
+    return s.size();
   }
-  return buf;
+  char* const limit = buf + kFormatDoubleBufSize;
+  // No "%.{p}g" with fewer significant digits than the shortest round-trip
+  // form can round-trip, so the search for the smallest p starts there.
+  char* end = std::to_chars(buf, limit, v, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* c = buf; c < end && *c != 'e'; ++c) {
+    prec += std::isdigit(static_cast<unsigned char>(*c)) ? 1 : 0;
+  }
+  // std::to_chars with a precision is printf's "%.{p}g". Its correctly
+  // rounded p digits can still miss the round-trip interval (which is
+  // asymmetric at powers of two), so check and widen as needed.
+  for (;; ++prec) {
+    end = std::to_chars(buf, limit, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v || prec >= 17) break;
+  }
+  return static_cast<size_t>(end - buf);
+}
+
+std::string FormatDouble(double v) {
+  char buf[kFormatDoubleBufSize];
+  return std::string(buf, FormatDoubleTo(v, buf));
 }
 
 std::string HumanBytes(uint64_t bytes) {

@@ -37,8 +37,16 @@ Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 Result<bool> ParseBool(std::string_view s);
 
-/// \brief Formats a double the way the CSV writer needs it: shortest
-/// round-trip representation without locale dependence.
+/// \brief Buffer size FormatDoubleTo needs ("%.17g" of any double fits).
+inline constexpr size_t kFormatDoubleBufSize = 32;
+
+/// \brief Writes `v` into `buf` (kFormatDoubleBufSize chars, not
+/// NUL-terminated) and returns the length: "%.{p}g" with the smallest
+/// precision p that parses back to `v`, independent of locale; non-finite
+/// values are "nan", "inf" and "-inf".
+size_t FormatDoubleTo(double v, char* buf);
+
+/// \brief FormatDoubleTo as a string; the CSV writer's float text.
 std::string FormatDouble(double v);
 
 /// \brief "1.5 GiB"-style human-readable byte count for reports.

@@ -76,6 +76,29 @@ TEST(ParserTest, Rejections) {
   EXPECT_FALSE(ParseExpr("#").ok());
 }
 
+TEST(ParserTest, RejectsDeepNestingWithoutCrashing) {
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  constexpr int kDeep = 100000;
+  for (const std::string& text :
+       {repeat("(", kDeep) + "a" + repeat(")", kDeep), repeat("(", kDeep),
+        repeat("f(", kDeep) + "a" + repeat(")", kDeep),
+        repeat("not ", kDeep) + "a", repeat("!", kDeep) + "a",
+        repeat("-", kDeep) + "a", repeat("a ** ", kDeep) + "a"}) {
+    const auto parsed = ParseExpr(text);
+    ASSERT_FALSE(parsed.ok()) << text.substr(0, 16);
+    EXPECT_TRUE(parsed.status().IsInvalid()) << parsed.status().ToString();
+  }
+  // Nesting below the limit still parses.
+  EXPECT_EQ(ParseExpr(repeat("(", 100) + "a" + repeat(")", 100))
+                .ValueOrDie()
+                ->ToString(),
+            "a");
+}
+
 TEST(InferTypeTest, Rules) {
   col::Schema schema({{"i", TypeId::kInt64},
                       {"f", TypeId::kFloat64},

@@ -2,7 +2,12 @@
 
 #include <unistd.h>
 
+#include <cfloat>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "engines/chunk_stream.h"
@@ -38,6 +43,13 @@ class TempPath {
  private:
   std::string path_;
 };
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
 
 // --- LZ codec ---
 
@@ -207,16 +219,61 @@ TEST(CsvTest, QuotedFieldTortureRoundTrip) {
   // (both \n and \r\n), doubled quotes, quotes adjacent to delimiters, and
   // fields that are nothing but separators. Writer and both readers
   // (buffered and mmap/parallel) must agree cell-for-cell.
+  // Strings equal to a reader null literal must come back as strings.
   auto t = MakeTable({
       {"left", Str({"a,b", ",", "\"", "line1\nline2", "crlf\r\nrest", ""},
                    {true, true, true, true, true, false})},
       {"right", Str({"she said \"hi\"", "\",\"", "\n", ",,,", "x", "tail"})},
+      {"literals", Str({"NA", "null", "NaN", "", "nan", "N/A"})},
       {"n", I64({1, 2, 3, 4, 5, 6})},
   });
   TempPath path(".csv");
   ASSERT_TRUE(WriteCsv(t, path.str()).ok());
   test::ExpectTablesEqual(t, ReadCsv(path.str()).ValueOrDie());
   test::ExpectTablesEqual(t, ReadCsvMmap(path.str()).ValueOrDie());
+  auto reader = CsvChunkReader::Open(path.str()).ValueOrDie();
+  test::ExpectTablesEqual(t, reader->Next().ValueOrDie());
+  EXPECT_EQ(reader->Next().ValueOrDie(), nullptr);
+}
+
+TEST(CsvTest, WriteCsvGoldenBytes) {
+  // The writer's text contract for every column type: nulls are bare empty
+  // fields (row 2), the empty string and null literals are quoted, floats
+  // are the shortest round-trip "%g", timestamps are UTC seconds.
+  const double nan = std::nan("");
+  const std::vector<bool> row2_null = {true, true, false, true, true, true};
+  auto t = MakeTable({
+      {"i", I64({1, INT64_MIN, 0, 42, INT64_MAX, -7}, row2_null)},
+      {"f", F64({0.1 + 0.2, -0.0, 0.0, 1e-5, nan, 1e16}, row2_null)},
+      {"g", F64({HUGE_VAL, -HUGE_VAL, 0.0, 5e-324, DBL_MAX, 1e-4}, row2_null)},
+      {"b", Bools({true, false, false, true, false, true}, row2_null)},
+      {"s", Str({"plain", "", "", "a,\"b\"", "NA", "line\nbreak"}, row2_null)},
+      {"t", kern::Cast(I64({0, 1700000000123456, 0, -1000000, 951782400000000,
+                            1},
+                           row2_null),
+                       TypeId::kTimestamp)
+                .ValueOrDie()},
+      {"c", kern::Cast(Str({"x", "NaN", "", "", "null", "x"}, row2_null),
+                       TypeId::kCategorical)
+                .ValueOrDie()},
+  });
+  const std::string expected =
+      "i,f,g,b,s,t,c\n"
+      "1,0.30000000000000004,inf,true,plain,1970-01-01 00:00:00,x\n"
+      "-9223372036854775808,-0,-inf,false,\"\",2023-11-14 22:13:20,\"NaN\"\n"
+      ",,,,,,\n"
+      "42,1e-05,5e-324,true,\"a,\"\"b\"\"\",1969-12-31 23:59:59,\"\"\n"
+      "9223372036854775807,nan,1.7976931348623157e+308,false,\"NA\","
+      "2000-02-29 00:00:00,\"null\"\n"
+      "-7,1e+16,0.0001,true,\"line\nbreak\",1970-01-01 00:00:00,x\n";
+  TempPath serial(".csv");
+  ASSERT_TRUE(WriteCsv(t, serial.str()).ok());
+  EXPECT_EQ(ReadFileBytes(serial.str()), expected);
+  TempPath parallel(".csv");
+  sim::ParallelOptions popts;
+  popts.max_workers = 2;
+  ASSERT_TRUE(WriteCsvParallel(t, parallel.str(), {}, popts).ok());
+  EXPECT_EQ(ReadFileBytes(parallel.str()), expected);
 }
 
 TEST(CsvTest, ParallelWriterQuotesEmbeddedNewlines) {
@@ -310,16 +367,34 @@ TEST(CsvTest, ChunkReaderStreamsAllRows) {
 }
 
 TEST(CsvTest, ParallelWriterMatchesSerial) {
-  TempPath p1(".csv");
-  TempPath p2(".csv");
-  auto t = SampleTable();
-  ASSERT_TRUE(WriteCsv(t, p1.str()).ok());
-  sim::ParallelOptions popts;
-  popts.max_workers = 3;
-  ASSERT_TRUE(WriteCsvParallel(t, p2.str(), {}, popts).ok());
-  auto a = ReadCsv(p1.str()).ValueOrDie();
-  auto b = ReadCsv(p2.str()).ValueOrDie();
-  test::ExpectTablesEqual(a, b);
+  // 70K rows cross both the serial writer's 64K-row block and the parallel
+  // writer's 8192-row minimum split.
+  constexpr int kRows = 70000;
+  Rng rng(7);
+  col::Int64Builder ids;
+  col::Float64Builder values;
+  col::StringBuilder names;
+  for (int i = 0; i < kRows; ++i) {
+    ids.Append(static_cast<int64_t>(rng.Next()));
+    values.AppendMaybe(rng.UniformInt(0, 100000) / 100.0, !rng.Bernoulli(0.3));
+    names.AppendMaybe(i % 5 == 0 ? "NA" : rng.AsciiString(0, 6),
+                      !rng.Bernoulli(0.1));
+  }
+  auto t = MakeTable({{"id", ids.Finish().ValueOrDie()},
+                      {"v", values.Finish().ValueOrDie()},
+                      {"s", names.Finish().ValueOrDie()}});
+  TempPath serial(".csv");
+  ASSERT_TRUE(WriteCsv(t, serial.str()).ok());
+  const std::string expected = ReadFileBytes(serial.str());
+  for (int workers : {1, 2, 3, 8}) {
+    TempPath parallel(".csv");
+    sim::ParallelOptions popts;
+    popts.max_workers = workers;
+    ASSERT_TRUE(WriteCsvParallel(t, parallel.str(), {}, popts).ok());
+    EXPECT_TRUE(ReadFileBytes(parallel.str()) == expected)
+        << workers << " workers";
+  }
+  test::ExpectTablesEqual(t, ReadCsv(serial.str()).ValueOrDie());
 }
 
 TEST(CsvTest, MissingFileErrors) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "kernels/apply.h"
@@ -216,6 +217,58 @@ TEST(StatsTest, DescribeShape) {
   EXPECT_EQ(d->column(0)->GetView(0), "x");
   EXPECT_DOUBLE_EQ(d->GetColumn("mean").ValueOrDie()->float64_data()[1], 20.0);
   EXPECT_DOUBLE_EQ(d->GetColumn("50%").ValueOrDie()->float64_data()[0], 2.0);
+}
+
+TEST(StatsTest, DescribeQuantilesMatchPerQuantileReference) {
+  const double nan = std::nan("");
+  col::Float64Builder wide;
+  Rng rng(31);
+  for (int i = 0; i < 5000; ++i) {
+    // Few distinct values (many duplicates), ±0.0, NaN and nulls mixed in.
+    const double v = i % 97 == 0   ? nan
+                     : i % 11 == 0 ? (i % 2 == 0 ? 0.0 : -0.0)
+                                   : rng.UniformInt(-20, 20) / 4.0;
+    wide.AppendMaybe(v, !rng.Bernoulli(0.1));
+  }
+  auto t = MakeTable({
+      {"i64", I64({5, -3, 5, 0, 7, 5, -3},
+                  {true, true, false, true, true, true, true})},
+      {"f64", F64({nan, 0.0, -0.0, 2.5, 2.5, -1e300, 0.1},
+                  {true, true, true, false, true, true, true})},
+      {"bool", Bools({true, false, true, true, false, false, true},
+                     {true, true, false, true, true, true, false})},
+      {"one", F64({0, 0, 4.25, 0, 0, 0, 0},
+                  {false, false, true, false, false, false, false})},
+      {"all_null", I64({1, 2, 3, 4, 5, 6, 7}, std::vector<bool>(7, false))},
+      {"all_nan", F64(std::vector<double>(7, nan))},
+  });
+  auto wide_t = MakeTable({{"wide", wide.Finish().ValueOrDie()}});
+  sim::ParallelOptions opts;
+  opts.max_workers = 3;
+  for (const col::TablePtr& input : {t, wide_t}) {
+    for (bool parallel : {false, true}) {
+      auto d = parallel ? DescribeParallel(input, false, opts).ValueOrDie()
+                        : Describe(input).ValueOrDie();
+      ASSERT_EQ(d->num_rows(), input->num_columns());
+      for (int c = 0; c < input->num_columns(); ++c) {
+        ASSERT_EQ(d->column(0)->GetView(c), input->schema()->field(c).name);
+        const std::pair<const char*, double> quantiles[] = {
+            {"25%", 0.25}, {"50%", 0.50}, {"75%", 0.75}};
+        for (const auto& [name, q] : quantiles) {
+          const col::ArrayPtr cell = d->GetColumn(name).ValueOrDie();
+          auto expected = Quantile(input->column(c), q);
+          SCOPED_TRACE(input->schema()->field(c).name + " " + name);
+          if (!expected.ok()) {
+            EXPECT_TRUE(cell->IsNull(c));
+            continue;
+          }
+          ASSERT_TRUE(cell->IsValid(c));
+          EXPECT_EQ(std::bit_cast<uint64_t>(cell->float64_data()[c]),
+                    std::bit_cast<uint64_t>(expected.ValueOrDie()));
+        }
+      }
+    }
+  }
 }
 
 // --- encode ---

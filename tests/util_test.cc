@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 
 #include "util/json.h"
 #include "util/random.h"
@@ -123,10 +128,77 @@ TEST(StringUtilTest, ParseBool) {
 }
 
 TEST(StringUtilTest, FormatDoubleRoundTrips) {
-  for (double v : {0.0, 1.5, -2.25, 1.0 / 3.0, 1e300, 6.02e23, 0.1}) {
-    EXPECT_DOUBLE_EQ(ParseDouble(FormatDouble(v)).ValueOrDie(), v);
+  for (double v : {0.0, -0.0, 1.5, -2.25, 1.0 / 3.0, 1e300, 6.02e23, 0.1,
+                   5e-324, DBL_MIN, DBL_MAX, 0.1 + 0.2}) {
+    const double back = ParseDouble(FormatDouble(v)).ValueOrDie();
+    EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v))
+        << FormatDouble(v);
   }
   EXPECT_EQ(FormatDouble(std::nan("")), "nan");
+  EXPECT_EQ(FormatDouble(-std::nan("")), "nan");
+  EXPECT_EQ(FormatDouble(HUGE_VAL), "inf");
+  EXPECT_EQ(FormatDouble(-HUGE_VAL), "-inf");
+}
+
+// The formatter's specification: the shortest "%.{p}g" that parses back to
+// `v`, found by trying every precision in turn. FormatDouble must produce
+// exactly these bytes.
+std::string ReferenceFormatDouble(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  char buf[64];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = 0.0;
+    std::from_chars(buf, buf + std::strlen(buf), back);
+    if (back == v) break;
+  }
+  return buf;
+}
+
+// Checks `v`, its negation and both of its neighbours against the reference.
+void ExpectFormatMatchesReference(double v) {
+  for (double x :
+       {v, std::nextafter(v, -HUGE_VAL), std::nextafter(v, HUGE_VAL)}) {
+    for (double y : {x, -x}) {
+      ASSERT_EQ(FormatDouble(y), ReferenceFormatDouble(y))
+          << "bits " << std::bit_cast<uint64_t>(y);
+    }
+  }
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesReferenceOnEdgeValues) {
+  // 1e-5/1e-4 and 1e16/1e17 are where "%g" switches between fixed and
+  // exponent notation at the precisions that occur.
+  for (double v : {0.0, 5e-324, DBL_MIN, DBL_MAX, 0.1 + 0.2, 1e-5, 1e-4,
+                   1e16, 1e17, 9.9999999999999995e-5, 9999999999999998.0,
+                   123456789012345680.0, 0.5, 1.0, 100.0, 1.0 / 3.0}) {
+    ExpectFormatMatchesReference(v);
+  }
+  for (double v : {HUGE_VAL, -HUGE_VAL, std::nan(""), -std::nan("")}) {
+    EXPECT_EQ(FormatDouble(v), ReferenceFormatDouble(v));
+  }
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesReferenceOnPowers) {
+  for (int e = -1074; e <= 1023; ++e) {
+    ExpectFormatMatchesReference(std::ldexp(1.0, e));
+  }
+  for (int e = -323; e <= 308; ++e) {
+    ExpectFormatMatchesReference(
+        ParseDouble("1e" + std::to_string(e)).ValueOrDie());
+  }
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesReferenceOnRandomBits) {
+  Rng rng(20251017);
+  for (int i = 0; i < 200000; ++i) {
+    uint64_t bits = rng.Next();
+    // Every fourth draw clears the exponent: a subnormal (or zero).
+    if (i % 4 == 0) bits &= 0x800FFFFFFFFFFFFFULL;
+    const double v = std::bit_cast<double>(bits);
+    ASSERT_EQ(FormatDouble(v), ReferenceFormatDouble(v)) << "bits " << bits;
+  }
 }
 
 TEST(StringUtilTest, HumanBytes) {
@@ -189,6 +261,19 @@ TEST(JsonTest, ObjectSetOverwrites) {
   obj.Set("k", JsonValue::Int(2));
   EXPECT_EQ(obj.GetInt("k"), 2);
   EXPECT_EQ(obj.members().size(), 1u);
+}
+
+TEST(JsonTest, RejectsDeepNestingWithoutCrashing) {
+  for (char open : {'[', '{'}) {
+    std::string text;
+    for (int i = 0; i < 100000; ++i) text += open == '[' ? "[" : "{\"k\":";
+    const auto parsed = ParseJson(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().IsInvalid()) << parsed.status().ToString();
+  }
+  // Nesting below the limit still parses.
+  const std::string ok = std::string(100, '[') + std::string(100, ']');
+  EXPECT_TRUE(ParseJson(ok).ok());
 }
 
 TEST(JsonTest, UnicodeEscapes) {
