@@ -89,25 +89,9 @@ class BcfChunkStream : public ChunkStream {
   bool delivered_any_ = false;
 };
 
-/// \brief Applies a per-chunk transformation to an inner stream (the
-/// second pass of two-pass streaming operators).
-class MappedStream : public ChunkStream {
- public:
-  using MapFn = std::function<Result<col::TablePtr>(col::TablePtr)>;
-
-  MappedStream(std::unique_ptr<ChunkStream> inner, MapFn fn)
-      : inner_(std::move(inner)), fn_(std::move(fn)) {}
-
-  Result<col::TablePtr> Next() override {
-    BENTO_ASSIGN_OR_RETURN(auto chunk, inner_->Next());
-    if (chunk == nullptr) return chunk;
-    return fn_(std::move(chunk));
-  }
-
- private:
-  std::unique_ptr<ChunkStream> inner_;
-  MapFn fn_;
-};
+/// \brief Pure per-chunk transform: a stage's streamable op run, or the
+/// residual second pass of a two-pass or probe-side breaker.
+using ChunkMapFn = std::function<Result<col::TablePtr>(col::TablePtr)>;
 
 /// \brief Bytes a chunk would occupy if copied out. Slices of a larger
 /// table share whole buffers (a string slice keeps the full chars buffer),

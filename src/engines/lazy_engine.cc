@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "engines/streaming_ops.h"
 #include "kernels/encode.h"
@@ -103,12 +104,15 @@ std::optional<std::string> LazySubplanSignature(
         break;
       }
       default:
-        sig += "|" + plan::OpSummary(op);
+        sig += '|';
+        sig += plan::OpSummary(op);
         // The display string collapses scalar kinds (Int(0) and Double(0)
         // both render "0"); tag them so the signature doesn't.
         if (op.kind == OpKind::kFillNa || op.kind == OpKind::kReplace) {
-          sig += "#" + std::to_string(static_cast<int>(op.scalar_a.kind())) +
-                 "," + std::to_string(static_cast<int>(op.scalar_b.kind()));
+          sig += '#';
+          sig += std::to_string(static_cast<int>(op.scalar_a.kind()));
+          sig += ',';
+          sig += std::to_string(static_cast<int>(op.scalar_b.kind()));
         }
     }
   }
@@ -205,41 +209,62 @@ Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
 
 namespace {
 
-/// Applies a run of streamable ops to every chunk of an inner stream.
-class TransformingStream : public ChunkStream {
- public:
-  TransformingStream(ChunkStream* inner, const Op* ops, size_t n_ops,
-                     const ExecPolicy* policy, double per_chunk_penalty)
-      : inner_(inner),
-        ops_(ops),
-        n_ops_(n_ops),
-        policy_(policy),
-        per_chunk_penalty_(per_chunk_penalty) {}
-
-  Result<col::TablePtr> Next() override {
-    BENTO_ASSIGN_OR_RETURN(auto chunk, inner_->Next());
-    if (chunk == nullptr) return chunk;
+/// The per-chunk work of one streaming stage, shared by Execute and
+/// ExecuteAction: count the chunk, apply the residual map a two-pass or
+/// probe breaker carried over from the previous stage, then run the stage's
+/// streamable ops. Pure per chunk, so pipeline workers run it concurrently.
+ChunkMapFn StageMap(const Op* ops, size_t n_ops, const ExecPolicy& policy,
+                    ChunkMapFn carried) {
+  return [ops, n_ops, policy, carried = std::move(carried)](
+             col::TablePtr chunk) -> Result<col::TablePtr> {
     static obs::Counter* chunks =
         obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
     chunks->Increment();
     static obs::Counter* rows =
         obs::MetricsRegistry::Global().counter("lazy.stream_rows");
     rows->Add(static_cast<uint64_t>(chunk->num_rows()));
-    for (size_t k = 0; k < n_ops_; ++k) {
-      BENTO_ASSIGN_OR_RETURN(chunk,
-                             frame::ExecTransform(chunk, ops_[k], *policy_));
+    if (carried) {
+      BENTO_ASSIGN_OR_RETURN(chunk, carried(std::move(chunk)));
     }
-    if (per_chunk_penalty_ > 0) sim::ChargePenalty(per_chunk_penalty_);
+    for (size_t k = 0; k < n_ops; ++k) {
+      BENTO_ASSIGN_OR_RETURN(chunk,
+                             frame::ExecTransform(chunk, ops[k], policy));
+    }
     return chunk;
-  }
+  };
+}
 
- private:
-  ChunkStream* inner_;
-  const Op* ops_;
-  size_t n_ops_;
-  const ExecPolicy* policy_;
-  double per_chunk_penalty_;
-};
+/// A transform stage: `map` over every chunk of `inner`, delivered in
+/// stream order (inline on the calling thread when `pipe` is serial).
+std::unique_ptr<ParallelPipelineDriver> MakeStage(ChunkStream* inner,
+                                                  ChunkMapFn map,
+                                                  const PipelineOptions& pipe) {
+  return std::make_unique<ParallelPipelineDriver>(
+      inner,
+      [map = std::move(map)](col::TablePtr chunk, int64_t) {
+        return map(std::move(chunk));
+      },
+      pipe);
+}
+
+/// Charges a finished stage's modeled per-chunk overhead on the calling
+/// thread, which owns the session clock (pipeline workers do not).
+void ChargeChunks(double per_chunk_seconds, int64_t chunks) {
+  if (per_chunk_seconds > 0 && chunks > 0) {
+    sim::ChargePenalty(per_chunk_seconds * static_cast<double>(chunks));
+  }
+}
+
+/// Background ingest: with pipeline workers, file-backed streams parse and
+/// decode ahead of compute on a dedicated producer thread.
+std::unique_ptr<ChunkStream> WrapPrefetch(const PipelineOptions& pipe,
+                                          std::unique_ptr<ChunkStream> s) {
+  if (pipe.parallel() && pipe.prefetch_depth > 0) {
+    s = std::make_unique<PrefetchChunkStream>(std::move(s),
+                                              pipe.prefetch_depth);
+  }
+  return s;
+}
 
 }  // namespace
 
@@ -296,7 +321,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   const ExecPolicy policy = ExecutionPolicy();
 
   // Morsel-driven pipeline shape for this execution (serial unless the
-  // engine runs chunk-parallel kernels AND real execution is engaged). In
+  // engine runs chunk-parallel kernels; see ResolvePipelineOptions). In
   // parallel mode every pipeline worker owns a whole chunk, so the
   // per-kernel morsel fan-out is switched off for work running ON workers —
   // chunk-level parallelism replaces it; nesting both would oversubscribe
@@ -344,19 +369,10 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   }
 
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan));
-
-  // Background ingest: file-backed sources parse/decode ahead of compute on
-  // a dedicated producer thread (in-memory tables chunk into zero-copy
-  // slices; buffering views would add nothing).
-  auto wrap_prefetch = [&pipe](std::unique_ptr<ChunkStream> s) {
-    if (pipe.parallel() && pipe.prefetch_depth > 0) {
-      s = std::make_unique<PrefetchChunkStream>(std::move(s),
-                                                pipe.prefetch_depth);
-    }
-    return s;
-  };
+  // In-memory tables chunk into zero-copy slices; buffering views ahead
+  // would add nothing.
   if (source.kind != LazySource::Kind::kTable) {
-    stream = wrap_prefetch(std::move(stream));
+    stream = WrapPrefetch(pipe, std::move(stream));
   }
 
   const bool stream_breakers = StreamsBreakers() && MemoryTight(source);
@@ -373,14 +389,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           session != nullptr ? session->host_pool()->HeadroomBytes()
                              : UINT64_MAX;
       if (headroom != UINT64_MAX) {
-        // The pipeline's worker budget also governs the materializer's
-        // compaction pass, so the 1-vs-N worker A/B covers the whole drain.
-        MaterializeOptions mat;
-        if (pipe.parallel()) {
-          mat.compact_workers = pipe.workers;
-          mat.parallel_options = policy.parallel_options;
-        }
-        return MaterializeStreamMapped(s, headroom / 4, mat);
+        return MaterializeStreamMapped(s, headroom / 4);
       }
     }
     return DrainStream(s);
@@ -393,88 +402,44 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   std::vector<std::shared_ptr<TempSpill>> spills;
   size_t i = start;
 
-  // A breaker's residual per-chunk map (two-pass encode, probe-side join):
-  // in parallel mode it is carried into the NEXT stage's worker map instead
-  // of wrapping the stream, so the encode/probe work runs on all pipeline
-  // workers rather than serially inside the next stage's chunk claim.
-  MappedStream::MapFn pending_map;
+  // A breaker's residual per-chunk map (two-pass encode, probe-side join)
+  // is carried into the NEXT stage's map instead of wrapping the stream, so
+  // the encode/probe work runs on the pipeline workers rather than inside
+  // the next stage's serial chunk claim.
+  ChunkMapFn pending_map;
 
   while (current == nullptr) {
-    // Maximal streamable run [i, j).
+    // Maximal streamable run [i, j), as one pure per-chunk map.
     size_t j = i;
     while (j < ops.size() && IsStreamable(ops[j])) ++j;
-
-    // The run as a pure per-chunk map (parallel mode). Counters mirror the
-    // serial TransformingStream; the per-chunk virtual-time overhead is
-    // charged by the consumer thread once the stage's chunk count is known
-    // (session clocks are consumer-thread state).
-    MappedStream::MapFn chunk_map;
-    if (pipe.parallel()) {
-      chunk_map = [run_ops = ops.data() + i, n_run = j - i, &worker_policy,
-                   carried = std::move(pending_map)](
-                      col::TablePtr chunk) -> Result<col::TablePtr> {
-        static obs::Counter* chunks =
-            obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
-        chunks->Increment();
-        static obs::Counter* rows =
-            obs::MetricsRegistry::Global().counter("lazy.stream_rows");
-        rows->Add(static_cast<uint64_t>(chunk->num_rows()));
-        if (carried) {
-          BENTO_ASSIGN_OR_RETURN(chunk, carried(std::move(chunk)));
-        }
-        for (size_t k = 0; k < n_run; ++k) {
-          BENTO_ASSIGN_OR_RETURN(
-              chunk, frame::ExecTransform(chunk, run_ops[k], worker_policy));
-        }
-        return chunk;
-      };
-      pending_map = nullptr;  // consumed (moved-from) by this stage's map
-    }
+    const ChunkMapFn stage_map = StageMap(ops.data() + i, j - i, worker_policy,
+                                          std::exchange(pending_map, nullptr));
 
     // A breaker with its own pipelined fold takes the raw stream plus the
     // run as a fused pre-map: transforms and partial aggregation ride ONE
-    // parallel stage instead of nesting two drivers (whose workers would
-    // otherwise steal chunks from each other).
+    // stage instead of nesting two drivers (whose workers would otherwise
+    // steal chunks from each other). Every other stage is a driver here.
     const bool fuse_into_breaker =
-        pipe.parallel() && stream_breakers && j < ops.size() &&
+        stream_breakers && j < ops.size() &&
         (ops[j].kind == OpKind::kGroupByAgg || ops[j].kind == OpKind::kPivot ||
          ops[j].kind == OpKind::kDropDuplicates);
+    std::unique_ptr<ParallelPipelineDriver> stage;
+    if (!fuse_into_breaker) stage = MakeStage(stream.get(), stage_map, pipe);
+    ChunkStream* run_stream = stage != nullptr ? stage.get() : stream.get();
 
-    std::unique_ptr<TransformingStream> transformed;
-    std::unique_ptr<ParallelPipelineDriver> par_stage;
-    ChunkStream* run_stream = stream.get();
-    if (!fuse_into_breaker) {
-      if (pipe.parallel()) {
-        par_stage = std::make_unique<ParallelPipelineDriver>(
-            stream.get(),
-            [chunk_map](col::TablePtr chunk, int64_t) {
-              return chunk_map(std::move(chunk));
-            },
-            pipe);
-        run_stream = par_stage.get();
-      } else {
-        transformed = std::make_unique<TransformingStream>(
-            stream.get(), ops.data() + i, j - i, &policy,
-            PerChunkOverheadSeconds());
-        run_stream = transformed.get();
-      }
-    }
-
-    // Per-chunk modeled overhead the pipeline workers could not charge.
-    auto charge_chunks = [this](int64_t chunks) {
-      const double penalty = PerChunkOverheadSeconds();
-      if (penalty > 0 && chunks > 0) {
-        sim::ChargePenalty(penalty * static_cast<double>(chunks));
-      }
-    };
     // Joins the stage's workers — nothing may still hold the old stream
-    // when `stream` is replaced below — and settles its chunk accounting.
+    // when `stream` is replaced below — and charges its chunks.
+    int64_t fused_chunks = 0;
     auto close_stage = [&]() {
-      if (par_stage == nullptr) return;
-      const int64_t chunks = par_stage->chunks_claimed();
-      par_stage.reset();
-      charge_chunks(chunks);
+      const int64_t chunks =
+          stage != nullptr ? stage->chunks_claimed() : fused_chunks;
+      stage.reset();
+      ChargeChunks(PerChunkOverheadSeconds(), chunks);
     };
+    StreamingGroupByOptions gb_options;
+    gb_options.pipeline = pipe;
+    gb_options.pre_map = stage_map;
+    gb_options.chunks_claimed = &fused_chunks;
 
     if (j >= ops.size()) {
       BENTO_ASSIGN_OR_RETURN(current, drain(run_stream));
@@ -486,34 +451,18 @@ Result<col::TablePtr> LazyEngineBase::Execute(
     if (stream_breakers) {
       switch (breaker.kind) {
         case OpKind::kGroupByAgg: {
-          StreamingGroupByOptions gb_options;
-          int64_t fused_chunks = 0;
-          if (fuse_into_breaker) {
-            gb_options.pipeline = pipe;
-            gb_options.pre_map = chunk_map;
-            gb_options.chunks_claimed = &fused_chunks;
-          }
           BENTO_ASSIGN_OR_RETURN(
               stage_table, StreamingGroupBy(run_stream, breaker.columns,
                                             breaker.aggs, policy, gb_options));
-          charge_chunks(fused_chunks);
           close_stage();
           stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
           i = j + 1;
           continue;
         }
         case OpKind::kPivot: {
-          StreamingGroupByOptions gb_options;
-          int64_t fused_chunks = 0;
-          if (fuse_into_breaker) {
-            gb_options.pipeline = pipe;
-            gb_options.pre_map = chunk_map;
-            gb_options.chunks_claimed = &fused_chunks;
-          }
           BENTO_ASSIGN_OR_RETURN(
               stage_table,
               StreamingPivot(run_stream, breaker, policy, gb_options));
-          charge_chunks(fused_chunks);
           close_stage();
           stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
           i = j + 1;
@@ -521,16 +470,12 @@ Result<col::TablePtr> LazyEngineBase::Execute(
         }
         case OpKind::kDropDuplicates: {
           StreamingDedupOptions dd_options;
-          int64_t fused_chunks = 0;
-          if (fuse_into_breaker) {
-            dd_options.pipeline = pipe;
-            dd_options.pre_map = chunk_map;
-            dd_options.chunks_claimed = &fused_chunks;
-          }
+          dd_options.pipeline = pipe;
+          dd_options.pre_map = stage_map;
+          dd_options.chunks_claimed = &fused_chunks;
           BENTO_ASSIGN_OR_RETURN(
               stage_table,
               StreamingDedup(run_stream, breaker.columns, dd_options));
-          charge_chunks(fused_chunks);
           close_stage();
           stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
           i = j + 1;
@@ -549,7 +494,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           spills.push_back(spill);
           stage_table.reset();
           BENTO_ASSIGN_OR_RETURN(auto bcf_stream, BcfChunkStream::Open(path));
-          stream = wrap_prefetch(std::move(bcf_stream));
+          stream = WrapPrefetch(pipe, std::move(bcf_stream));
           i = j + 1;
           continue;
         }
@@ -570,36 +515,32 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           spills.push_back(spill);
           stage_table.reset();
 
-          MappedStream::MapFn map_fn;
+          BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
+          auto pass1 = WrapPrefetch(pipe, std::move(pass1_raw));
           if (breaker.kind == OpKind::kGetDummies) {
-            BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-            auto pass1 = wrap_prefetch(std::move(pass1_raw));
             BENTO_ASSIGN_OR_RETURN(
                 auto categories,
                 StreamDistinctValues(pass1.get(), breaker.column));
-            map_fn = [column = breaker.column,
-                      categories = std::move(categories)](col::TablePtr chunk) {
+            pending_map = [column = breaker.column,
+                           categories = std::move(categories)](
+                              col::TablePtr chunk) {
               return kern::GetDummiesWithCategories(chunk, column, categories);
             };
           } else if (breaker.kind == OpKind::kCatCodes) {
-            BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-            auto pass1 = wrap_prefetch(std::move(pass1_raw));
             BENTO_ASSIGN_OR_RETURN(
                 auto dict, StreamDistinctValues(pass1.get(), breaker.column));
-            map_fn = [column = breaker.column, dict = std::move(dict)](
-                         col::TablePtr chunk) -> Result<col::TablePtr> {
+            pending_map = [column = breaker.column, dict = std::move(dict)](
+                              col::TablePtr chunk) -> Result<col::TablePtr> {
               BENTO_ASSIGN_OR_RETURN(auto values, chunk->GetColumn(column));
               BENTO_ASSIGN_OR_RETURN(auto codes,
                                      kern::CatCodesWithDict(values, dict));
               return chunk->SetColumn(column, codes);
             };
           } else {  // fillna with mean
-            BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-            auto pass1 = wrap_prefetch(std::move(pass1_raw));
             BENTO_ASSIGN_OR_RETURN(double mean,
                                    StreamColumnMean(pass1.get(), breaker.column));
-            map_fn = [column = breaker.column,
-                      mean](col::TablePtr chunk) -> Result<col::TablePtr> {
+            pending_map = [column = breaker.column,
+                           mean](col::TablePtr chunk) -> Result<col::TablePtr> {
               BENTO_ASSIGN_OR_RETURN(auto values, chunk->GetColumn(column));
               col::Scalar fill = values->type() == col::TypeId::kInt64
                                      ? col::Scalar::Int(static_cast<int64_t>(mean))
@@ -608,16 +549,11 @@ Result<col::TablePtr> LazyEngineBase::Execute(
               return chunk->SetColumn(column, filled);
             };
           }
+          // Pass 2 is a plain scan of the spill; the encode map rides the
+          // next stage.
+          pass1.reset();
           BENTO_ASSIGN_OR_RETURN(auto pass2, BcfChunkStream::Open(path));
-          if (pipe.parallel()) {
-            // Defer the encode map to the next stage's workers; the stream
-            // itself is just the background-prefetched spill scan.
-            pending_map = std::move(map_fn);
-            stream = wrap_prefetch(std::move(pass2));
-          } else {
-            stream = wrap_prefetch(std::make_unique<MappedStream>(
-                std::move(pass2), std::move(map_fn)));
-          }
+          stream = WrapPrefetch(pipe, std::move(pass2));
           i = j + 1;
           continue;
         }
@@ -657,21 +593,16 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           spill->path = path;
           spills.push_back(spill);
           stage_table.reset();
-          MappedStream::MapFn map_fn =
-              [right, breaker](col::TablePtr chunk) -> Result<col::TablePtr> {
+          // The probe joins ride the next stage's map.
+          pending_map = [right, breaker](
+                            col::TablePtr chunk) -> Result<col::TablePtr> {
             kern::JoinOptions jopts;
             jopts.type = breaker.join_type;
             return kern::HashJoin(chunk, right, breaker.left_key,
                                   breaker.right_key, jopts);
           };
           BENTO_ASSIGN_OR_RETURN(auto pass, BcfChunkStream::Open(path));
-          if (pipe.parallel()) {
-            pending_map = std::move(map_fn);  // probe joins ride the workers
-            stream = wrap_prefetch(std::move(pass));
-          } else {
-            stream = wrap_prefetch(std::make_unique<MappedStream>(
-                std::move(pass), std::move(map_fn)));
-          }
+          stream = WrapPrefetch(pipe, std::move(pass));
           i = j + 1;
           continue;
         }
@@ -723,44 +654,24 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
   if (PlanOverheadSeconds() > 0) sim::ChargePenalty(PlanOverheadSeconds());
   std::vector<Op> ops = Optimize(plan);
 
-  // Same pipeline shape as Execute: transforms run on workers (chunk-level
-  // parallelism, so the per-kernel fan-out is off), the action fold stays
-  // on the calling thread in stream order.
+  // Same stage shape as Execute: the transforms run as one driver stage
+  // (chunk-level parallelism, so the per-kernel fan-out is off on workers),
+  // and the action fold stays on the calling thread in stream order.
   const PipelineOptions pipe = ResolvePipelineOptions(policy);
   ExecPolicy worker_policy = policy;
   if (pipe.parallel()) worker_policy.parallel = false;
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, ScanSpec{}));
-  if (pipe.parallel() && pipe.prefetch_depth > 0 &&
-      source.kind != LazySource::Kind::kTable) {
-    stream = std::make_unique<PrefetchChunkStream>(std::move(stream),
-                                                   pipe.prefetch_depth);
+  if (source.kind != LazySource::Kind::kTable) {
+    stream = WrapPrefetch(pipe, std::move(stream));
   }
-  std::unique_ptr<ChunkStream> transformed;
-  ParallelPipelineDriver* par_stage = nullptr;
-  if (pipe.parallel()) {
-    auto stage = std::make_unique<ParallelPipelineDriver>(
-        stream.get(),
-        [run_ops = ops.data(), n_run = ops.size(), &worker_policy](
-            col::TablePtr chunk, int64_t) -> Result<col::TablePtr> {
-          for (size_t k = 0; k < n_run; ++k) {
-            BENTO_ASSIGN_OR_RETURN(
-                chunk, frame::ExecTransform(chunk, run_ops[k], worker_policy));
-          }
-          return chunk;
-        },
-        pipe);
-    par_stage = stage.get();
-    transformed = std::move(stage);
-  } else {
-    transformed = std::make_unique<TransformingStream>(
-        stream.get(), ops.data(), ops.size(), &policy,
-        PerChunkOverheadSeconds());
-  }
+  const auto stage = MakeStage(
+      stream.get(), StageMap(ops.data(), ops.size(), worker_policy, nullptr),
+      pipe);
 
   ActionResult result;
   bool first = true;
   while (true) {
-    BENTO_ASSIGN_OR_RETURN(auto chunk, transformed->Next());
+    BENTO_ASSIGN_OR_RETURN(auto chunk, stage->Next());
     if (chunk == nullptr) break;
     const double penalty = ActionPenaltySeconds(action, chunk);
     if (penalty > 0) sim::ChargePenalty(penalty);
@@ -784,13 +695,7 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
       result.count += partial.count;
     }
   }
-  if (par_stage != nullptr) {
-    const double per_chunk = PerChunkOverheadSeconds();
-    if (per_chunk > 0 && par_stage->chunks_claimed() > 0) {
-      sim::ChargePenalty(per_chunk *
-                         static_cast<double>(par_stage->chunks_claimed()));
-    }
-  }
+  ChargeChunks(PerChunkOverheadSeconds(), stage->chunks_claimed());
   if (first) return Status::Invalid("action over an empty stream");
   return result;
 }

@@ -15,41 +15,37 @@ namespace bento::eng {
 
 PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy) {
   PipelineOptions out;  // serial defaults
-  if (const char* env = std::getenv("BENTO_PIPELINE")) {
-    if (std::string(env) == "off" || std::string(env) == "0") return out;
-  }
   if (!policy.parallel) return out;
-  if (sim::WouldUseRealExecution(policy.parallel_options)) {
-    int workers = std::min(sim::ResolveWorkers(policy.parallel_options),
-                           sim::ThreadPool::HardwareParallelism());
-    if (const char* env = std::getenv("BENTO_PIPELINE_WORKERS")) {
-      const long long v = std::atoll(env);
-      // The sweep override is exact (not clamped to physical cores): the
-      // bit-identity tests run 8 workers on any host.
-      if (v > 0) workers = static_cast<int>(std::min<long long>(v, 64));
-    }
-    out.workers = std::max(1, workers);
-    if (out.workers > 1) out.prefetch_depth = 2;
-    return out;
-  }
-  // Simulated session: model the same chunk-parallel schedule in virtual
-  // time. The driver runs serially, measures each chunk map, and credits
-  // the overlap the session machine's cores would achieve — ParallelFor's
+  // Real execution runs worker threads clamped to the physical cores. A
+  // simulated session models the same chunk-parallel schedule in virtual
+  // time: the driver runs serially, measures each chunk map, and credits the
+  // overlap the session machine's cores would achieve — ParallelFor's
   // simulated-mode accounting lifted to pipeline stages, so the pipeline
   // speedup shows on any host, including single-core runners. Never from a
   // pool worker (nested stages would double-credit), and never without a
-  // session (no virtual clock to credit). No prefetch thread either: work
-  // done off the consumer thread is invisible to its VirtualTimer.
+  // session (no virtual clock to credit).
+  const bool real = sim::WouldUseRealExecution(policy.parallel_options);
   sim::Session* session = sim::Session::Current();
-  if (session == nullptr || sim::ThreadPool::OnWorkerThread()) return out;
+  if (!real && (session == nullptr || sim::ThreadPool::OnWorkerThread())) {
+    return out;
+  }
   int workers = std::min(sim::ResolveWorkers(policy.parallel_options),
-                         session->cores());
+                         real ? sim::ThreadPool::HardwareParallelism()
+                              : session->cores());
   if (const char* env = std::getenv("BENTO_PIPELINE_WORKERS")) {
     const long long v = std::atoll(env);
-    // Exact override: the A/B benches pin 1 vs 4 modeled workers.
+    // The override is exact (not clamped to physical cores): the
+    // bit-identity tests run 8 workers on any host, and the A/B benches pin
+    // 1 vs 4 modeled workers.
     if (v > 0) workers = static_cast<int>(std::min<long long>(v, 64));
   }
   out.workers = std::max(1, workers);
+  if (real) {
+    if (out.workers > 1) out.prefetch_depth = 2;
+    return out;
+  }
+  // No prefetch thread when modeled: work done off the consumer thread is
+  // invisible to its VirtualTimer.
   out.simulate = out.workers > 1;
   out.schedule = policy.parallel_options.policy;
   out.per_task_dispatch_s = policy.parallel_options.per_task_dispatch_s;
@@ -294,17 +290,15 @@ void PrefetchChunkStream::ProducerLoop() {
       pulled = inner_->Next();
     }
     std::lock_guard<std::mutex> lk(mu_);
-    const bool end =
-        !pulled.ok() || pulled.ValueOrDie() == nullptr;
-    if (pulled.ok() && pulled.ValueOrDie() != nullptr) {
-      last_chunk_bytes_ = OwnedChunkBytes(pulled.ValueOrDie());
-    }
-    queue_.push_back(std::move(pulled));
-    cv_produced_.notify_all();
-    if (end) {
+    if (!pulled.ok() || pulled.ValueOrDie() == nullptr) {
+      error_ = pulled.status();
       finished_ = true;
-      return;
+    } else {
+      last_chunk_bytes_ = OwnedChunkBytes(pulled.ValueOrDie());
+      queue_.push_back(std::move(pulled).ValueOrDie());
     }
+    cv_produced_.notify_all();
+    if (finished_) return;
   }
 }
 
@@ -317,11 +311,15 @@ Result<col::TablePtr> PrefetchChunkStream::Next() {
     stalls->Increment();
   }
   cv_produced_.wait(lk, [&] { return !queue_.empty() || finished_; });
-  if (queue_.empty()) return col::TablePtr(nullptr);  // finished, drained
-  Result<col::TablePtr> r = std::move(queue_.front());
+  if (queue_.empty()) {
+    // Finished and drained: end of stream, or the producer's error.
+    if (!error_.ok()) return error_;
+    return col::TablePtr(nullptr);
+  }
+  col::TablePtr chunk = std::move(queue_.front());
   queue_.pop_front();
   cv_consumed_.notify_all();
-  return r;
+  return chunk;
 }
 
 }  // namespace bento::eng

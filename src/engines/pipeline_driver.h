@@ -21,11 +21,12 @@ namespace bento::eng {
 
 /// \brief Shape of the morsel-driven parallel streaming executor.
 ///
-/// `workers <= 1` is the serial mode: every stage runs inline on the calling
-/// thread with no extra threads, no queues and no reordering — byte-for-byte
-/// the behaviour of the pre-pipeline streaming loop. `workers > 1` turns a
-/// transform stage into a ParallelPipelineDriver and wraps file-backed
-/// sources in a PrefetchChunkStream.
+/// Every transform stage is a ParallelPipelineDriver whatever the shape.
+/// `workers <= 1` is the serial mode: the driver runs claim and map inline
+/// on the calling thread with no extra threads, no queues and no reordering,
+/// and it is the executor's only serial streaming loop. With `workers > 1`
+/// the driver runs (or models) concurrent workers, and real execution also
+/// wraps file-backed sources in a PrefetchChunkStream.
 struct PipelineOptions {
   /// Compute workers concurrently claiming chunks. <= 1 means inline serial.
   int workers = 1;
@@ -62,12 +63,10 @@ struct PipelineOptions {
 /// measured chunk maps, and a virtual-time credit for the overlap the
 /// session machine's cores would achieve — so pipeline scaling shows in
 /// virtual time host-independently. Without any session the pipeline stays
-/// off in simulated mode (there is no clock to credit). Environment
-/// overrides (read per call, so benches and tests can sweep without
-/// rebuilding engines):
-///   BENTO_PIPELINE=off         kill switch, forces serial streaming
-///   BENTO_PIPELINE_WORKERS=N   pins the worker count (N=1 forces the
-///                              serial baseline)
+/// off in simulated mode (there is no clock to credit).
+/// `BENTO_PIPELINE_WORKERS=N` pins the worker count exactly, in real and
+/// simulated sessions alike; N=1 forces the serial loop. It is read per
+/// call, so benches and tests can sweep it without rebuilding engines.
 PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 
 /// \brief Order-preserving parallel transform stage: N dedicated workers
@@ -187,10 +186,11 @@ class PrefetchChunkStream : public ChunkStream {
   std::mutex mu_;
   std::condition_variable cv_produced_;
   std::condition_variable cv_consumed_;
-  std::deque<Result<col::TablePtr>> queue_;  // guarded by mu_
-  uint64_t last_chunk_bytes_ = 0;            // guarded by mu_
-  bool finished_ = false;                    // guarded by mu_
-  bool cancelled_ = false;                   // guarded by mu_
+  std::deque<col::TablePtr> queue_;  // guarded by mu_
+  Status error_;                     // producer's terminal error; mu_
+  uint64_t last_chunk_bytes_ = 0;    // guarded by mu_
+  bool finished_ = false;            // guarded by mu_
+  bool cancelled_ = false;           // guarded by mu_
   std::thread producer_;
 };
 

@@ -1,6 +1,5 @@
 #include "engines/streaming_ops.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -8,11 +7,13 @@
 #include <cstdio>
 #include <limits>
 #include <queue>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "columnar/builder.h"
 #include "engines/spill_frames.h"
 #include "kernels/apply.h"
+#include "kernels/flat_index.h"
 #include "kernels/groupby.h"
 #include "kernels/join.h"
 #include "kernels/pivot.h"
@@ -43,8 +44,7 @@ std::vector<DecomposedAgg> DecomposeAggs(const std::vector<AggSpec>& aggs) {
   std::vector<DecomposedAgg> out;
   int tag = 0;
   for (const AggSpec& spec : aggs) {
-    DecomposedAgg d;
-    d.request = spec;
+    DecomposedAgg d{spec, {}, {}};
     auto add = [&](AggKind kind, const char* suffix,
                    AggKind merge_kind) {
       std::string name =
@@ -660,7 +660,13 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
   };
   ParallelPipelineDriver hashed_stream(input, hash_map, options.pipeline);
 
-  std::unordered_set<uint64_t> seen;
+  // The filter kern::DropDuplicates runs, across chunks: a hash hit is a
+  // duplicate only when the rows compare equal. Each distinct row's group id
+  // doubles as its FlatGrouper representative, and `where[group]` locates the
+  // row as (index into `kept`, row). Rows first seen in the chunk being
+  // filtered point into that chunk (index kept.size()) until it is appended.
+  kern::FlatGrouper seen;
+  std::vector<std::pair<size_t, int64_t>> where;
   std::vector<TablePtr> kept;
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto chunk, hashed_stream.Next());
@@ -669,14 +675,45 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
     BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
     const int64_t* hashes = hash_column->int64_data();
     BENTO_ASSIGN_OR_RETURN(chunk, chunk->DropColumns({kHashColumn}));
-    col::BoolBuilder keep;
-    keep.Reserve(chunk->num_rows());
+    const std::vector<std::string> columns =
+        subset.empty() ? chunk->schema()->names() : subset;
+
+    // One equality per table this chunk is compared with, made on first use.
+    std::unordered_map<size_t, kern::RowEquality> equalities;
+    Status status;
+    auto equal = [&](int64_t group, int64_t row) {
+      const auto [table, rep_row] = where[static_cast<size_t>(group)];
+      auto it = equalities.find(table);
+      if (it == equalities.end()) {
+        auto made = kern::RowEquality::Make(
+            table < kept.size() ? kept[table] : chunk, columns, chunk, columns);
+        if (!made.ok()) {
+          status = made.status();
+          return false;
+        }
+        it = equalities.emplace(table, std::move(made).ValueOrDie()).first;
+      }
+      return it->second.Equal(rep_row, row);
+    };
+    const int64_t first_new = seen.num_groups();
+    std::vector<int64_t> keep_rows;
     for (int64_t i = 0; i < chunk->num_rows(); ++i) {
-      keep.Append(seen.insert(static_cast<uint64_t>(hashes[i])).second);
+      const int64_t fresh = seen.num_groups();
+      const int64_t group = seen.FindOrInsert(
+          static_cast<uint64_t>(hashes[i]), fresh,
+          [&](int64_t rep, int64_t) { return equal(rep, i); });
+      BENTO_RETURN_NOT_OK(status);
+      if (group == fresh) {
+        where.emplace_back(kept.size(), i);
+        keep_rows.push_back(i);
+      }
     }
-    BENTO_ASSIGN_OR_RETURN(auto mask, keep.Finish());
-    BENTO_ASSIGN_OR_RETURN(auto filtered, kern::FilterTable(chunk, mask));
-    if (filtered->num_rows() > 0) kept.push_back(std::move(filtered));
+    if (keep_rows.empty()) continue;
+    for (int64_t g = first_new; g < seen.num_groups(); ++g) {
+      where[static_cast<size_t>(g)].second = g - first_new;  // kept position
+    }
+    BENTO_ASSIGN_OR_RETURN(auto filtered, kern::TakeTable(chunk, keep_rows));
+    kept.push_back(std::move(filtered));
   }
   if (options.chunks_claimed != nullptr) {
     *options.chunks_claimed = hashed_stream.chunks_claimed();
@@ -803,8 +840,7 @@ Result<TablePtr> DrainStream(ChunkStream* input) {
 }
 
 Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
-                                         uint64_t inline_limit_bytes,
-                                         const MaterializeOptions& options) {
+                                         uint64_t inline_limit_bytes) {
   BENTO_TRACE_SPAN(kIo, "materialize.mapped");
   static obs::Counter* mapped_frames =
       obs::MetricsRegistry::Global().counter("lazy.mapped_materializations");
@@ -866,89 +902,19 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
     wopts.mappable = true;
     BENTO_ASSIGN_OR_RETURN(auto dst, io::BcfWriter::Open(mapped_path, wopts));
     const col::SchemaPtr schema = src->schema();
-    const int num_cols = schema->num_fields();
-
-    // One column's worth of reassembly (all row groups of one column,
-    // concatenated). Readers are per-call when parallel — a shared reader
-    // would race on its cursor.
-    auto produce_column = [&](io::BcfReader* reader,
-                              int c) -> Result<col::ArrayPtr> {
-      std::vector<col::TablePtr> parts;
-      parts.reserve(static_cast<size_t>(reader->num_row_groups()));
-      for (int g = 0; g < reader->num_row_groups(); ++g) {
-        BENTO_ASSIGN_OR_RETURN(
-            auto part, reader->ReadRowGroup(g, {schema->field(c).name}));
-        parts.push_back(std::move(part));
-      }
-      BENTO_ASSIGN_OR_RETURN(auto column, col::ConcatTablesReleasing(&parts));
-      return column->column(0);
-    };
-
-    // Parallel compaction: a bounded window of columns is reassembled
-    // concurrently ahead of the serial, schema-ordered writer. Peak memory
-    // is the window, never the frame; the window shrinks to whatever the
-    // pool's remaining headroom can hold (per-column estimate from the
-    // spill's own byte count, doubled for the concat's transient parts).
-    int window = options.compact_workers;
-    if (window > 1 && num_cols > 1) {
-      sim::Session* session = sim::Session::Current();
-      const uint64_t headroom =
-          session != nullptr ? session->host_pool()->HeadroomBytes()
-                             : UINT64_MAX;
-      if (headroom != UINT64_MAX) {
-        struct stat file_info;
-        const uint64_t spill_bytes =
-            ::stat(spill_path.c_str(), &file_info) == 0
-                ? static_cast<uint64_t>(file_info.st_size)
-                : pending_bytes;
-        const uint64_t per_column =
-            2 * (spill_bytes / static_cast<uint64_t>(num_cols) + 1);
-        const uint64_t fit = (headroom / 2) / per_column;
-        window = static_cast<int>(std::min<uint64_t>(
-            static_cast<uint64_t>(window), std::max<uint64_t>(1, fit)));
-      }
-      window = std::min(window, num_cols);
-    }
-    if (window <= 1) {
-      // Serial column-at-a-time pass (the bounded-memory baseline).
-      BENTO_RETURN_NOT_OK(dst->AppendColumnGroup(
-          schema, src->num_rows(), [&](int c) -> Result<col::ArrayPtr> {
-            return produce_column(src.get(), c);
-          }));
-      return dst->Finish();
-    }
-
-    // One long-lived reader per window slot: task k of every refill uses
-    // slot k exclusively, so no cursor is shared, and the (metadata-heavy)
-    // open cost is paid once per slot, not once per column.
-    std::vector<std::unique_ptr<io::BcfReader>> readers(
-        static_cast<size_t>(window));
-    for (auto& reader : readers) {
-      BENTO_ASSIGN_OR_RETURN(reader, io::BcfReader::Open(spill_path));
-    }
-    std::vector<col::ArrayPtr> produced;
-    int produced_base = 0;
-    sim::ParallelOptions popts = options.parallel_options;
-    popts.max_workers = window;
     BENTO_RETURN_NOT_OK(dst->AppendColumnGroup(
         schema, src->num_rows(), [&](int c) -> Result<col::ArrayPtr> {
-          if (c >= produced_base + static_cast<int>(produced.size())) {
-            // The writer consumed the window; refill it in parallel.
-            produced_base = c;
-            const int count = std::min(window, num_cols - c);
-            produced.assign(static_cast<size_t>(count), nullptr);
-            BENTO_RETURN_NOT_OK(sim::ParallelFor(
-                count,
-                [&](int64_t k) -> Status {
-                  BENTO_ASSIGN_OR_RETURN(
-                      produced[static_cast<size_t>(k)],
-                      produce_column(readers[static_cast<size_t>(k)].get(),
-                                     c + static_cast<int>(k)));
-                  return Status::OK();
-                },
-                popts));
+          // All row groups of column c, concatenated.
+          std::vector<col::TablePtr> parts;
+          parts.reserve(static_cast<size_t>(src->num_row_groups()));
+          for (int g = 0; g < src->num_row_groups(); ++g) {
+            BENTO_ASSIGN_OR_RETURN(
+                auto part, src->ReadRowGroup(g, {schema->field(c).name}));
+            parts.push_back(std::move(part));
           }
-          return std::move(produced[static_cast<size_t>(c - produced_base)]);
+          BENTO_ASSIGN_OR_RETURN(auto column,
+                                 col::ConcatTablesReleasing(&parts));
+          return column->column(0);
         }));
     return dst->Finish();
   };

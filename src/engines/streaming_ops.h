@@ -9,7 +9,6 @@
 #include "frame/exec.h"
 #include "kernels/common.h"
 #include "kernels/join.h"
-#include "sim/parallel.h"
 
 namespace bento::eng {
 
@@ -34,9 +33,9 @@ struct StreamingGroupByOptions {
   /// stream order, so the result is bit-identical for any worker count.
   PipelineOptions pipeline;
   /// Fused upstream transform run applied to every chunk before the partial
-  /// aggregation (set by the executor in parallel mode so transforms and
-  /// aggregation ride one pipeline stage instead of nesting two).
-  MappedStream::MapFn pre_map;
+  /// aggregation (set by the executor so transforms and aggregation ride one
+  /// pipeline stage instead of nesting two).
+  ChunkMapFn pre_map;
   /// When set, receives the number of chunks claimed from the input (for
   /// per-chunk virtual-time overheads charged by the driver thread).
   int64_t* chunks_claimed = nullptr;
@@ -47,7 +46,7 @@ struct StreamingGroupByOptions {
 /// serial in stream order).
 struct StreamingDedupOptions {
   PipelineOptions pipeline;
-  MappedStream::MapFn pre_map;
+  ChunkMapFn pre_map;
   int64_t* chunks_claimed = nullptr;
 };
 
@@ -79,10 +78,11 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const frame::ExecPolicy& policy,
                                        int64_t run_rows = 256 * 1024);
 
-/// \brief Streaming deduplication on 64-bit row hashes over `subset`
-/// columns. Peak memory O(#distinct hashes). Hash collisions would drop a
-/// non-duplicate row (probability ~ n^2 / 2^64, negligible at benchmarked
-/// scales; the trade Spark's partial dedup makes too).
+/// \brief Streaming deduplication over `subset` columns (all columns when
+/// empty): keeps each row's first sighting in stream order, exactly like
+/// kern::DropDuplicates. Rows hash per chunk; a hash hit counts as a
+/// duplicate only when the rows compare equal, so colliding distinct rows
+/// are all kept. Every kept row stays buffered until the stream ends.
 Result<col::TablePtr> StreamingDedup(ChunkStream* input,
                                      const std::vector<std::string>& subset,
                                      const StreamingDedupOptions& options = {});
@@ -119,22 +119,8 @@ Result<col::TablePtr> DrainStream(ChunkStream* input);
 /// the laptop model. Results at or under the limit concat in memory and
 /// skip the round-trip. The temp files are unlinked before returning; the
 /// mapping keeps the bytes reachable until the last view dies.
-struct MaterializeOptions {
-  /// Columns compacted concurrently during the mapped materialization's
-  /// compaction pass. The pass produces a bounded window of this many
-  /// columns in parallel ahead of the (serial, schema-ordered) writer, so
-  /// peak memory is O(window columns), never the frame; <= 1 keeps the
-  /// fully serial column-at-a-time pass. The window shrinks automatically
-  /// when the pool's headroom cannot hold it.
-  int compact_workers = 1;
-  /// Backend for the window's column tasks (the pipeline's policy: kReal
-  /// engages the thread pool, kSimulated credits the modeled overlap).
-  sim::ParallelOptions parallel_options;
-};
-
-Result<col::TablePtr> MaterializeStreamMapped(
-    ChunkStream* input, uint64_t inline_limit_bytes,
-    const MaterializeOptions& options = {});
+Result<col::TablePtr> MaterializeStreamMapped(ChunkStream* input,
+                                              uint64_t inline_limit_bytes);
 
 /// \brief Spills a stream to a temporary BCF file (bounded memory); the
 /// first half of the two-pass streaming operators. Caller owns the file.

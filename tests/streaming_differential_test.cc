@@ -15,6 +15,7 @@
 #include "engines/streaming_ops.h"
 #include "engines/vaex.h"
 #include "frame/engine.h"
+#include "kernels/dedup.h"
 #include "kernels/flat_index.h"
 #include "kernels/groupby.h"
 #include "kernels/join.h"
@@ -74,6 +75,15 @@ class ChunkRowsGuard {
   ~ChunkRowsGuard() { unsetenv("BENTO_CHUNK_ROWS"); }
 };
 
+/// Scoped BENTO_PIPELINE_WORKERS override.
+class PipelineWorkersGuard {
+ public:
+  explicit PipelineWorkersGuard(int workers) {
+    setenv("BENTO_PIPELINE_WORKERS", std::to_string(workers).c_str(), 1);
+  }
+  ~PipelineWorkersGuard() { unsetenv("BENTO_PIPELINE_WORKERS"); }
+};
+
 std::vector<AggSpec> TestAggs() {
   return {{"v", AggKind::kSum, "v_sum"},   {"v", AggKind::kCount, "v_cnt"},
           {"v", AggKind::kMean, "v_mean"}, {"n", AggKind::kMin, "n_min"},
@@ -116,7 +126,9 @@ TablePtr LabelsTable() {
 
 /// Chunked execution under a tight budget must equal unbounded in-memory
 /// execution, for every streaming engine and for chunk sizes from degenerate
-/// (1 row) through larger-than-the-table (whole-table one-shot).
+/// (1 row) through larger-than-the-table (whole-table one-shot). The
+/// simulated session runs the modeled 4-worker pipeline by default; the
+/// pinned one-worker arm runs the serial loop with streaming breakers.
 TEST(StreamingDifferentialTest, TightBudgetMatchesUnboundedAcrossChunkSizes) {
   auto t = IntValuedTable(2500, /*seed=*/101);
 
@@ -140,18 +152,23 @@ TEST(StreamingDifferentialTest, TightBudgetMatchesUnboundedAcrossChunkSizes) {
 
     TablePtr unbounded = engine->Execute(source, plan).ValueOrDie();
 
-    for (const char* chunk_rows : {"1", "7", "65536", "1073741824"}) {
-      SCOPED_TRACE(std::string("chunk_rows=") + chunk_rows);
-      ChunkRowsGuard guard(chunk_rows);
-      // Tight enough that MemoryTight() engages streaming (budget < 5x the
-      // source), loose enough for one widened chunk + breaker state.
-      sim::MachineSpec tight{"tight", 4,
-                             static_cast<uint64_t>(t->ByteSize() * 4),
-                             std::nullopt};
-      sim::Session session(tight);
-      auto streamed = engine->Execute(source, plan);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      test::ExpectTablesEqual(unbounded, streamed.ValueOrDie());
+    for (bool serial : {false, true}) {
+      std::optional<PipelineWorkersGuard> workers_guard;
+      if (serial) workers_guard.emplace(1);
+      for (const char* chunk_rows : {"1", "7", "65536", "1073741824"}) {
+        SCOPED_TRACE(std::string("serial=") + (serial ? "1" : "0") +
+                     " chunk_rows=" + chunk_rows);
+        ChunkRowsGuard guard(chunk_rows);
+        // Tight enough that MemoryTight() engages streaming (budget < 5x
+        // the source), loose enough for one widened chunk + breaker state.
+        sim::MachineSpec tight{"tight", 4,
+                               static_cast<uint64_t>(t->ByteSize() * 4),
+                               std::nullopt};
+        sim::Session session(tight);
+        auto streamed = engine->Execute(source, plan);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        test::ExpectTablesEqual(unbounded, streamed.ValueOrDie());
+      }
     }
   }
 }
@@ -312,15 +329,6 @@ TEST(StreamingDifferentialTest, EngineGroupBySpillsUnderTinyBudgetAndMatches) {
   test::ExpectTablesEqual(unbounded, streamed.ValueOrDie());
 }
 
-/// Scoped BENTO_PIPELINE_WORKERS override.
-class PipelineWorkersGuard {
- public:
-  explicit PipelineWorkersGuard(int workers) {
-    setenv("BENTO_PIPELINE_WORKERS", std::to_string(workers).c_str(), 1);
-  }
-  ~PipelineWorkersGuard() { unsetenv("BENTO_PIPELINE_WORKERS"); }
-};
-
 /// The pipelined group-by fold must be bit-identical to the eager kernel for
 /// ANY worker count — including under forced hash collisions (every group in
 /// one bucket chain) and forced spill (partial state hash-partitioned to
@@ -355,28 +363,32 @@ TEST(StreamingDifferentialTest, GroupByWorkerSweepBitIdentical) {
   }
 }
 
-/// Same contract for the pipelined dedup: hashing fans out across workers,
-/// the first-seen filter stays serial, and the kept rows are identical for
-/// any worker count and chunking (one-shot whole-table included).
+/// Same contract for the pipelined dedup, checked against the kernel
+/// reference: hashing fans out across workers, the first-seen filter stays
+/// serial, and the kept rows equal kern::DropDuplicates for any worker count
+/// and chunking — also when every row hashes alike, where only the row
+/// equality check tells distinct rows apart.
 TEST(StreamingDifferentialTest, DedupWorkerSweepBitIdentical) {
   auto t = IntValuedTable(4000, /*seed=*/707, /*key_card=*/37);
-  TablePtr baseline;
-  {
-    TableChunkStream in(t, int64_t{1} << 30);  // whole-table one-shot
-    baseline = StreamingDedup(&in, {"k", "s"}).ValueOrDie();
-  }
-  for (int workers : {1, 2, 4, 8}) {
-    for (int64_t chunk : {int64_t{64}, int64_t{509}}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " chunk=" + std::to_string(chunk));
-      StreamingDedupOptions options;
-      options.pipeline.workers = workers;
-      int64_t claimed = 0;
-      options.chunks_claimed = &claimed;
-      TableChunkStream in(t, chunk);
-      auto result = StreamingDedup(&in, {"k", "s"}, options).ValueOrDie();
-      test::ExpectTablesEqual(baseline, result);
-      EXPECT_EQ(claimed, (4000 + chunk - 1) / chunk);
+  for (bool collisions : {false, true}) {
+    std::optional<kern::ScopedForcedHashCollisions> forced;
+    if (collisions) forced.emplace();
+    auto expected = kern::DropDuplicates(t, {"k", "s"}).ValueOrDie();
+    ASSERT_EQ(expected->num_rows(), 148);
+    for (int workers : {1, 2, 4, 8}) {
+      for (int64_t chunk : {int64_t{64}, int64_t{509}, int64_t{1} << 30}) {
+        SCOPED_TRACE("collisions=" + std::to_string(collisions) +
+                     " workers=" + std::to_string(workers) +
+                     " chunk=" + std::to_string(chunk));
+        StreamingDedupOptions options;
+        options.pipeline.workers = workers;
+        int64_t claimed = 0;
+        options.chunks_claimed = &claimed;
+        TableChunkStream in(t, chunk);
+        auto result = StreamingDedup(&in, {"k", "s"}, options).ValueOrDie();
+        test::ExpectTablesEqual(expected, result);
+        EXPECT_EQ(claimed, (4000 + chunk - 1) / chunk);
+      }
     }
   }
 }

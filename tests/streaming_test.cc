@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "engines/lazy_engine.h"
 #include "engines/spark.h"
@@ -8,6 +12,7 @@
 #include "frame/exec.h"
 #include "kernels/encode.h"
 #include "kernels/sort.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -138,22 +143,6 @@ TEST(ExternalSortToFileTest, MatchesInMemorySort) {
   std::remove(path.c_str());
 }
 
-TEST(MappedStreamTest, AppliesPerChunk) {
-  auto t = RandomTable(100, 9);
-  auto inner = std::make_unique<TableChunkStream>(t, 30);
-  MappedStream mapped(std::move(inner), [](TablePtr chunk) {
-    return chunk->DropColumns({"s"});
-  });
-  int64_t rows = 0;
-  while (true) {
-    auto chunk = mapped.Next().ValueOrDie();
-    if (chunk == nullptr) break;
-    EXPECT_EQ(chunk->num_columns(), 2);
-    rows += chunk->num_rows();
-  }
-  EXPECT_EQ(rows, 100);
-}
-
 TEST(EncodeFixedTest, GetDummiesWithCategoriesMatchesDiscovery) {
   auto t = MakeTable({{"c", Str({"x", "y", "x", "z"})}});
   auto discovered = kern::GetDummies(t, "c").ValueOrDie();
@@ -249,14 +238,48 @@ TEST(StreamingActionsTest, MatchMaterializedActions) {
                                            engine.ExecutionPolicy())
                              .ValueOrDie();
 
-  // Streaming: via ExecuteAction.
-  auto isna = engine.ExecuteAction(source, plan, Op::IsNa()).ValueOrDie();
-  EXPECT_EQ(isna.counts, expected_isna.counts);
-  auto search =
-      engine.ExecuteAction(source, {}, Op::SearchPattern("s", "a")).ValueOrDie();
-  EXPECT_EQ(search.count, expected_search.count);
-  auto cols = engine.ExecuteAction(source, plan, Op::GetColumns()).ValueOrDie();
-  EXPECT_EQ(cols.names, t->schema()->names());
+  // Streaming: via ExecuteAction, on 1, 2 and 4 real pipeline workers. Every
+  // worker count gives the same answers and streams the same chunks and
+  // rows through the stage map.
+  static obs::Counter* chunks =
+      obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
+  static obs::Counter* rows =
+      obs::MetricsRegistry::Global().counter("lazy.stream_rows");
+  using Streamed = std::pair<uint64_t, uint64_t>;  // (chunks, rows) deltas
+  std::optional<Streamed> isna_streamed, search_streamed;
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    setenv("BENTO_PIPELINE_WORKERS", std::to_string(workers).c_str(), 1);
+    sim::Session session(sim::MachineSpec{"m", 4, 8ULL << 30, std::nullopt});
+    session.set_execution_mode(sim::ExecutionMode::kReal);
+    auto counted = [&](const std::vector<Op>& p, const Op& action,
+                       frame::ActionResult* out) {
+      const Streamed before{chunks->value(), rows->value()};
+      *out = engine.ExecuteAction(source, p, action).ValueOrDie();
+      return Streamed{chunks->value() - before.first,
+                      rows->value() - before.second};
+    };
+
+    frame::ActionResult isna;
+    const Streamed isna_delta = counted(plan, Op::IsNa(), &isna);
+    EXPECT_EQ(isna.counts, expected_isna.counts);
+    EXPECT_EQ(isna_delta.second, static_cast<uint64_t>(t->num_rows()));
+    if (!isna_streamed) isna_streamed = isna_delta;
+    EXPECT_EQ(isna_delta, *isna_streamed);
+
+    frame::ActionResult search;
+    const Streamed search_delta =
+        counted({}, Op::SearchPattern("s", "a"), &search);
+    EXPECT_EQ(search.count, expected_search.count);
+    if (!search_streamed) search_streamed = search_delta;
+    EXPECT_EQ(search_delta, *search_streamed);
+
+    auto cols =
+        engine.ExecuteAction(source, plan, Op::GetColumns()).ValueOrDie();
+    EXPECT_EQ(cols.names, t->schema()->names());
+  }
+  unsetenv("BENTO_PIPELINE_WORKERS");
+  EXPECT_GT(isna_streamed->first, 1u);
 }
 
 TEST(ObjectStringModelTest, PandasChargesBoxingOverhead) {
