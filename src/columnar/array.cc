@@ -124,7 +124,7 @@ std::string Array::ValueToString(int64_t i) const {
       time_t secs = static_cast<time_t>(micros / 1000000);
       struct tm tm_utc;
       gmtime_r(&secs, &tm_utc);
-      char buf[32];
+      char buf[72];  // fits all six fields at full int width: never truncates
       std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d",
                     tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
                     tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec);

@@ -1,7 +1,5 @@
 #include "engines/chunk_stream.h"
 
-#include "obs/metrics.h"
-
 namespace bento::eng {
 
 Result<col::TablePtr> TableChunkStream::Next() {
@@ -28,55 +26,19 @@ Result<std::unique_ptr<CsvChunkStream>> CsvChunkStream::Open(
 
 Result<std::unique_ptr<BcfChunkStream>> BcfChunkStream::Open(
     const std::string& path, std::vector<std::string> projection,
-    std::vector<io::ScanPredicate> predicates,
     const io::BcfReadOptions& options) {
   BENTO_ASSIGN_OR_RETURN(auto reader, io::BcfReader::Open(path, options));
-  return std::unique_ptr<BcfChunkStream>(new BcfChunkStream(
-      std::move(reader), std::move(projection), std::move(predicates)));
+  return std::unique_ptr<BcfChunkStream>(
+      new BcfChunkStream(std::move(reader), std::move(projection)));
 }
 
 Result<col::TablePtr> BcfChunkStream::Next() {
-  static obs::Counter* groups_skipped =
-      obs::MetricsRegistry::Global().counter("io.bcf.groups_skipped");
-  while (group_ < reader_->num_row_groups()) {
-    const int group = group_++;
-    bool may_match = true;
-    for (const io::ScanPredicate& pred : predicates_) {
-      if (!reader_->GroupMayMatch(group, pred)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) {
-      groups_skipped->Increment();
-      continue;
-    }
-    // Streaming consumes groups front to back; tell the kernel the pages
-    // behind us are cold so an mmap'ed scan larger than RAM never pins more
-    // than ~one group of page cache. No-op for buffered readers.
-    if (last_delivered_ >= 0) reader_->DoneWithGroup(last_delivered_);
-    last_delivered_ = group;
-    delivered_any_ = true;
-    return reader_->ReadRowGroup(group, projection_);
-  }
-  if (!delivered_any_) {
-    // Every group was pruned (or the file is empty): emit one empty chunk so
-    // downstream consumers still see the projected schema.
-    delivered_any_ = true;
-    std::vector<col::Field> fields;
-    if (projection_.empty()) {
-      fields = reader_->schema()->fields();
-    } else {
-      for (const std::string& name : projection_) {
-        int c = reader_->schema()->IndexOf(name);
-        if (c < 0) return Status::KeyError("no column named '", name, "'");
-        fields.push_back(reader_->schema()->fields()[static_cast<size_t>(c)]);
-      }
-    }
-    return col::Table::MakeEmpty(
-        std::make_shared<col::Schema>(std::move(fields)));
-  }
-  return col::TablePtr(nullptr);
+  if (group_ >= reader_->num_row_groups()) return col::TablePtr(nullptr);
+  // Streaming consumes groups front to back; tell the kernel the pages
+  // behind us are cold so an mmap'ed scan larger than RAM never pins more
+  // than ~one group of page cache. No-op for buffered readers.
+  if (group_ > 0) reader_->DoneWithGroup(group_ - 1);
+  return reader_->ReadRowGroup(group_++, projection_);
 }
 
 uint64_t OwnedChunkBytes(const col::TablePtr& t) {

@@ -60,33 +60,26 @@ class CsvChunkStream : public ChunkStream {
   std::unique_ptr<io::CsvChunkReader> reader_;
 };
 
-/// \brief Streams row groups from a BCF file with column projection and
-/// zone-map row-group skipping: groups whose statistics prove no row can
-/// satisfy every `predicate` are never read. The residual filter still runs
-/// downstream, so predicates only prune, never decide.
+/// \brief Streams every row group of a BCF file, one chunk per group,
+/// projected to `projection` (all columns when empty). A file always holds
+/// at least one row group (BcfWriter writes an empty table as one zero-row
+/// group), so the projected schema reaches downstream consumers.
 class BcfChunkStream : public ChunkStream {
  public:
   static Result<std::unique_ptr<BcfChunkStream>> Open(
       const std::string& path, std::vector<std::string> projection = {},
-      std::vector<io::ScanPredicate> predicates = {},
       const io::BcfReadOptions& options = {});
 
   Result<col::TablePtr> Next() override;
 
  private:
   BcfChunkStream(std::unique_ptr<io::BcfReader> reader,
-                 std::vector<std::string> projection,
-                 std::vector<io::ScanPredicate> predicates)
-      : reader_(std::move(reader)),
-        projection_(std::move(projection)),
-        predicates_(std::move(predicates)) {}
+                 std::vector<std::string> projection)
+      : reader_(std::move(reader)), projection_(std::move(projection)) {}
 
   std::unique_ptr<io::BcfReader> reader_;
   std::vector<std::string> projection_;
-  std::vector<io::ScanPredicate> predicates_;
   int group_ = 0;
-  int last_delivered_ = -1;  // previous group, madvise'd cold on advance
-  bool delivered_any_ = false;
 };
 
 /// \brief Pure per-chunk transform: a stage's streamable op run, or the

@@ -125,7 +125,6 @@ plan::OptimizerPolicy LazyEngineBase::PlanPolicy() const {
   plan::OptimizerPolicy policy;
   policy.predicate_pushdown = EnablePredicatePushdown();
   policy.projection_pushdown = EnableProjectionPushdown();
-  policy.filter_reorder = policy.predicate_pushdown;
   return policy;
 }
 
@@ -150,13 +149,14 @@ std::vector<Op> LazyEngineBase::Optimize(std::vector<Op> ops) const {
 }
 
 Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
-    const LazySource& source, const ScanSpec& scan) const {
+    const LazySource& source,
+    const std::vector<std::string>& drop_columns) const {
   switch (source.kind) {
     case LazySource::Kind::kTable: {
       col::TablePtr table = source.table;
-      if (!scan.drop_columns.empty()) {
+      if (!drop_columns.empty()) {
         // Same semantics as the drop op this replaces, KeyError included.
-        BENTO_ASSIGN_OR_RETURN(table, table->DropColumns(scan.drop_columns));
+        BENTO_ASSIGN_OR_RETURN(table, table->DropColumns(drop_columns));
       }
       return std::unique_ptr<ChunkStream>(
           std::make_unique<TableChunkStream>(table, ChunkRows()));
@@ -165,19 +165,17 @@ Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
       io::CsvReadOptions options = source.csv_options;
       options.chunk_rows = ChunkRows();
       options.drop_columns.insert(options.drop_columns.end(),
-                                  scan.drop_columns.begin(),
-                                  scan.drop_columns.end());
+                                  drop_columns.begin(), drop_columns.end());
       BENTO_ASSIGN_OR_RETURN(auto stream,
                              CsvChunkStream::Open(source.path, options));
       return std::unique_ptr<ChunkStream>(std::move(stream));
     }
     case LazySource::Kind::kBcf: {
       std::vector<std::string> keep;
-      if (!scan.drop_columns.empty()) {
+      if (!drop_columns.empty()) {
         BENTO_ASSIGN_OR_RETURN(auto reader, io::BcfReader::Open(source.path));
-        std::set<std::string> dropped(scan.drop_columns.begin(),
-                                      scan.drop_columns.end());
-        for (const std::string& name : scan.drop_columns) {
+        std::set<std::string> dropped(drop_columns.begin(), drop_columns.end());
+        for (const std::string& name : drop_columns) {
           if (reader->schema()->IndexOf(name) < 0) {
             return Status::KeyError("no column named '", name, "'");
           }
@@ -199,8 +197,8 @@ Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
       io::BcfReadOptions ropts;
       ropts.use_mmap = MapsBcfSource();
       BENTO_ASSIGN_OR_RETURN(
-          auto stream, BcfChunkStream::Open(source.path, std::move(keep),
-                                            scan.predicates, ropts));
+          auto stream,
+          BcfChunkStream::Open(source.path, std::move(keep), ropts));
       return std::unique_ptr<ChunkStream>(std::move(stream));
     }
   }
@@ -331,44 +329,29 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   ExecPolicy worker_policy = policy;
   if (pipe.parallel()) worker_policy.parallel = false;
 
-  // Bind the plan's leading ops into the physical scan: a leading drop
-  // becomes a column-skipping read (the scan never materializes those
-  // columns), and a leading filter over a BCF source contributes zone-map
-  // predicates that prune whole row groups. The filter itself stays in the
-  // plan — statistics only prune, the residual query still decides rows.
-  ScanSpec scan;
+  // Bind a leading drop into the physical scan: the read never
+  // materializes those columns. The scan binds projection only; every
+  // filter runs in the plan.
+  std::vector<std::string> scan_drops;
   size_t start = 0;
-  if (optimizer_enabled_) {
-    const plan::OptimizerPolicy flags = PlanPolicy();
-    if (flags.scan_pushdown && flags.projection_pushdown && !ops.empty() &&
-        ops[0].kind == OpKind::kDropColumns) {
-      scan.drop_columns = ops[0].columns;
-      start = 1;
-      static obs::Counter* bound =
-          obs::MetricsRegistry::Global().counter("plan.rewrite.scan_projection");
-      bound->Increment();
-    }
-    if (flags.scan_pushdown && flags.predicate_pushdown &&
-        source.kind == LazySource::Kind::kBcf && start < ops.size() &&
-        ops[start].kind == OpKind::kQuery) {
-      scan.predicates = plan::ExtractScanPredicates(ops[start].text);
-      if (!scan.predicates.empty()) {
-        static obs::Counter* bound = obs::MetricsRegistry::Global().counter(
-            "plan.rewrite.scan_predicates");
-        bound->Increment();
-      }
-    }
+  if (optimizer_enabled_ && EnableProjectionPushdown() && !ops.empty() &&
+      ops[0].kind == OpKind::kDropColumns) {
+    scan_drops = ops[0].columns;
+    start = 1;
+    static obs::Counter* bound =
+        obs::MetricsRegistry::Global().counter("plan.rewrite.scan_projection");
+    bound->Increment();
   }
 
   // Nothing to do: chaining from a materialized frame with an empty plan
   // (common in per-op modes) must not re-chunk and re-concat the table —
   // that would double its footprint for no work.
   if (start >= ops.size() && source.kind == LazySource::Kind::kTable &&
-      scan.drop_columns.empty() && source.table != nullptr) {
+      scan_drops.empty() && source.table != nullptr) {
     return source.table;
   }
 
-  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan));
+  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan_drops));
   // In-memory tables chunk into zero-copy slices; buffering views ahead
   // would add nothing.
   if (source.kind != LazySource::Kind::kTable) {
@@ -660,7 +643,7 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
   const PipelineOptions pipe = ResolvePipelineOptions(policy);
   ExecPolicy worker_policy = policy;
   if (pipe.parallel()) worker_policy.parallel = false;
-  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, ScanSpec{}));
+  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, {}));
   if (source.kind != LazySource::Kind::kTable) {
     stream = WrapPrefetch(pipe, std::move(stream));
   }

@@ -94,11 +94,8 @@ class LazyEngineBase : public frame::Engine {
   virtual bool EnableProjectionPushdown() const { return true; }
   virtual bool EnablePredicatePushdown() const { return true; }
 
-  /// Rule families this engine model applies. The default maps the two
-  /// legacy toggles onto the full catalog (filter reordering rides the
-  /// predicate-pushdown toggle: both model the same Catalyst/Polars
-  /// filter-placement machinery). Override for finer-grained models.
-  virtual plan::OptimizerPolicy PlanPolicy() const;
+  /// Rule families this engine model applies, from the two toggles above.
+  plan::OptimizerPolicy PlanPolicy() const;
 
   /// Master switch: when false, plans execute exactly as written (the
   /// `_noopt` registry variants used as the A/B baseline in Fig. 7 runs).
@@ -144,20 +141,14 @@ class LazyEngineBase : public frame::Engine {
   /// and after to stderr.
   std::vector<frame::Op> Optimize(std::vector<frame::Op> plan) const;
 
-  /// Scan-level bindings the executor pushed into the source read: columns
-  /// the scan never materializes and zone-map predicates that prune BCF row
-  /// groups. The residual plan still re-checks every filter.
-  struct ScanSpec {
-    std::vector<std::string> drop_columns;
-    std::vector<io::ScanPredicate> predicates;
-  };
-
  protected:
-  /// Opens the chunk stream for a source, applying the parts of `scan` the
-  /// format supports (CSV: column skipping; BCF: column projection and
-  /// row-group skipping; tables: column selection).
-  Result<std::unique_ptr<ChunkStream>> OpenStream(const LazySource& source,
-                                                  const ScanSpec& scan) const;
+  /// Opens the chunk stream for a source with `drop_columns` bound into the
+  /// scan, which binds projection only: those columns are never
+  /// materialized (CSV: column skipping; BCF: column projection; tables:
+  /// column selection). Every row is read; filters run in the plan.
+  Result<std::unique_ptr<ChunkStream>> OpenStream(
+      const LazySource& source,
+      const std::vector<std::string>& drop_columns) const;
 
  private:
   bool optimizer_enabled_ = true;

@@ -127,16 +127,33 @@ std::string Expr::ToString() const {
   switch (kind_) {
     case Kind::kColumn:
       return name_;
-    case Kind::kLiteral:
-      return literal_.kind() == col::Scalar::Kind::kString
-                 ? "'" + literal_.ToString() + "'"
-                 : literal_.ToString();
-    case Kind::kBinary:
-      return "(" + left_->ToString() + " " + BinOpName(bin_op_) + " " +
-             right_->ToString() + ")";
-    case Kind::kUnary:
-      return un_op_ == UnOpKind::kNeg ? "(-" + left_->ToString() + ")"
-                                      : "(not " + left_->ToString() + ")";
+    // The pieces are appended: `"lit" + std::string&&` trips a GCC 12
+    // -Wrestrict false positive.
+    case Kind::kLiteral: {
+      if (literal_.kind() != col::Scalar::Kind::kString) {
+        return literal_.ToString();
+      }
+      std::string out = "'";
+      out += literal_.ToString();
+      out += '\'';
+      return out;
+    }
+    case Kind::kBinary: {
+      std::string out = "(";
+      out += left_->ToString();
+      out += ' ';
+      out += BinOpName(bin_op_);
+      out += ' ';
+      out += right_->ToString();
+      out += ')';
+      return out;
+    }
+    case Kind::kUnary: {
+      std::string out = un_op_ == UnOpKind::kNeg ? "(-" : "(not ";
+      out += left_->ToString();
+      out += ')';
+      return out;
+    }
     case Kind::kCall: {
       std::string out = name_ + "(";
       for (size_t i = 0; i < args_.size(); ++i) {

@@ -5,10 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "columnar/bitmap.h"
 #include "io/compress.h"
@@ -33,50 +31,7 @@ struct PendingChunk {
   Encoding encoding = Encoding::kPlain;
   bool compressed = false;
   int64_t null_count = 0;
-  bool has_stats = false;
-  double min = 0.0;
-  double max = 0.0;
 };
-
-/// Fills the chunk's zone map from the column's valid values. Bounds are
-/// widened by one ulp so an int64 that doesn't round-trip through double
-/// exactly can never cause a false skip.
-void ComputeStats(const col::ArrayPtr& column, PendingChunk* chunk) {
-  double min = 0.0, max = 0.0;
-  bool any = false;
-  auto update = [&](double v) {
-    if (!any) {
-      min = max = v;
-      any = true;
-    } else {
-      if (v < min) min = v;
-      if (v > max) max = v;
-    }
-  };
-  switch (column->type()) {
-    case col::TypeId::kInt64: {
-      const int64_t* data = column->int64_data();
-      for (int64_t i = 0; i < column->length(); ++i) {
-        if (column->IsValid(i)) update(static_cast<double>(data[i]));
-      }
-      break;
-    }
-    case col::TypeId::kFloat64: {
-      const double* data = column->float64_data();
-      for (int64_t i = 0; i < column->length(); ++i) {
-        if (column->IsValid(i)) update(data[i]);
-      }
-      break;
-    }
-    default:
-      return;
-  }
-  if (!any) return;  // all-null chunk: no stats, never skipped
-  chunk->has_stats = true;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  chunk->min = std::nextafter(min, -kInf);
-  chunk->max = std::nextafter(max, kInf);
-}
 
 Status WriteBytes(std::FILE* f, const void* data, size_t size) {
   static obs::Counter* bytes_written =
@@ -178,7 +133,6 @@ Status BcfWriter::WriteColumnChunk(const col::ArrayPtr& column,
                                    GroupMeta* meta) {
   PendingChunk chunk;
   chunk.null_count = column->null_count();
-  ComputeStats(column, &chunk);
 
   if (chunk.null_count > 0) {
     // Repack the validity bits of the slice into a fresh bitmap so the
@@ -311,10 +265,6 @@ Status BcfWriter::Finish() {
       cj.Set("enc", JsonValue::Int(static_cast<int>(chunk.encoding)));
       cj.Set("z", JsonValue::Bool(chunk.compressed));
       cj.Set("nc", JsonValue::Int(chunk.null_count));
-      if (chunk.has_stats) {
-        cj.Set("mn", JsonValue::Number(chunk.min));
-        cj.Set("mx", JsonValue::Number(chunk.max));
-      }
       cols.Append(std::move(cj));
     }
     gj.Set("columns", std::move(cols));
@@ -424,11 +374,6 @@ Result<std::unique_ptr<BcfReader>> BcfReader::Open(
       chunk.encoding = static_cast<Encoding>(cj.GetInt("enc"));
       chunk.compressed = cj.GetBool("z");
       chunk.null_count = cj.GetInt("nc");
-      // Absent in files written before zone maps existed; those chunks
-      // simply never skip.
-      chunk.has_stats = cj.Has("mn") && cj.Has("mx");
-      chunk.min = cj.GetNumber("mn");
-      chunk.max = cj.GetNumber("mx");
       // Every page the footer points at must land inside the data region
       // [4, data_end_); overflow-safe so a hostile offset cannot wrap. A
       // corrupt header fails here with a clean error instead of a wild
@@ -632,28 +577,6 @@ Result<col::TablePtr> BcfReader::ReadRowGroup(
   }
   return col::Table::Make(std::make_shared<col::Schema>(std::move(fields)),
                           std::move(out_columns));
-}
-
-bool BcfReader::GroupMayMatch(int group, const ScanPredicate& pred) const {
-  if (group < 0 || group >= num_row_groups()) return true;
-  const int c = schema_->IndexOf(pred.column);
-  if (c < 0) return true;  // unknown column: the residual filter will error
-  const ColumnChunk& chunk =
-      groups_[static_cast<size_t>(group)].columns[static_cast<size_t>(c)];
-  if (!chunk.has_stats) return true;
-  switch (pred.cmp) {
-    case ScanPredicate::Cmp::kLt:
-      return chunk.min < pred.value;
-    case ScanPredicate::Cmp::kLe:
-      return chunk.min <= pred.value;
-    case ScanPredicate::Cmp::kGt:
-      return chunk.max > pred.value;
-    case ScanPredicate::Cmp::kGe:
-      return chunk.max >= pred.value;
-    case ScanPredicate::Cmp::kEq:
-      return pred.value >= chunk.min && pred.value <= chunk.max;
-  }
-  return true;
 }
 
 Result<col::TablePtr> BcfReader::ReadAll(

@@ -26,6 +26,11 @@ namespace bento::io {
 /// readers can project columns and stream row groups without touching the
 /// rest of the file — the property behind the paper's Parquet observations
 /// (Fig. 5/6).
+///
+/// The footer holds integers, booleans and strings only — no statistics
+/// over the column values — so no float64 value in the data (NaN, ±inf,
+/// ±DBL_MAX) can make a written file unreadable. Keys are looked up by name:
+/// the per-chunk "mn"/"mx" zone-map keys older writers added are ignored.
 struct BcfWriteOptions {
   int64_t row_group_rows = 64 * 1024;
   bool compression = true;
@@ -40,18 +45,6 @@ struct BcfWriteOptions {
   /// use this: combined with align_pages and no compression, a re-mapped
   /// frame charges (almost) nothing against the memory budget.
   bool mappable = false;
-};
-
-/// \brief One zone-map-prunable conjunct of a scan filter:
-/// `column <cmp> value` over a numeric column. Readers use per-row-group
-/// min/max statistics to skip groups that cannot contain a matching row;
-/// the full predicate always re-runs on the rows that are read, so stats
-/// are an accelerator, never a correctness carrier.
-struct ScanPredicate {
-  enum class Cmp { kLt, kLe, kGt, kGe, kEq };
-  std::string column;
-  Cmp cmp = Cmp::kEq;
-  double value = 0.0;
 };
 
 Status WriteBcf(const col::TablePtr& table, const std::string& path,
@@ -142,11 +135,6 @@ class BcfReader {
   /// Concatenation of all row groups.
   Result<col::TablePtr> ReadAll(const std::vector<std::string>& columns = {});
 
-  /// True unless the group's zone-map statistics prove no row can satisfy
-  /// `pred`. Unknown columns and chunks without statistics (string columns,
-  /// all-null chunks, files written before stats existed) return true.
-  bool GroupMayMatch(int group, const ScanPredicate& pred) const;
-
   /// True when the file is served through an mmap region (zero-copy mode).
   bool mmap_active() const { return map_ != nullptr; }
 
@@ -166,10 +154,6 @@ class BcfReader {
     Encoding encoding = Encoding::kPlain;
     bool compressed = false;
     int64_t null_count = 0;
-    /// Zone map over the chunk's valid values (numeric columns only).
-    bool has_stats = false;
-    double min = 0.0;
-    double max = 0.0;
   };
   struct RowGroup {
     int64_t num_rows = 0;

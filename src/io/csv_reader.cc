@@ -365,7 +365,10 @@ HeaderInfo ReadHeader(std::string_view text, const CsvReadOptions& options) {
     info.body_offset = end == std::string_view::npos ? text.size() : end + 1;
   } else {
     for (size_t c = 0; c < fields.size(); ++c) {
-      info.names.push_back("c" + std::to_string(c));
+      // Appended, not `"c" + std::string&&` (a GCC 12 -Wrestrict false
+      // positive).
+      info.names.emplace_back("c");
+      info.names.back() += std::to_string(c);
     }
     info.body_offset = 0;
   }

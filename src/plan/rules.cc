@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "expr/parser.h"
 #include "kernels/groupby.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -478,24 +477,16 @@ class CommonSubplanRule : public RewriteRule {
 RuleDriver::RuleDriver(const OptimizerPolicy& policy) {
   // Reorder first so the pushdown bubble sees filters already hoisted over
   // breakers; fusion and elimination run on the settled op order.
-  if (policy.filter_reorder) {
-    rules_.push_back(std::make_unique<FilterReorderRule>());
-  }
   if (policy.predicate_pushdown) {
+    rules_.push_back(std::make_unique<FilterReorderRule>());
     rules_.push_back(std::make_unique<PredicatePushdownRule>());
   }
   if (policy.projection_pushdown) {
     rules_.push_back(std::make_unique<ProjectionPushdownRule>());
   }
-  if (policy.dead_op_elimination) {
-    rules_.push_back(std::make_unique<DeadOpEliminationRule>());
-  }
-  if (policy.fusion) {
-    rules_.push_back(std::make_unique<FusionRule>());
-  }
-  if (policy.common_subplan_elimination) {
-    rules_.push_back(std::make_unique<CommonSubplanRule>());
-  }
+  rules_.push_back(std::make_unique<DeadOpEliminationRule>());
+  rules_.push_back(std::make_unique<FusionRule>());
+  rules_.push_back(std::make_unique<CommonSubplanRule>());
 }
 
 LogicalPlan RuleDriver::Run(LogicalPlan plan, const PlanContext& ctx) const {
@@ -516,74 +507,6 @@ LogicalPlan RuleDriver::Run(LogicalPlan plan, const PlanContext& ctx) const {
     if (!changed) break;
   }
   return plan;
-}
-
-// --- scan predicate extraction ---------------------------------------------
-
-namespace {
-
-void CollectConjuncts(const expr::ExprPtr& e,
-                      std::vector<io::ScanPredicate>* out) {
-  if (e == nullptr || e->kind() != expr::Expr::Kind::kBinary) return;
-  if (e->bin_op() == expr::BinOpKind::kAnd) {
-    CollectConjuncts(e->left(), out);
-    CollectConjuncts(e->right(), out);
-    return;
-  }
-  const expr::ExprPtr& l = e->left();
-  const expr::ExprPtr& r = e->right();
-  auto numeric_literal = [](const expr::ExprPtr& x) {
-    return x->kind() == expr::Expr::Kind::kLiteral && x->literal().is_numeric();
-  };
-  auto column = [](const expr::ExprPtr& x) {
-    return x->kind() == expr::Expr::Kind::kColumn;
-  };
-  io::ScanPredicate pred;
-  bool flipped;
-  if (column(l) && numeric_literal(r)) {
-    flipped = false;
-    pred.column = l->column_name();
-    pred.value = r->literal().AsDouble().ValueOrDie();
-  } else if (numeric_literal(l) && column(r)) {
-    flipped = true;  // "5 < x" is "x > 5"
-    pred.column = r->column_name();
-    pred.value = l->literal().AsDouble().ValueOrDie();
-  } else {
-    return;
-  }
-  switch (e->bin_op()) {
-    case expr::BinOpKind::kLt:
-      pred.cmp = flipped ? io::ScanPredicate::Cmp::kGt
-                         : io::ScanPredicate::Cmp::kLt;
-      break;
-    case expr::BinOpKind::kLe:
-      pred.cmp = flipped ? io::ScanPredicate::Cmp::kGe
-                         : io::ScanPredicate::Cmp::kLe;
-      break;
-    case expr::BinOpKind::kGt:
-      pred.cmp = flipped ? io::ScanPredicate::Cmp::kLt
-                         : io::ScanPredicate::Cmp::kGt;
-      break;
-    case expr::BinOpKind::kGe:
-      pred.cmp = flipped ? io::ScanPredicate::Cmp::kLe
-                         : io::ScanPredicate::Cmp::kGe;
-      break;
-    case expr::BinOpKind::kEq:
-      pred.cmp = io::ScanPredicate::Cmp::kEq;
-      break;
-    default:
-      return;  // !=, or, arithmetic: not zone-map prunable
-  }
-  out->push_back(std::move(pred));
-}
-
-}  // namespace
-
-std::vector<io::ScanPredicate> ExtractScanPredicates(const std::string& query) {
-  std::vector<io::ScanPredicate> preds;
-  auto parsed = expr::ParseExpr(query);
-  if (parsed.ok()) CollectConjuncts(parsed.ValueOrDie(), &preds);
-  return preds;
 }
 
 }  // namespace bento::plan

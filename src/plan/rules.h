@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "io/bcf.h"
 #include "plan/logical_plan.h"
 
 namespace bento::frame {
@@ -16,20 +15,17 @@ class DataFrame;
 
 namespace bento::plan {
 
-/// \brief Per-engine optimizer policy: which rewrite families the engine
-/// model applies. Defaults mirror the full rule set; engines that model
-/// fewer optimizations (SparkPD's reduced Catalyst surface) clear flags.
+/// \brief Per-engine optimizer policy: the two rule families an engine
+/// model may switch off (SparkPD's reduced Catalyst surface clears
+/// predicate pushdown). Fusion, dead-op elimination and common-subplan
+/// sharing always run.
 struct OptimizerPolicy {
+  /// Filter reordering over breakers plus the pushdown bubble toward the
+  /// source: both model the same Catalyst/Polars filter-placement machinery.
   bool predicate_pushdown = true;
+  /// Drop hoisting; the executor also binds a leading drop into the scan
+  /// (CSV column skipping, BCF column projection).
   bool projection_pushdown = true;
-  /// Binding of leading drops / filters into the physical scan (CSV column
-  /// skipping, BCF zone-map row-group skipping). Consumed by the executor,
-  /// not by a plan-to-plan rule.
-  bool scan_pushdown = true;
-  bool fusion = true;
-  bool dead_op_elimination = true;
-  bool common_subplan_elimination = true;
-  bool filter_reorder = true;
 };
 
 /// \brief Engine-supplied context for rules that need to look outside the
@@ -76,13 +72,6 @@ class RuleDriver {
 /// predicate pushdown, exposed for tests.
 bool QueryCanHopBefore(const frame::Op& query, const frame::Op& prev,
                        const std::set<std::string>& refs);
-
-/// \brief Splits a query predicate into top-level AND conjuncts of the form
-/// `column <cmp> numeric-literal` (either operand order) for zone-map
-/// row-group skipping. Conjuncts that don't fit the shape are simply not
-/// extracted; the full predicate always stays in the plan as the residual
-/// filter, so extraction is an accelerator, never a semantics carrier.
-std::vector<io::ScanPredicate> ExtractScanPredicates(const std::string& query);
 
 }  // namespace bento::plan
 

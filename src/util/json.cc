@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -141,8 +142,14 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       out->append(bool_ ? "true" : "false");
       break;
     case Type::kNumber: {
-      if (number_ == static_cast<double>(static_cast<int64_t>(number_)) &&
-          std::abs(number_) < 9.0e15) {
+      // JSON has no spelling for NaN or ±inf: they dump as null. The range
+      // test comes before the int64 cast (out-of-range casts are UB), and
+      // -0.0 takes the double path so its sign survives.
+      if (!std::isfinite(number_)) {
+        out->append("null");
+      } else if (std::abs(number_) < 9.0e15 &&
+                 number_ == std::trunc(number_) &&
+                 !(number_ == 0.0 && std::signbit(number_))) {
         out->append(std::to_string(static_cast<int64_t>(number_)));
       } else {
         out->append(FormatDouble(number_));

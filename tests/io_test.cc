@@ -2,11 +2,13 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cfloat>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -507,6 +509,55 @@ TEST(BcfTest, CategoricalColumnsRoundTrip) {
   auto back = BcfReader::Open(path.str()).ValueOrDie()->ReadAll().ValueOrDie();
   EXPECT_EQ(back->column(0)->type(), TypeId::kCategorical);
   EXPECT_EQ(test::CellStr(*back->column(0), 3), "c");
+}
+
+TEST(BcfTest, NonFiniteFloatsRoundTripBitExact) {
+  // Nothing about the values reaches the footer, so every float64 bit
+  // pattern reads back: NaN (also as a group's first valid value, here in
+  // groups 0 and 1), ±inf, lowest()/max(), -0.0, and nulls between them.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double lo = std::numeric_limits<double>::lowest();
+  const double hi = std::numeric_limits<double>::max();
+  const std::vector<double> values = {nan,  1.5,  -kInf,  // group 0
+                                      0.0,  nan,  -0.0,   // group 1
+                                      kInf, -kInf, 7.0,   // group 2
+                                      lo,   hi,   0.0};   // group 3
+  const std::vector<bool> valid = {true, true, true,  false, true, true,
+                                   true, true, true,  true,  true, false};
+  auto t = MakeTable({{"x", F64(values, valid)}});
+
+  BcfWriteOptions plain;
+  plain.row_group_rows = 3;
+  BcfWriteOptions mappable = plain;  // the spill / converted-store layout
+  mappable.compression = false;
+  mappable.align_pages = true;
+  mappable.mappable = true;
+  for (const BcfWriteOptions& wopts : {plain, mappable}) {
+    TempPath path(".bcf");
+    ASSERT_TRUE(WriteBcf(t, path.str(), wopts).ok());
+    for (bool use_mmap : {false, true}) {
+      SCOPED_TRACE(std::string(wopts.mappable ? "mappable" : "plain") +
+                   (use_mmap ? " mmap" : " buffered"));
+      BcfReadOptions ropts;
+      ropts.use_mmap = use_mmap;
+      auto reader = BcfReader::Open(path.str(), ropts);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      EXPECT_EQ(reader.ValueOrDie()->num_row_groups(), 4);
+      auto back = reader.ValueOrDie()->ReadAll();
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      const col::ArrayPtr& x = back.ValueOrDie()->column(0);
+      ASSERT_EQ(x->length(), static_cast<int64_t>(values.size()));
+      for (size_t i = 0; i < values.size(); ++i) {
+        const auto row = static_cast<int64_t>(i);
+        ASSERT_EQ(x->IsValid(row), valid[i]) << "row " << i;
+        if (!valid[i]) continue;
+        EXPECT_EQ(std::bit_cast<uint64_t>(x->float64_data()[row]),
+                  std::bit_cast<uint64_t>(values[i]))
+            << "row " << i;
+      }
+    }
+  }
 }
 
 // --- chunk streams ---

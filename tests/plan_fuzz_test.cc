@@ -421,8 +421,9 @@ TEST(PlanFuzzTest, OptimizedMatchesUnoptimizedAndEagerReference) {
     const FuzzPlan fuzz = GeneratePlan(rng);
     SCOPED_TRACE("plan:\n" + plan::Explain(fuzz.ops));
 
-    // Rotate the source kind so scan pushdown (CSV column skipping, BCF
-    // zone maps) is fuzzed too, not just in-memory plans.
+    // Rotate the source kind so the scan-bound projection (CSV column
+    // skipping, BCF column projection) is fuzzed too, not just in-memory
+    // plans.
     SourceSpec source;
     std::unique_ptr<TempFile> temp;
     {

@@ -389,36 +389,11 @@ TEST(CommonSubplanTest, DifferentSubplansStayDistinct) {
   EXPECT_NE(optimized[0].other.get(), optimized[1].other.get());
 }
 
-// --- scan predicate extraction ----------------------------------------------
-
-TEST(ScanPredicateTest, ExtractsNumericConjuncts) {
-  auto preds = ExtractScanPredicates("age >= 20 and 2.0 > height");
-  ASSERT_EQ(preds.size(), 2u);
-  EXPECT_EQ(preds[0].column, "age");
-  EXPECT_EQ(preds[0].cmp, io::ScanPredicate::Cmp::kGe);
-  EXPECT_DOUBLE_EQ(preds[0].value, 20.0);
-  EXPECT_EQ(preds[1].column, "height");
-  EXPECT_EQ(preds[1].cmp, io::ScanPredicate::Cmp::kLt);
-  EXPECT_DOUBLE_EQ(preds[1].value, 2.0);
-}
-
-TEST(ScanPredicateTest, SkipsNonPrunableShapes) {
-  EXPECT_TRUE(ExtractScanPredicates("team == 'usa'").empty());
-  EXPECT_TRUE(ExtractScanPredicates("age != 20").empty());
-  EXPECT_TRUE(ExtractScanPredicates("age >= 20 or height < 2").empty());
-  // The prunable half of a conjunction is still extracted.
-  auto preds = ExtractScanPredicates("team == 'usa' and age == 30");
-  ASSERT_EQ(preds.size(), 1u);
-  EXPECT_EQ(preds[0].column, "age");
-  EXPECT_EQ(preds[0].cmp, io::ScanPredicate::Cmp::kEq);
-}
-
 // --- policy gating -----------------------------------------------------------
 
 TEST(PolicyTest, DisabledFamiliesDoNotFire) {
   OptimizerPolicy policy;
   policy.predicate_pushdown = false;
-  policy.filter_reorder = false;
   LogicalPlan plan;
   plan.ops = {Op::StrLower("team"), Op::Query("age >= 20")};
   const RuleDriver driver(policy);

@@ -2,7 +2,10 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -435,6 +438,104 @@ TEST(StreamingDifferentialTest, EnginePipelineWorkerSweepMatchesInMemory) {
       EXPECT_LE(session.host_pool()->peak_bytes(),
                 session.host_pool()->budget());
     }
+  }
+}
+
+/// Writes a CSV whose float column `v` holds `inf`, `-inf` and `nan` cells
+/// (the first one `nan`) among integer values and empty (null) cells, next
+/// to a unique integer `id`, an integer key `k` and a string `s`.
+void WriteNonFiniteCsv(const std::string& path, int64_t rows, uint64_t seed) {
+  static const char* const kNonFinite[] = {"inf", "-inf", "nan"};
+  Rng rng(seed);
+  std::ofstream out(path);
+  out << "id,k,v,s\n";
+  for (int64_t i = 0; i < rows; ++i) {
+    out << i << ',' << rng.UniformInt(0, 22) << ',';
+    const uint64_t roll = rng.Uniform(20);
+    if (i == 0) {
+      out << "nan";
+    } else if (roll == 1) {
+      out << kNonFinite[rng.Uniform(3)];
+    } else if (roll != 0) {
+      out << rng.UniformInt(0, 1000);
+    }
+    out << ',' << static_cast<char>('a' + rng.Uniform(4)) << '\n';
+  }
+}
+
+/// Scoped temp file.
+struct TempCsv {
+  std::string path = testing::TempDir() + "bento_nonfinite_" +
+                     std::to_string(::getpid()) + ".csv";
+  ~TempCsv() { std::remove(path.c_str()); }
+};
+
+/// Non-finite floats must survive every file the streaming engines write
+/// for themselves: Vaex's converted store, the two-pass and sort spill
+/// files, and the mapped materialization under a tight budget.
+TEST(StreamingDifferentialTest, VaexCsvIngestKeepsNonFiniteFloats) {
+  TempCsv csv;
+  WriteNonFiniteCsv(csv.path, 5000, /*seed=*/909);
+  auto pandas = frame::CreateEngine("pandas").ValueOrDie();
+  TablePtr expected =
+      pandas->ReadCsv(csv.path).ValueOrDie()->Collect().ValueOrDie();
+  VaexEngine vaex;
+  auto frame = vaex.ReadCsv(csv.path, {});
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  auto read = frame.ValueOrDie()->Collect();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  test::ExpectTablesEqual(expected, read.ValueOrDie());
+}
+
+/// Under a budget of 4x the CSV, filter -> fillna-mean -> sort spills the
+/// two-pass input and the sorted runs and maps the result back from a BCF
+/// file; all of them carry the non-finite cells.
+TEST(StreamingDifferentialTest, NonFiniteCsvTightBudgetMatchesUnbounded) {
+  TempCsv csv;
+  WriteNonFiniteCsv(csv.path, 20000, /*seed=*/910);
+  const std::vector<Op> plan = {
+      Op::Query("k >= 2"),
+      Op::FillNaMean("v"),
+      Op::SortValues({{"k", true}, {"id", false}}),
+  };
+  auto run = [&](LazyEngineBase* engine) -> Result<TablePtr> {
+    BENTO_ASSIGN_OR_RETURN(auto frame, engine->ReadCsv(csv.path, {}));
+    for (const Op& op : plan) {
+      BENTO_ASSIGN_OR_RETURN(frame, frame->Apply(op));
+    }
+    return frame->Collect();
+  };
+  const uint64_t csv_bytes = std::filesystem::file_size(csv.path);
+
+  struct NamedEngine {
+    const char* name;
+    std::unique_ptr<LazyEngineBase> engine;
+  };
+  std::vector<NamedEngine> engines;
+  engines.push_back({"spark_sql", std::make_unique<SparkSqlEngine>()});
+  engines.push_back({"polars", std::make_unique<PolarsEngine>()});
+  engines.push_back({"vaex", std::make_unique<VaexEngine>()});
+
+  obs::Counter* mapped =
+      obs::MetricsRegistry::Global().counter("lazy.mapped_materializations");
+  obs::Counter* spill_files =
+      obs::MetricsRegistry::Global().counter("spill.files");
+  for (auto& [name, engine] : engines) {
+    SCOPED_TRACE(name);
+    auto unbounded = run(engine.get());
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+
+    ChunkRowsGuard chunk_guard("1024");
+    const uint64_t mapped_before = mapped->value();
+    const uint64_t spills_before = spill_files->value();
+    sim::MachineSpec tight{"tight", 4, csv_bytes * 4, std::nullopt};
+    sim::Session session(tight);
+    auto streamed = run(engine.get());
+    EXPECT_TRUE(streamed.ok()) << streamed.status().ToString();
+    if (!streamed.ok()) continue;
+    test::ExpectTablesEqual(unbounded.ValueOrDie(), streamed.ValueOrDie());
+    EXPECT_GT(mapped->value(), mapped_before);
+    EXPECT_GT(spill_files->value(), spills_before);
   }
 }
 

@@ -255,6 +255,35 @@ TEST(JsonTest, DumpParseRoundTrip) {
   }
 }
 
+TEST(JsonTest, EdgeNumbersDumpAsParseableJson) {
+  // Finite numbers round-trip bit for bit: -0.0 keeps its sign, and values
+  // outside the int64 range take the double path. NaN and ±inf have no
+  // JSON spelling; they dump as null.
+  const double two63 = std::ldexp(1.0, 63);
+  for (double v : {-0.0, 0.0, 1e300, -1e300, two63, -two63,
+                   8.999999999999999e15, 9.0e15, -12.0, 0.1, DBL_MAX, -DBL_MAX,
+                   DBL_TRUE_MIN}) {
+    JsonValue arr = JsonValue::Array();
+    arr.Append(JsonValue::Number(v));
+    const std::string text = arr.Dump();
+    SCOPED_TRACE(text);
+    auto back = ParseJson(text);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_TRUE(back.ValueOrDie().at(0).is_number());
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.ValueOrDie().at(0).number_value()),
+              std::bit_cast<uint64_t>(v));
+  }
+  for (double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    JsonValue obj = JsonValue::Object();
+    obj.Set("x", JsonValue::Number(v));
+    const std::string text = obj.Dump();
+    SCOPED_TRACE(text);
+    auto back = ParseJson(text);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(back.ValueOrDie().Get("x").is_null());
+  }
+}
+
 TEST(JsonTest, ObjectSetOverwrites) {
   JsonValue obj = JsonValue::Object();
   obj.Set("k", JsonValue::Int(1));
