@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -50,76 +49,10 @@ bool IsStreamable(const Op& op) {
       return true;
     case OpKind::kFillNa:
       return !op.fill_with_mean;  // global mean needs a full pass
-    case OpKind::kFusedColumn:
-      // A fused chain streams only if every component step does (a chain
-      // holding catcodes needs the global dictionary pass).
-      for (const Op& step : op.fused) {
-        if (!IsStreamable(step)) return false;
-      }
-      return true;
     default:
       return false;
   }
 }
-
-namespace {
-
-/// Stable lineage signature for common-subplan elimination: equal strings
-/// must imply value-identical Collect() results. Opaque frames (non-lazy,
-/// row_fn anywhere in the lineage, already-fused plans) return nullopt.
-std::optional<std::string> LazySubplanSignature(
-    const std::shared_ptr<frame::DataFrame>& df) {
-  auto* lazy = dynamic_cast<LazyFrame*>(df.get());
-  if (lazy == nullptr) return std::nullopt;
-  std::string sig;
-  const LazySource& src = lazy->source();
-  switch (src.kind) {
-    case LazySource::Kind::kTable: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "tbl:%p",
-                    static_cast<const void*>(src.table.get()));
-      sig += buf;
-      break;
-    }
-    case LazySource::Kind::kCsv:
-      sig += "csv:" + src.path;
-      for (const std::string& d : src.csv_options.drop_columns) {
-        sig += "!" + d;
-      }
-      break;
-    case LazySource::Kind::kBcf:
-      sig += "bcf:" + src.path;
-      break;
-  }
-  for (const Op& op : lazy->plan()) {
-    switch (op.kind) {
-      case OpKind::kApplyRow:
-      case OpKind::kFusedColumn:
-        return std::nullopt;  // row_fn is opaque; fused args aren't rendered
-      case OpKind::kMerge: {
-        auto inner = LazySubplanSignature(op.other);
-        if (!inner.has_value()) return std::nullopt;
-        sig += "|merge(" + *inner + ";" + op.left_key + "=" + op.right_key +
-               ";" + (op.join_type == kern::JoinType::kInner ? "i" : "l") + ")";
-        break;
-      }
-      default:
-        sig += '|';
-        sig += plan::OpSummary(op);
-        // The display string collapses scalar kinds (Int(0) and Double(0)
-        // both render "0"); tag them so the signature doesn't.
-        if (op.kind == OpKind::kFillNa || op.kind == OpKind::kReplace) {
-          sig += '#';
-          sig += std::to_string(static_cast<int>(op.scalar_a.kind()));
-          sig += ',';
-          sig += std::to_string(static_cast<int>(op.scalar_b.kind()));
-        }
-    }
-  }
-  return sig;
-}
-
-}  // namespace
 
 plan::OptimizerPolicy LazyEngineBase::PlanPolicy() const {
   plan::OptimizerPolicy policy;
@@ -130,22 +63,17 @@ plan::OptimizerPolicy LazyEngineBase::PlanPolicy() const {
 
 std::vector<Op> LazyEngineBase::Optimize(std::vector<Op> ops) const {
   if (!optimizer_enabled_) return ops;
-  plan::LogicalPlan lp;
-  lp.ops = std::move(ops);
-  plan::PlanContext ctx;
-  ctx.subplan_signature = LazySubplanSignature;
-  const plan::RuleDriver driver(PlanPolicy());
   const bool explain = std::getenv("BENTO_EXPLAIN") != nullptr;
   std::string before;
-  if (explain) before = plan::Explain(lp.ops);
-  lp = driver.Run(std::move(lp), ctx);
+  if (explain) before = plan::Explain(ops);
+  ops = plan::Optimize(std::move(ops), PlanPolicy());
   if (explain) {
     std::fprintf(stderr,
                  "== %s: plan before ==\n%s== %s: plan after ==\n%s",
                  info().id.c_str(), before.c_str(), info().id.c_str(),
-                 plan::Explain(lp.ops).c_str());
+                 plan::Explain(ops).c_str());
   }
-  return std::move(lp.ops);
+  return ops;
 }
 
 Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(

@@ -94,7 +94,7 @@ class LazyEngineBase : public frame::Engine {
   virtual bool EnableProjectionPushdown() const { return true; }
   virtual bool EnablePredicatePushdown() const { return true; }
 
-  /// Rule families this engine model applies, from the two toggles above.
+  /// Rewrite rules this engine model applies, from the two toggles above.
   plan::OptimizerPolicy PlanPolicy() const;
 
   /// Master switch: when false, plans execute exactly as written (the
@@ -135,10 +135,10 @@ class LazyEngineBase : public frame::Engine {
     return source;
   }
 
-  /// Runs the rewrite-rule driver over `plan` under this engine's
-  /// PlanPolicy(); identity when the optimizer is disabled. Exposed for
-  /// tests and plan display. Set BENTO_EXPLAIN=1 to dump the plan before
-  /// and after to stderr.
+  /// Runs plan::Optimize (predicate and projection pushdown) over `plan`
+  /// under this engine's PlanPolicy(); identity when the optimizer is
+  /// disabled. Exposed for tests and plan display. Set BENTO_EXPLAIN=1 to
+  /// dump the plan before and after to stderr.
   std::vector<frame::Op> Optimize(std::vector<frame::Op> plan) const;
 
  protected:

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cmath>
-#include <functional>
 #include <cstdio>
 #include <limits>
 #include <queue>
@@ -433,12 +432,12 @@ struct RunCursor {
 
 namespace {
 
-/// Shared core of the external sort: sorted runs spill to temp BCF files;
-/// the k-way merge emits ordered output chunks to `sink`.
+/// Body of ExternalSortToFile: sorted runs spill to a SpillFrameStore; the
+/// k-way merge appends ordered output chunks to `out`.
 Status ExternalSortImpl(ChunkStream* input,
                         const std::vector<kern::SortKey>& keys,
                         const ExecPolicy& policy, int64_t run_rows,
-                        const std::function<Status(TablePtr)>& sink) {
+                        io::BcfWriter* out) {
   // Phase 1: build sorted runs, spilling each as one partition of a shared
   // SpillFrameStore. Runs are bounded both by rows and by bytes (one run
   // plus its sorted copy must fit comfortably inside the machine budget).
@@ -514,7 +513,7 @@ Status ExternalSortImpl(ChunkStream* input,
       return Status::Invalid("external sort over an empty stream");
     }
     BENTO_ASSIGN_OR_RETURN(auto empty, col::Table::MakeEmpty(schema));
-    return sink(empty);
+    return out->Append(empty);
   }
   if (runs.size() == 1) {
     // Single run: stream it back whole.
@@ -522,7 +521,7 @@ Status ExternalSortImpl(ChunkStream* input,
       TablePtr chunk = runs[0]->chunk;
       runs[0]->chunk = nullptr;
       runs[0]->row = -1;
-      BENTO_RETURN_NOT_OK(sink(std::move(chunk)));
+      BENTO_RETURN_NOT_OK(out->Append(chunk));
       BENTO_RETURN_NOT_OK(runs[0]->Advance());
     }
     return Status::OK();
@@ -565,7 +564,7 @@ Status ExternalSortImpl(ChunkStream* input,
         auto chunk, col::Table::Make(
                         std::make_shared<col::Schema>(std::move(fields)),
                         std::move(columns)));
-    BENTO_RETURN_NOT_OK(sink(std::move(chunk)));
+    BENTO_RETURN_NOT_OK(out->Append(chunk));
     reset_assemblers();
     assembled = 0;
     return Status::OK();
@@ -598,22 +597,6 @@ Status ExternalSortImpl(ChunkStream* input,
 
 }  // namespace
 
-Result<TablePtr> ExternalSort(ChunkStream* input,
-                              const std::vector<kern::SortKey>& keys,
-                              const ExecPolicy& policy, int64_t run_rows) {
-  std::vector<TablePtr> output_chunks;
-  BENTO_RETURN_NOT_OK(ExternalSortImpl(input, keys, policy, run_rows,
-                                       [&](TablePtr chunk) {
-                                         output_chunks.push_back(
-                                             std::move(chunk));
-                                         return Status::OK();
-                                       }));
-  if (output_chunks.empty()) {
-    return Status::Invalid("external sort produced no output");
-  }
-  return col::ConcatTablesReleasing(&output_chunks);
-}
-
 Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const std::vector<kern::SortKey>& keys,
                                        const ExecPolicy& policy,
@@ -623,10 +606,7 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
   wopts.row_group_rows = 64 * 1024;
   wopts.compression = false;
   BENTO_ASSIGN_OR_RETURN(auto writer, io::BcfWriter::Open(path, wopts));
-  Status st = ExternalSortImpl(input, keys, policy, run_rows,
-                               [&](TablePtr chunk) {
-                                 return writer->Append(chunk);
-                               });
+  Status st = ExternalSortImpl(input, keys, policy, run_rows, writer.get());
   if (!st.ok()) {
     std::remove(path.c_str());
     return st;

@@ -62,17 +62,11 @@ Result<col::TablePtr> StreamingGroupBy(
     const std::vector<kern::AggSpec>& aggs, const frame::ExecPolicy& policy,
     const StreamingGroupByOptions& options = {});
 
-/// \brief External merge sort: sorted runs of `run_rows` rows spill to
-/// temporary BCF files; a cursor-based k-way merge re-streams them. Peak
-/// memory O(run + output).
-Result<col::TablePtr> ExternalSort(ChunkStream* input,
-                                   const std::vector<kern::SortKey>& keys,
-                                   const frame::ExecPolicy& policy,
-                                   int64_t run_rows = 256 * 1024);
-
-/// \brief Fully out-of-core variant: the merged output is written to a
-/// temporary BCF file (Spark's shuffle-file shape) instead of materialized;
-/// peak memory O(run). Returns the temp file path (caller owns/deletes).
+/// \brief External merge sort: sorted runs of at most `run_rows` rows spill
+/// to a SpillFrameStore, and a cursor-based k-way merge writes the ordered
+/// output to a temporary BCF file (Spark's shuffle-file shape) instead of
+/// materializing it; peak memory O(run). Returns the temp file path
+/// (caller owns/deletes).
 Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const std::vector<kern::SortKey>& keys,
                                        const frame::ExecPolicy& policy,

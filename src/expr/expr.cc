@@ -1,5 +1,7 @@
 #include "expr/expr.h"
 
+#include <algorithm>
+
 namespace bento::expr {
 
 ExprPtr Expr::Column(std::string name) {
@@ -22,6 +24,7 @@ ExprPtr Expr::Binary(BinOpKind op, ExprPtr left, ExprPtr right) {
   e->bin_op_ = op;
   e->left_ = std::move(left);
   e->right_ = std::move(right);
+  e->depth_ = 1 + std::max(e->left_->depth_, e->right_->depth_);
   return e;
 }
 
@@ -30,6 +33,7 @@ ExprPtr Expr::Unary(UnOpKind op, ExprPtr operand) {
   e->kind_ = Kind::kUnary;
   e->un_op_ = op;
   e->left_ = std::move(operand);
+  e->depth_ = 1 + e->left_->depth_;
   return e;
 }
 
@@ -38,6 +42,9 @@ ExprPtr Expr::Call(std::string fn, std::vector<ExprPtr> args) {
   e->kind_ = Kind::kCall;
   e->name_ = std::move(fn);
   e->args_ = std::move(args);
+  for (const ExprPtr& arg : e->args_) {
+    e->depth_ = std::max(e->depth_, 1 + arg->depth_);
+  }
   return e;
 }
 

@@ -61,6 +61,10 @@ class Expr {
   const ExprPtr& operand() const { return left_; }
   const std::string& fn_name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }
+  /// Levels below this node: 0 for a column, literal or argument-less call,
+  /// else one more than its deepest child. Every walk over the tree
+  /// recurses this deep.
+  int depth() const { return depth_; }
 
   /// Adds every referenced column name to `out` (projection pushdown input).
   void CollectColumns(std::set<std::string>* out) const;
@@ -82,6 +86,7 @@ class Expr {
   ExprPtr left_;
   ExprPtr right_;
   std::vector<ExprPtr> args_;
+  int depth_ = 0;
 };
 
 const char* BinOpName(BinOpKind op);

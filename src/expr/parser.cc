@@ -28,7 +28,7 @@ class Parser {
       SkipWs();
       if (ConsumeWord("or") || Consume("||") || ConsumeSingle('|')) {
         BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-        left = Expr::Binary(BinOpKind::kOr, left, right);
+        BENTO_ASSIGN_OR_RETURN(left, Binary(BinOpKind::kOr, left, right));
       } else {
         return left;
       }
@@ -41,7 +41,7 @@ class Parser {
       SkipWs();
       if (ConsumeWord("and") || Consume("&&") || ConsumeSingle('&')) {
         BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-        left = Expr::Binary(BinOpKind::kAnd, left, right);
+        BENTO_ASSIGN_OR_RETURN(left, Binary(BinOpKind::kAnd, left, right));
       } else {
         return left;
       }
@@ -80,7 +80,7 @@ class Parser {
       return left;
     }
     BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-    return Expr::Binary(op, left, right);
+    return Binary(op, left, right);
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -91,8 +91,9 @@ class Parser {
       if (c == '+' || c == '-') {
         ++pos_;
         BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParseTerm());
-        left = Expr::Binary(c == '+' ? BinOpKind::kAdd : BinOpKind::kSub, left,
-                            right);
+        BENTO_ASSIGN_OR_RETURN(
+            left, Binary(c == '+' ? BinOpKind::kAdd : BinOpKind::kSub, left,
+                         right));
       } else {
         return left;
       }
@@ -107,15 +108,15 @@ class Parser {
       if (c == '*' && PeekAt(1) != '*') {
         ++pos_;
         BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParsePower());
-        left = Expr::Binary(BinOpKind::kMul, left, right);
+        BENTO_ASSIGN_OR_RETURN(left, Binary(BinOpKind::kMul, left, right));
       } else if (c == '/') {
         ++pos_;
         BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParsePower());
-        left = Expr::Binary(BinOpKind::kDiv, left, right);
+        BENTO_ASSIGN_OR_RETURN(left, Binary(BinOpKind::kDiv, left, right));
       } else if (c == '%') {
         ++pos_;
         BENTO_ASSIGN_OR_RETURN(ExprPtr right, ParsePower());
-        left = Expr::Binary(BinOpKind::kMod, left, right);
+        BENTO_ASSIGN_OR_RETURN(left, Binary(BinOpKind::kMod, left, right));
       } else {
         return left;
       }
@@ -128,7 +129,7 @@ class Parser {
     if (Consume("**")) {
       BENTO_ASSIGN_OR_RETURN(ExprPtr right,  // right-assoc
                              Nested([&] { return ParsePower(); }));
-      return Expr::Binary(BinOpKind::kPow, left, right);
+      return Binary(BinOpKind::kPow, left, right);
     }
     return left;
   }
@@ -269,14 +270,26 @@ class Parser {
   /// of exhausting the stack.
   template <typename Fn>
   Result<ExprPtr> Nested(Fn parse) {
-    if (depth_ >= kMaxDepth) {
-      return Status::Invalid("expression nested deeper than ", kMaxDepth,
-                             " levels at offset ", pos_);
-    }
+    if (depth_ >= kMaxDepth) return TooDeep();
     ++depth_;
     Result<ExprPtr> e = parse();
     --depth_;
     return e;
+  }
+
+  /// Builds a binary node. Operator chains (`a + a + ... + a`) loop instead
+  /// of recursing, but each step deepens the left-deep tree by one level, so
+  /// the node counts its own depth against the limit: no parsed tree is
+  /// deeper than kMaxDepth, and walks over it cannot exhaust the stack.
+  Result<ExprPtr> Binary(BinOpKind op, ExprPtr left, ExprPtr right) {
+    ExprPtr e = Expr::Binary(op, std::move(left), std::move(right));
+    if (depth_ + e->depth() > kMaxDepth) return TooDeep();
+    return e;
+  }
+
+  Status TooDeep() const {
+    return Status::Invalid("expression nested deeper than ", kMaxDepth,
+                           " levels at offset ", pos_);
   }
 
   void SkipWs() {

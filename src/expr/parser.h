@@ -22,7 +22,9 @@ namespace bento::expr {
 ///              | identifier | identifier "(" args ")" | "(" or_expr ")"
 ///
 /// Identifiers are column names unless followed by "(", in which case they
-/// are function calls (see Expr::Call for the function inventory).
+/// are function calls (see Expr::Call for the function inventory). Input
+/// whose tree would be more than 256 levels deep, by nesting or by a long
+/// operator chain, returns Invalid.
 Result<ExprPtr> ParseExpr(std::string_view text);
 
 }  // namespace bento::expr

@@ -164,32 +164,6 @@ Result<TablePtr> ReplaceColumn(
   return table->SetColumn(name, replaced);
 }
 
-/// One component of a kFusedColumn chain: the single-column kernel the
-/// standalone op would have dispatched, minus the per-op table rebuild.
-Result<ArrayPtr> ApplyFusedStep(const ArrayPtr& column, const Op& step,
-                                const ExecPolicy& policy) {
-  switch (step.kind) {
-    case OpKind::kCast:
-      return kern::Cast(column, step.type);
-    case OpKind::kStrLower:
-      return kern::Lower(column, policy.string_engine);
-    case OpKind::kRound:
-      return kern::Round(column, step.decimals);
-    case OpKind::kReplace:
-      return kern::ReplaceValues(column, step.scalar_a, step.scalar_b);
-    case OpKind::kToDatetime:
-      return kern::ToDatetime(column);
-    case OpKind::kCatCodes:
-      return kern::CatCodes(column);
-    case OpKind::kFillNa:
-      if (step.fill_with_mean) return kern::FillNullWithMean(column);
-      return kern::FillNull(column, step.scalar_a);
-    default:
-      return Status::Invalid("op '", OpKindName(step.kind),
-                             "' cannot run inside a fused column chain");
-  }
-}
-
 }  // namespace
 
 Result<col::TablePtr> DeepCopyTable(const col::TablePtr& table) {
@@ -317,18 +291,6 @@ Result<col::TablePtr> ExecTransform(const col::TablePtr& table, const Op& op,
                        policy);
     case OpKind::kApplyRow:
       return MaybeCopy(DoApplyRow(table, op, policy), policy);
-    case OpKind::kFusedColumn:
-      return MaybeCopy(
-          ReplaceColumn(table, op.column,
-                        [&](const ArrayPtr& c) -> Result<ArrayPtr> {
-                          ArrayPtr current = c;
-                          for (const Op& step : op.fused) {
-                            BENTO_ASSIGN_OR_RETURN(
-                                current, ApplyFusedStep(current, step, policy));
-                          }
-                          return current;
-                        }),
-          policy);
     default:
       return Status::Invalid("op '", OpKindName(op.kind),
                              "' is an action, not a transform");

@@ -68,8 +68,6 @@ const char* OpKindName(OpKind kind) {
       return "replace";
     case OpKind::kApplyRow:
       return "applyrow";
-    case OpKind::kFusedColumn:
-      return "fused";
   }
   return "?";
 }
@@ -271,14 +269,6 @@ Op Op::ApplyRow(std::string new_name, kern::RowFn fn, col::TypeId out_type) {
   op.new_name = std::move(new_name);
   op.row_fn = std::move(fn);
   op.row_fn_type = out_type;
-  return op;
-}
-
-Op Op::FusedColumn(std::string column, std::vector<Op> steps) {
-  Op op;
-  op.kind = OpKind::kFusedColumn;
-  op.column = std::move(column);
-  op.fused = std::move(steps);
   return op;
 }
 

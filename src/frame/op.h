@@ -47,8 +47,6 @@ enum class OpKind {
   kFillNa,          ///< fill empty cells
   kReplace,         ///< replace values occurrences
   kApplyRow,        ///< edit & replace cell data (row-wise apply)
-  // --- optimizer-synthesized (never produced by the user-facing API) ---
-  kFusedColumn,     ///< chain of single-column maps run in one pass
 };
 
 /// \brief True for EDA inspections that return data instead of a new frame.
@@ -84,7 +82,6 @@ struct Op {
   std::shared_ptr<DataFrame> other;      // merge right side
   kern::RowFn row_fn;                    // row-wise apply body
   col::TypeId row_fn_type = col::TypeId::kFloat64;
-  std::vector<Op> fused;                 // kFusedColumn component steps
 
   // --- factories ---
   static Op IsNa();
@@ -119,9 +116,6 @@ struct Op {
   static Op Replace(std::string column, col::Scalar from, col::Scalar to);
   static Op ApplyRow(std::string new_name, kern::RowFn fn,
                      col::TypeId out_type);
-  /// Optimizer-only: runs `steps` (single-column maps over `column`) as one
-  /// GetColumn -> kernel chain -> SetColumn pass. Built by the fusion rule.
-  static Op FusedColumn(std::string column, std::vector<Op> steps);
 };
 
 /// \brief Output of an action preparator.

@@ -113,15 +113,6 @@ std::string OpSummary(const Op& op) {
     case OpKind::kApplyRow:
       s += op.new_name;
       break;
-    case OpKind::kFusedColumn: {
-      s += op.column;
-      s += ": ";
-      for (size_t i = 0; i < op.fused.size(); ++i) {
-        if (i > 0) s += "; ";
-        s += frame::OpKindName(op.fused[i].kind);
-      }
-      break;
-    }
     default:
       // Single-column ops (lower, catenc, onehot, chdate, outlier) and
       // column-less actions.
@@ -150,7 +141,6 @@ bool OpColumnFootprint(const Op& op, std::set<std::string>* touched) {
     case OpKind::kReplace:
     case OpKind::kToDatetime:
     case OpKind::kCatCodes:
-    case OpKind::kFusedColumn:
       touched->insert(op.column);
       return true;
     case OpKind::kApplyExpr: {
@@ -188,37 +178,6 @@ bool Intersects(const std::set<std::string>& a,
     if (b.count(x) > 0) return true;
   }
   return false;
-}
-
-bool IsOrderObliviousRowOp(const Op& op) {
-  switch (op.kind) {
-    // Per-row maps: each output row is a function of its input row alone
-    // (fillna-with-mean additionally reads the column multiset, which is
-    // also order-independent). Row filters keep a row based on its own
-    // values and preserve relative order.
-    case OpKind::kQuery:
-    case OpKind::kDropNa:
-    case OpKind::kCast:
-    case OpKind::kStrLower:
-    case OpKind::kRound:
-    case OpKind::kReplace:
-    case OpKind::kToDatetime:
-    case OpKind::kFillNa:
-    case OpKind::kApplyExpr:
-    case OpKind::kApplyRow:
-      return true;
-    case OpKind::kFusedColumn:
-      for (const Op& step : op.fused) {
-        if (!IsOrderObliviousRowOp(step)) return false;
-      }
-      return true;
-    // Everything else either reorders rows (sort), keeps first-seen rows
-    // (dedup, groupby emission order), renames/drops columns a later sort
-    // key may reference, or multiplies rows (merge, dummies widen is fine
-    // but stay conservative).
-    default:
-      return false;
-  }
 }
 
 }  // namespace bento::plan

@@ -9,15 +9,12 @@
 
 namespace bento::plan {
 
-/// \brief A logical plan: the ordered transform sequence a lazy frame
-/// accumulated between its source and the forcing action. Rewrite rules
-/// mutate `ops` in place; the executor runs whatever remains.
-struct LogicalPlan {
-  std::vector<frame::Op> ops;
-};
+// A logical plan is the ordered transform sequence (std::vector<frame::Op>)
+// a lazy frame accumulated between its source and the forcing action.
+// plan::Optimize rewrites it; the executor runs whatever remains.
 
 /// \brief One-line rendering of a single op for plan dumps and golden
-/// tests, e.g. "query[age >= 20]" or "fused[v: fillna; astype; round]".
+/// tests, e.g. "query[age >= 20]" or "round[height, 1]".
 std::string OpSummary(const frame::Op& op);
 
 /// \brief Multi-line plan dump (one OpSummary per line, source to sink).
@@ -36,11 +33,6 @@ std::set<std::string> QueryReferences(const frame::Op& query);
 
 /// \brief True when the two sets share at least one element.
 bool Intersects(const std::set<std::string>& a, const std::set<std::string>& b);
-
-/// \brief True when `op` is a pure per-row map or filter: it neither
-/// reorders rows nor depends on row order, so it commutes with sorting for
-/// the purpose of redundant-sort elimination.
-bool IsOrderObliviousRowOp(const frame::Op& op);
 
 }  // namespace bento::plan
 

@@ -75,7 +75,10 @@ void WriteFileBytes(const std::string& path,
                     const std::vector<uint8_t>& bytes) {
   FILE* f = fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // An empty vector's data() may be null, which fwrite must never receive.
+  if (!bytes.empty()) {
+    ASSERT_EQ(fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   fclose(f);
 }
 

@@ -130,6 +130,26 @@ TEST(CrossEngineTest, GroupByAgreesUpToOrder) {
   }
 }
 
+// A flat 30 000-term chain used to parse into a tree deep enough to overflow
+// the stack when evaluated; eager and lazy engines must reject it instead.
+TEST(CrossEngineTest, FlatExpressionChainIsInvalidNotACrash) {
+  std::string chain = "k";
+  for (int i = 1; i < 30000; ++i) chain += " + k";
+  for (const char* id : {"pandas", "polars"}) {
+    auto engine = frame::CreateEngine(id).ValueOrDie();
+    for (const Op& op :
+         {Op::Query(chain + " > 0"), Op::ApplyExpr("w", chain)}) {
+      SCOPED_TRACE(std::string(id) + " " + frame::OpKindName(op.kind));
+      auto frame = engine->FromTable(SampleTable()).ValueOrDie();
+      auto applied = frame->Apply(op);
+      const Status status = applied.ok()
+                                ? applied.ValueOrDie()->Collect().status()
+                                : applied.status();
+      EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+    }
+  }
+}
+
 TEST(LazyEngineTest, LazyEqualsEager) {
   for (auto [lazy_id, eager_id] :
        {std::pair<std::string, std::string>{"polars", "polars_eager"},
@@ -246,13 +266,23 @@ TEST(StreamingOpsTest, GroupByMatchesKernel) {
   }
 }
 
+/// Runs ExternalSortToFile over `stream` and reads the sorted file back.
+TablePtr ExternalSortReadBack(ChunkStream* stream,
+                              const std::vector<kern::SortKey>& keys,
+                              int64_t run_rows) {
+  auto path = ExternalSortToFile(stream, keys, {}, run_rows).ValueOrDie();
+  auto sorted = io::BcfReader::Open(path).ValueOrDie()->ReadAll().ValueOrDie();
+  std::remove(path.c_str());
+  return sorted;
+}
+
 TEST(StreamingOpsTest, ExternalSortMatchesKernel) {
   auto t = RandomTable(3000, 11);
   std::vector<kern::SortKey> keys = {{"k", true}, {"v", false}};
   auto expected = kern::SortTable(t, keys).ValueOrDie();
   TableChunkStream stream(t, 200);
-  auto external = ExternalSort(&stream, keys, {}, /*run_rows=*/512).ValueOrDie();
-  test::ExpectTablesEqual(expected, external);
+  test::ExpectTablesEqual(expected,
+                          ExternalSortReadBack(&stream, keys, /*run_rows=*/512));
 }
 
 TEST(StreamingOpsTest, ExternalSortSingleRun) {
@@ -260,9 +290,8 @@ TEST(StreamingOpsTest, ExternalSortSingleRun) {
   std::vector<kern::SortKey> keys = {{"v", true}};
   auto expected = kern::SortTable(t, keys).ValueOrDie();
   TableChunkStream stream(t, 50);
-  auto external =
-      ExternalSort(&stream, keys, {}, /*run_rows=*/100000).ValueOrDie();
-  test::ExpectTablesEqual(expected, external);
+  test::ExpectTablesEqual(
+      expected, ExternalSortReadBack(&stream, keys, /*run_rows=*/100000));
 }
 
 TEST(StreamingOpsTest, DedupMatchesKernel) {

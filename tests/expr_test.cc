@@ -83,11 +83,20 @@ TEST(ParserTest, RejectsDeepNestingWithoutCrashing) {
     return out;
   };
   constexpr int kDeep = 100000;
+  // Operator chains inside parentheses: each level's chain is short, but
+  // every level deepens the left-deep tree by its whole chain.
+  std::string nested_chains = "a";
+  for (int i = 0; i < 200; ++i) {
+    nested_chains = "(" + nested_chains + repeat(" + a", 200) + ")";
+  }
   for (const std::string& text :
        {repeat("(", kDeep) + "a" + repeat(")", kDeep), repeat("(", kDeep),
         repeat("f(", kDeep) + "a" + repeat(")", kDeep),
         repeat("not ", kDeep) + "a", repeat("!", kDeep) + "a",
-        repeat("-", kDeep) + "a", repeat("a ** ", kDeep) + "a"}) {
+        repeat("-", kDeep) + "a", repeat("a ** ", kDeep) + "a",
+        repeat("a + ", kDeep) + "a", repeat("a * ", kDeep) + "a",
+        repeat("a and ", kDeep) + "a", repeat("a or ", kDeep) + "a",
+        nested_chains}) {
     const auto parsed = ParseExpr(text);
     ASSERT_FALSE(parsed.ok()) << text.substr(0, 16);
     EXPECT_TRUE(parsed.status().IsInvalid()) << parsed.status().ToString();
@@ -97,6 +106,20 @@ TEST(ParserTest, RejectsDeepNestingWithoutCrashing) {
                 .ValueOrDie()
                 ->ToString(),
             "a");
+}
+
+TEST(ParserTest, ChainJustUnderTheDepthLimitParsesAndEvaluates) {
+  std::string text = "a";
+  for (int i = 1; i < 256; ++i) text += " + a";
+  ASSERT_OK_AND_ASSIGN(auto e, ParseExpr(text));
+  EXPECT_EQ(e->depth(), 255);
+  ASSERT_OK_AND_ASSIGN(auto out, Evaluate(e, MakeTable({{"a", I64({1, 2})}})));
+  EXPECT_EQ(out->int64_data()[0], 256);
+  EXPECT_EQ(out->int64_data()[1], 512);
+  // Two more terms make the tree deeper than the 256-level limit.
+  const auto over = ParseExpr(text + " + a + a");
+  ASSERT_FALSE(over.ok());
+  EXPECT_TRUE(over.status().IsInvalid()) << over.status().ToString();
 }
 
 TEST(InferTypeTest, Rules) {

@@ -21,6 +21,7 @@
 #include "frame/engine.h"
 #include "kernels/common.h"
 #include "kernels/groupby.h"
+#include "plan/logical_plan.h"
 #include "sim/machine.h"
 #include "sim/parallel.h"
 #include "tests/test_util.h"

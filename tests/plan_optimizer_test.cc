@@ -1,9 +1,10 @@
-// Golden plan-snapshot tests for the rule-based optimizer: each rewrite
-// rule gets a before/after Explain() comparison plus negative cases proving
-// the rule does NOT fire when the rewrite would be unsound. Includes the
-// regression for the predicate-pushdown soundness hole (a filter must not
-// hop before a drop of a column it references — that would mask a
-// KeyError the unoptimized plan raises).
+// Golden plan-snapshot tests for plan::Optimize: each of its two rewrite
+// rules (predicate and projection pushdown) gets a before/after Explain()
+// comparison plus negative cases proving the rule does NOT fire when the
+// rewrite would be unsound. Includes the regression for the
+// predicate-pushdown soundness hole (a filter must not hop before a drop of
+// a column it references — that would mask a KeyError the unoptimized plan
+// raises).
 #include <gtest/gtest.h>
 
 #include "columnar/builder.h"
@@ -17,7 +18,6 @@
 namespace bento::plan {
 namespace {
 
-using col::Scalar;
 using col::TypeId;
 using frame::Op;
 using frame::OpKind;
@@ -26,14 +26,10 @@ using test::I64;
 using test::MakeTable;
 using test::Str;
 
-/// Runs the full-policy driver (no engine context) and returns the explain
-/// dump of the result.
+/// Optimizes under the full policy (no engine) and returns the explain dump
+/// of the result.
 std::string OptimizeAndExplain(std::vector<Op> ops) {
-  LogicalPlan plan;
-  plan.ops = std::move(ops);
-  const RuleDriver driver{OptimizerPolicy{}};
-  plan = driver.Run(std::move(plan), PlanContext{});
-  return Explain(plan.ops);
+  return Explain(Optimize(std::move(ops), OptimizerPolicy{}));
 }
 
 TEST(ExplainTest, RendersOneOpPerLine) {
@@ -140,18 +136,21 @@ TEST(ProjectionPushdownTest, BlockedWhenOpTouchesDroppedColumn) {
             "drop[height]\n");
 }
 
-// --- filter reordering over breakers ----------------------------------------
+// --- breakers block predicate pushdown ---------------------------------------
+//
+// A filter written after a group-by or a merge stays where it was written,
+// whatever columns it reads.
 
-TEST(FilterReorderTest, KeyFilterHopsOverGroupBy) {
+TEST(PredicatePushdownTest, KeyFilterStaysAfterGroupBy) {
   EXPECT_EQ(OptimizeAndExplain(
                 {Op::GroupByAgg({"team"}, {{"weight", kern::AggKind::kSum,
                                             "w"}}),
                  Op::Query("team == 'usa'")}),
-            "query[team == 'usa']\n"
-            "groupby[team | w = sum(weight)]\n");
+            "groupby[team | w = sum(weight)]\n"
+            "query[team == 'usa']\n");
 }
 
-TEST(FilterReorderTest, AggregateOutputFilterStaysPut) {
+TEST(PredicatePushdownTest, AggregateOutputFilterStaysAfterGroupBy) {
   // The filter reads the aggregate's output column, which does not exist
   // before the group-by.
   EXPECT_EQ(OptimizeAndExplain(
@@ -169,224 +168,28 @@ TEST(FilterReorderTest, AggregateOutputFilterStaysPut) {
             "query[weight_sum > 100]\n");
 }
 
-TEST(FilterReorderTest, SharedKeyFilterHopsOverMerge) {
+TEST(PredicatePushdownTest, FilterStaysAfterMerge) {
   sim::Session session(sim::MachineSpec::Server());
   ASSERT_OK_AND_ASSIGN(auto engine, frame::CreateEngine("polars"));
   const col::TablePtr regions =
       MakeTable({{"noc", Str({"USA", "GER"})}, {"region", Str({"a", "b"})}});
   ASSERT_OK_AND_ASSIGN(auto other, engine->FromTable(regions));
 
+  // A filter on the shared join key.
   EXPECT_EQ(OptimizeAndExplain({Op::Merge(other, "noc", "noc"),
                                 Op::Query("noc == 'USA'")}),
-            "query[noc == 'USA']\n"
-            "merge[noc = noc, inner]\n");
-  // Differently-named keys: the probe-side column name is ambiguous after
-  // the join, so the filter stays put.
+            "merge[noc = noc, inner]\n"
+            "query[noc == 'USA']\n");
+  // On a probe-side key whose build-side name differs.
   EXPECT_EQ(OptimizeAndExplain({Op::Merge(other, "committee", "noc"),
                                 Op::Query("committee == 'USA'")}),
             "merge[committee = noc, inner]\n"
             "query[committee == 'USA']\n");
-  // A filter over a right-side payload column must not hop either.
+  // On a right-side payload column.
   EXPECT_EQ(OptimizeAndExplain({Op::Merge(other, "noc", "noc"),
                                 Op::Query("region == 'a'")}),
             "merge[noc = noc, inner]\n"
             "query[region == 'a']\n");
-}
-
-// --- preparator fusion -------------------------------------------------------
-
-TEST(FusionTest, AdjacentFiltersCollapse) {
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::Query("age >= 20"), Op::Query("height < 2.0")}),
-            "query[(age >= 20) and (height < 2.0)]\n");
-}
-
-TEST(FusionTest, SameColumnChainFuses) {
-  EXPECT_EQ(OptimizeAndExplain({Op::FillNa("height", Scalar::Double(1.7)),
-                                Op::Cast("height", TypeId::kFloat64),
-                                Op::Round("height", 1)}),
-            "fused[height: fillna; astype; round]\n");
-}
-
-TEST(FusionTest, DifferentColumnsDoNotFuse) {
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::Cast("height", TypeId::kFloat64), Op::StrLower("team")}),
-            "astype[height -> float64]\n"
-            "lower[team]\n");
-}
-
-TEST(FusionTest, BreakerInterruptsTheChain) {
-  // A group-by between two maps over the same column keeps them apart
-  // (fusion only collapses adjacent runs).
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::Round("weight", 1),
-                 Op::GroupByAgg({"weight"}, {{"weight", kern::AggKind::kCount,
-                                              "n"}}),
-                 Op::Round("weight", 0)}),
-            "round[weight, 1]\n"
-            "groupby[weight | n = count(weight)]\n"
-            "round[weight, 0]\n");
-}
-
-TEST(FusionTest, MeanFillDoesNotFuse) {
-  // fillna-with-mean needs the whole-column mean; it stays a standalone op
-  // (and a breaker for the streaming engines).
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::FillNaMean("height"), Op::Round("height", 1)}),
-            "fillna[height = mean]\n"
-            "round[height, 1]\n");
-}
-
-TEST(FusionTest, FusedChainExecutesLikeTheOriginal) {
-  sim::Session session(sim::MachineSpec::Server());
-  const col::TablePtr table = MakeTable(
-      {{"v", F64({1.234, 5.678, 0.0}, {true, true, false})},
-       {"k", I64({1, 2, 3})}});
-  const std::vector<Op> ops = {Op::FillNa("v", Scalar::Double(9.0)),
-                               Op::Round("v", 1)};
-  for (const char* opt : {"polars", "polars_noopt"}) {
-    SCOPED_TRACE(opt);
-    ASSERT_OK_AND_ASSIGN(auto engine, frame::CreateEngine(opt));
-    ASSERT_OK_AND_ASSIGN(auto frame, engine->FromTable(table));
-    for (const Op& op : ops) {
-      ASSERT_OK_AND_ASSIGN(frame, frame->Apply(op));
-    }
-    ASSERT_OK_AND_ASSIGN(auto got, frame->Collect());
-    test::ExpectTablesEqual(
-        MakeTable({{"v", F64({1.2, 5.7, 9.0})}, {"k", I64({1, 2, 3})}}), got);
-  }
-}
-
-// --- dead / redundant op elimination ----------------------------------------
-
-TEST(DeadOpTest, RepeatedDedupEliminated) {
-  EXPECT_EQ(OptimizeAndExplain({Op::DropDuplicates(), Op::Query("age >= 20"),
-                                Op::DropDuplicates()}),
-            "dedup[*]\n"
-            "query[age >= 20]\n");
-  EXPECT_EQ(OptimizeAndExplain({Op::DropDuplicates({"noc", "season"}),
-                                Op::DropDuplicates({"noc", "season"})}),
-            "dedup[noc, season]\n");
-}
-
-TEST(DeadOpTest, DedupAfterGroupByEliminated) {
-  // Group-by output is unique on its keys; a full-row dedup after it is a
-  // no-op, as is a dedup on a superset of the keys drawn from the output.
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::GroupByAgg({"team"}, {{"weight", kern::AggKind::kSum,
-                                            "w"}}),
-                 Op::DropDuplicates()}),
-            "groupby[team | w = sum(weight)]\n");
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::GroupByAgg({"team"}, {{"weight", kern::AggKind::kSum,
-                                            "w"}}),
-                 Op::DropDuplicates({"team", "w"})}),
-            "groupby[team | w = sum(weight)]\n");
-}
-
-TEST(DeadOpTest, DedupSurvivesWhenNotProvenRedundant) {
-  // Different subset: the second dedup may remove more rows.
-  EXPECT_EQ(OptimizeAndExplain({Op::DropDuplicates({"noc"}),
-                                Op::DropDuplicates({"season"})}),
-            "dedup[noc]\n"
-            "dedup[season]\n");
-  // Value-changing op in between re-creates duplicates.
-  EXPECT_EQ(OptimizeAndExplain({Op::DropDuplicates(), Op::Round("height", 0),
-                                Op::DropDuplicates()}),
-            "dedup[*]\n"
-            "round[height, 0]\n"
-            "dedup[*]\n");
-  // Dedup referencing a column outside the group-by output must keep
-  // raising its KeyError.
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::GroupByAgg({"team"}, {{"weight", kern::AggKind::kSum,
-                                            "w"}}),
-                 Op::DropDuplicates({"team", "height"})}),
-            "groupby[team | w = sum(weight)]\n"
-            "dedup[team, height]\n");
-}
-
-TEST(DeadOpTest, OverwrittenSortEliminated) {
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::SortValues({{"height", true}}), Op::Query("age >= 20"),
-                 Op::SortValues({{"weight", true}, {"height", false}})}),
-            "query[age >= 20]\n"
-            "sort[weight asc, height desc]\n");
-}
-
-TEST(DeadOpTest, SortSurvivesWhenLaterSortHasFewerKeys) {
-  // keys(A) ⊄ keys(B): A still orders B's ties.
-  EXPECT_EQ(OptimizeAndExplain({Op::SortValues({{"height", true}}),
-                                Op::SortValues({{"weight", true}})}),
-            "sort[height asc]\n"
-            "sort[weight asc]\n");
-}
-
-TEST(DeadOpTest, SortSurvivesWhenKeyColumnRewrittenBetween) {
-  // Rounding the early key can collapse values the later sort then ties on
-  // differently; the early sort still matters.
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::SortValues({{"height", true}}), Op::Round("height", 0),
-                 Op::SortValues({{"weight", true}, {"height", true}})}),
-            "sort[height asc]\n"
-            "round[height, 0]\n"
-            "sort[weight asc, height asc]\n");
-}
-
-TEST(DeadOpTest, AdjacentDisjointDropsMerge) {
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::DropColumns({"games"}), Op::DropColumns({"event"})}),
-            "drop[games, event]\n");
-  // Overlapping drops: the second op's KeyError must be preserved.
-  EXPECT_EQ(OptimizeAndExplain(
-                {Op::DropColumns({"games"}), Op::DropColumns({"games"})}),
-            "drop[games]\n"
-            "drop[games]\n");
-}
-
-// --- common-subplan elimination ---------------------------------------------
-
-TEST(CommonSubplanTest, IdenticalMergeInputsShareOneFrame) {
-  sim::Session session(sim::MachineSpec::Server());
-  ASSERT_OK_AND_ASSIGN(auto engine, frame::CreateEngine("polars"));
-  auto* lazy = dynamic_cast<eng::LazyEngineBase*>(engine.get());
-  ASSERT_NE(lazy, nullptr);
-
-  const col::TablePtr regions =
-      MakeTable({{"noc", Str({"USA", "GER"})}, {"region", Str({"a", "b"})}});
-  auto build_side = [&]() {
-    auto frame = engine->FromTable(regions).ValueOrDie();
-    return frame->Apply(Op::Query("noc == 'USA'")).ValueOrDie();
-  };
-  // Two structurally identical but distinct frames.
-  auto left_input = build_side();
-  auto right_input = build_side();
-  ASSERT_NE(left_input.get(), right_input.get());
-
-  std::vector<Op> optimized = lazy->Optimize(
-      {Op::Merge(left_input, "noc", "noc"), Op::ApplyExpr("z", "height + 1"),
-       Op::Merge(right_input, "noc", "noc")});
-  ASSERT_EQ(optimized.size(), 3u);
-  EXPECT_EQ(optimized[0].other.get(), optimized[2].other.get());
-}
-
-TEST(CommonSubplanTest, DifferentSubplansStayDistinct) {
-  sim::Session session(sim::MachineSpec::Server());
-  ASSERT_OK_AND_ASSIGN(auto engine, frame::CreateEngine("polars"));
-  auto* lazy = dynamic_cast<eng::LazyEngineBase*>(engine.get());
-  ASSERT_NE(lazy, nullptr);
-
-  const col::TablePtr regions =
-      MakeTable({{"noc", Str({"USA", "GER"})}, {"region", Str({"a", "b"})}});
-  auto base = engine->FromTable(regions).ValueOrDie();
-  auto filtered_a = base->Apply(Op::Query("noc == 'USA'")).ValueOrDie();
-  auto filtered_b = base->Apply(Op::Query("noc == 'GER'")).ValueOrDie();
-
-  std::vector<Op> optimized =
-      lazy->Optimize({Op::Merge(filtered_a, "noc", "noc"),
-                      Op::Merge(filtered_b, "noc", "noc")});
-  ASSERT_EQ(optimized.size(), 2u);
-  EXPECT_NE(optimized[0].other.get(), optimized[1].other.get());
 }
 
 // --- policy gating -----------------------------------------------------------
@@ -394,11 +197,8 @@ TEST(CommonSubplanTest, DifferentSubplansStayDistinct) {
 TEST(PolicyTest, DisabledFamiliesDoNotFire) {
   OptimizerPolicy policy;
   policy.predicate_pushdown = false;
-  LogicalPlan plan;
-  plan.ops = {Op::StrLower("team"), Op::Query("age >= 20")};
-  const RuleDriver driver(policy);
-  plan = driver.Run(std::move(plan), PlanContext{});
-  EXPECT_EQ(Explain(plan.ops),
+  EXPECT_EQ(Explain(Optimize({Op::StrLower("team"), Op::Query("age >= 20")},
+                             policy)),
             "lower[team]\n"
             "query[age >= 20]\n");
 }

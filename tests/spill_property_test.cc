@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -286,7 +287,10 @@ TEST(SpillMergePropertyTest, ExternalSortTinyRunsMatchInMemorySort) {
   for (int64_t run_rows : {64, 555, 100000}) {
     SCOPED_TRACE(run_rows);
     TableChunkStream stream(t, 321);
-    auto sorted = ExternalSort(&stream, keys, {}, run_rows).ValueOrDie();
+    auto path = ExternalSortToFile(&stream, keys, {}, run_rows).ValueOrDie();
+    auto sorted =
+        io::BcfReader::Open(path).ValueOrDie()->ReadAll().ValueOrDie();
+    std::remove(path.c_str());
     test::ExpectTablesEqual(expected, sorted);
   }
 }
@@ -315,7 +319,8 @@ TEST(SpillMergePropertyTest, ExternalSortReadFaultAbortsCleanly) {
   sim::SpillFile::InjectFaults(/*write_bytes=*/UINT64_MAX,
                                /*read_bytes=*/2048);
   TableChunkStream stream(t, 300);
-  auto result = ExternalSort(&stream, {{"k", true}}, {}, /*run_rows=*/200);
+  auto result =
+      ExternalSortToFile(&stream, {{"k", true}}, {}, /*run_rows=*/200);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
 }
