@@ -1,8 +1,10 @@
 #include "columnar/table.h"
 
+#include <cstring>
+#include <string_view>
 #include <unordered_map>
 
-#include "columnar/builder.h"
+#include "obs/trace.h"
 
 namespace bento::col {
 
@@ -141,76 +143,178 @@ std::string Table::ToString(int64_t max_rows) const {
 
 namespace {
 
-Result<ArrayPtr> ConcatArrays(const std::vector<ArrayPtr>& arrays, TypeId type) {
+/// ORs bits [0, n) of `src` (all set when null) into the zeroed bitmap
+/// `dst` starting at bit `at`, a byte at a time. Bits of `src` past `n` (a
+/// byte-aligned slice shares its parent's bitmap) are masked off.
+void CopyBits(const uint8_t* src, int64_t n, uint8_t* dst, int64_t at) {
+  const int shift = static_cast<int>(at & 7);
+  uint8_t* out = dst + (at >> 3);
+  for (int64_t k = 0; k < BitmapBytes(n); ++k) {
+    unsigned byte = src != nullptr ? src[k] : 0xFFu;
+    if (k == n >> 3) byte &= (1u << (n & 7)) - 1;
+    out[k] = static_cast<uint8_t>(out[k] | (byte << shift));
+    // A non-zero spill-over holds bits below `at + n`, so it is in bounds.
+    if (shift != 0 && (byte >> (8 - shift)) != 0) {
+      out[k + 1] = static_cast<uint8_t>(out[k + 1] | (byte >> (8 - shift)));
+    }
+  }
+}
+
+/// Sets every byte of each null slot of `part` (`width` bytes apiece from
+/// `dst`) to `fill`.
+void FillNullSlots(const Array& part, uint8_t* dst, int64_t width,
+                   uint8_t fill) {
+  for (int64_t i = 0; i < part.length(); ++i) {
+    if (!part.IsValid(i)) {
+      std::memset(dst + i * width, fill, static_cast<size_t>(width));
+    }
+  }
+}
+
+/// Concatenates `parts` into one array with the bytes the builders would
+/// produce appending value by value: null slots zeroed (codes -1, strings
+/// empty), bools 0/1, a validity bitmap only when some value is null, and
+/// categorical dictionaries merged by value in first-seen order. Buffers
+/// copy in bulk; only bools, string parts whose null slots hold characters
+/// and categorical parts whose codes change meaning go value by value.
+Result<ArrayPtr> ConcatArrays(const std::vector<ArrayPtr>& parts, TypeId type) {
+  int64_t total = 0;
+  int64_t total_nulls = 0;
+  std::vector<int64_t> nulls;
+  nulls.reserve(parts.size());
+  for (const ArrayPtr& a : parts) {
+    nulls.push_back(a->length() -
+                    CountSetBits(a->validity_bits(), a->length()));
+    total += a->length();
+    total_nulls += nulls.back();
+  }
+  BufferPtr validity;
+  if (total_nulls > 0) {
+    BENTO_ASSIGN_OR_RETURN(validity, AllocateBitmap(total, false));
+    int64_t row = 0;
+    for (const ArrayPtr& a : parts) {
+      CopyBits(a->validity_bits(), a->length(), validity->mutable_data(), row);
+      row += a->length();
+    }
+  }
+
   switch (type) {
     case TypeId::kInt64:
-    case TypeId::kTimestamp: {
-      FixedBuilder<int64_t, TypeId::kInt64> b;
-      for (const auto& a : arrays) {
-        for (int64_t i = 0; i < a->length(); ++i) {
-          b.AppendMaybe(a->int64_data()[i], a->IsValid(i));
-        }
-      }
-      BENTO_ASSIGN_OR_RETURN(auto out, b.Finish());
-      if (type == TypeId::kTimestamp) {
-        return Array::MakeFixed(type, out->length(), out->data_buffer(),
-                                out->validity_buffer(), out->cached_null_count());
-      }
-      return out;
-    }
-    case TypeId::kFloat64: {
-      Float64Builder b;
-      for (const auto& a : arrays) {
-        for (int64_t i = 0; i < a->length(); ++i) {
-          b.AppendMaybe(a->float64_data()[i], a->IsValid(i));
-        }
-      }
-      return b.Finish();
-    }
+    case TypeId::kTimestamp:
+    case TypeId::kFloat64:
     case TypeId::kBool: {
-      BoolBuilder b;
-      for (const auto& a : arrays) {
-        for (int64_t i = 0; i < a->length(); ++i) {
-          b.AppendMaybe(a->bool_data()[i] != 0, a->IsValid(i));
+      const int64_t width = ByteWidth(type);
+      BENTO_ASSIGN_OR_RETURN(
+          auto data, Buffer::Allocate(static_cast<uint64_t>(total * width)));
+      uint8_t* dst = data->mutable_data();
+      for (size_t p = 0; p < parts.size(); ++p) {
+        const Array& a = *parts[p];
+        const int64_t n = a.length();
+        if (n == 0) continue;
+        if (type == TypeId::kBool) {
+          for (int64_t i = 0; i < n; ++i) dst[i] = a.bool_data()[i] != 0;
+        } else {
+          std::memcpy(dst, a.data_buffer()->data(),
+                      static_cast<size_t>(n * width));
         }
+        if (nulls[p] > 0) FillNullSlots(a, dst, width, 0);
+        dst += n * width;
       }
-      return b.Finish();
+      return Array::MakeFixed(type, total, std::move(data), std::move(validity),
+                              total_nulls);
     }
     case TypeId::kString: {
-      StringBuilder b;
-      for (const auto& a : arrays) {
-        for (int64_t i = 0; i < a->length(); ++i) {
-          b.AppendMaybe(a->IsValid(i) ? a->GetView(i) : std::string_view(),
-                        a->IsValid(i));
+      // A part whose null slots are all empty copies its chars in one block;
+      // one with characters under a null copies its valid values one by one.
+      std::vector<int64_t> null_chars(parts.size(), 0);
+      int64_t total_chars = 0;
+      for (size_t p = 0; p < parts.size(); ++p) {
+        const Array& a = *parts[p];
+        const int64_t* off = a.offsets_data();
+        for (int64_t i = 0; nulls[p] > 0 && i < a.length(); ++i) {
+          if (!a.IsValid(i)) null_chars[p] += off[i + 1] - off[i];
         }
+        total_chars += off[a.length()] - off[0] - null_chars[p];
       }
-      return b.Finish();
+      BENTO_ASSIGN_OR_RETURN(
+          auto offsets, Buffer::Allocate(static_cast<uint64_t>(total + 1) * 8));
+      BENTO_ASSIGN_OR_RETURN(
+          auto chars, Buffer::Allocate(static_cast<uint64_t>(total_chars)));
+      int64_t* out_off = offsets->mutable_data_as<int64_t>();
+      char* out_chars = reinterpret_cast<char*>(chars->mutable_data());
+      int64_t pos = 0;
+      for (size_t p = 0; p < parts.size(); ++p) {
+        const Array& a = *parts[p];
+        const int64_t* off = a.offsets_data();
+        const int64_t n = a.length();
+        if (null_chars[p] == 0) {
+          const int64_t bytes = off[n] - off[0];
+          if (bytes > 0) {
+            std::memcpy(out_chars + pos, a.chars_data() + off[0],
+                        static_cast<size_t>(bytes));
+          }
+          for (int64_t i = 1; i <= n; ++i) out_off[i] = off[i] - off[0] + pos;
+          pos += bytes;
+        } else {
+          for (int64_t i = 0; i < n; ++i) {
+            if (a.IsValid(i) && off[i + 1] > off[i]) {
+              std::memcpy(out_chars + pos, a.chars_data() + off[i],
+                          static_cast<size_t>(off[i + 1] - off[i]));
+              pos += off[i + 1] - off[i];
+            }
+            out_off[i + 1] = pos;
+          }
+        }
+        out_off += n;
+      }
+      return Array::MakeString(total, std::move(offsets), std::move(chars),
+                               std::move(validity), total_nulls);
     }
     case TypeId::kCategorical: {
-      // Merge dictionaries by value.
+      // Dictionaries merge by value in first-seen order, each distinct one
+      // mapped once per run of parts sharing it. A part whose codes keep
+      // their meaning in the merged dictionary copies them in bulk; the
+      // others are remapped code by code.
       auto merged = std::make_shared<std::vector<std::string>>();
-      std::unordered_map<std::string, int32_t> lookup;
-      CategoricalBuilder b;
-      for (const auto& a : arrays) {
-        const auto& dict = a->dictionary();
-        std::vector<int32_t> remap(dict != nullptr ? dict->size() : 0, -1);
-        if (dict != nullptr) {
-          for (size_t k = 0; k < dict->size(); ++k) {
-            auto [it, inserted] = lookup.emplace(
-                (*dict)[k], static_cast<int32_t>(merged->size()));
-            if (inserted) merged->push_back((*dict)[k]);
-            remap[k] = it->second;
+      std::unordered_map<std::string_view, int32_t> lookup;
+      std::vector<int32_t> remap;
+      bool identity = false;
+      const std::vector<std::string>* mapped = nullptr;
+      BENTO_ASSIGN_OR_RETURN(
+          auto codes, Buffer::Allocate(static_cast<uint64_t>(total) * 4));
+      int32_t* dst = codes->mutable_data_as<int32_t>();
+      for (size_t p = 0; p < parts.size(); ++p) {
+        const Array& a = *parts[p];
+        if (a.dictionary() != nullptr && a.dictionary().get() != mapped) {
+          mapped = a.dictionary().get();
+          remap.clear();
+          identity = true;
+          for (const std::string& value : *mapped) {
+            auto [it, inserted] =
+                lookup.emplace(value, static_cast<int32_t>(merged->size()));
+            if (inserted) merged->push_back(value);
+            identity =
+                identity && static_cast<size_t>(it->second) == remap.size();
+            remap.push_back(it->second);
           }
         }
-        for (int64_t i = 0; i < a->length(); ++i) {
-          if (a->IsValid(i)) {
-            b.Append(remap[static_cast<size_t>(a->codes_data()[i])]);
-          } else {
-            b.AppendNull();
+        const int64_t n = a.length();
+        if (n == 0) continue;
+        const int32_t* src = a.codes_data();
+        if (identity) {
+          std::memcpy(dst, src, static_cast<size_t>(n) * 4);
+        } else {
+          for (int64_t i = 0; i < n; ++i) {
+            if (a.IsValid(i)) dst[i] = remap[static_cast<size_t>(src[i])];
           }
         }
+        if (nulls[p] > 0) {
+          FillNullSlots(a, reinterpret_cast<uint8_t*>(dst), 4, 0xFF);
+        }
+        dst += n;
       }
-      return b.Finish(std::move(merged));
+      return Array::MakeCategorical(total, std::move(codes), std::move(merged),
+                                    std::move(validity), total_nulls);
     }
   }
   return Status::Invalid("unknown type in concat");
@@ -219,27 +323,12 @@ Result<ArrayPtr> ConcatArrays(const std::vector<ArrayPtr>& arrays, TypeId type) 
 }  // namespace
 
 Result<TablePtr> ConcatTables(const std::vector<TablePtr>& tables) {
-  if (tables.empty()) return Status::Invalid("cannot concat zero tables");
-  const SchemaPtr& schema = tables[0]->schema();
-  for (const auto& t : tables) {
-    if (!(*t->schema() == *schema)) {
-      return Status::Invalid("schema mismatch in ConcatTables");
-    }
-  }
-  if (tables.size() == 1) return tables[0];
-  std::vector<ArrayPtr> out_columns;
-  for (int c = 0; c < schema->num_fields(); ++c) {
-    std::vector<ArrayPtr> parts;
-    parts.reserve(tables.size());
-    for (const auto& t : tables) parts.push_back(t->column(c));
-    BENTO_ASSIGN_OR_RETURN(
-        auto merged, ConcatArrays(parts, schema->field(c).type));
-    out_columns.push_back(std::move(merged));
-  }
-  return Table::Make(schema, std::move(out_columns));
+  std::vector<TablePtr> copy = tables;
+  return ConcatTablesReleasing(&copy);
 }
 
 Result<TablePtr> ConcatTablesReleasing(std::vector<TablePtr>* tables) {
+  BENTO_TRACE_SPAN(kKernel, "concat");
   if (tables->empty()) return Status::Invalid("cannot concat zero tables");
   const SchemaPtr schema = (*tables)[0]->schema();
   for (const auto& t : *tables) {

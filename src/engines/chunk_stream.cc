@@ -2,6 +2,14 @@
 
 namespace bento::eng {
 
+Result<ChunkStream::Deferred> ChunkStream::ClaimDeferred() {
+  BENTO_ASSIGN_OR_RETURN(col::TablePtr chunk, Next());
+  if (chunk == nullptr) return Deferred();
+  return Deferred([chunk = std::move(chunk)]() -> Result<col::TablePtr> {
+    return chunk;
+  });
+}
+
 Result<col::TablePtr> TableChunkStream::Next() {
   const int64_t total = table_->num_rows();
   if (position_ == 0 && chunk_rows_ >= total) {

@@ -17,10 +17,20 @@ namespace bento::eng {
 /// Spark whole-stage pipeline).
 class ChunkStream {
  public:
+  /// A claimed batch whose decode has not run yet. It owns what it reads,
+  /// so it may run on any thread, after later claims or after the stream
+  /// is gone.
+  using Deferred = std::function<Result<col::TablePtr>()>;
+
   virtual ~ChunkStream() = default;
 
   /// Next batch, or nullptr at end of stream.
   virtual Result<col::TablePtr> Next() = 0;
+
+  /// Claims the next batch and defers its decode; an empty function at end
+  /// of stream. Only the claim needs to be serial. Streams whose batches
+  /// come decoded keep this default, which claims through Next().
+  virtual Result<Deferred> ClaimDeferred();
 };
 
 /// \brief Slices an in-memory table into fixed-size batches.
@@ -46,13 +56,15 @@ class TableChunkStream : public ChunkStream {
   int64_t position_ = 0;
 };
 
-/// \brief Streams batches from a CSV file.
+/// \brief Streams batches from a CSV file. A claim only cuts the text;
+/// the decode is deferred to whoever runs it (a pipeline worker).
 class CsvChunkStream : public ChunkStream {
  public:
   static Result<std::unique_ptr<CsvChunkStream>> Open(
       const std::string& path, const io::CsvReadOptions& options);
 
   Result<col::TablePtr> Next() override { return reader_->Next(); }
+  Result<Deferred> ClaimDeferred() override { return reader_->Cut(); }
 
  private:
   explicit CsvChunkStream(std::unique_ptr<io::CsvChunkReader> reader)

@@ -181,8 +181,8 @@ void ChargeChunks(double per_chunk_seconds, int64_t chunks) {
   }
 }
 
-/// Background ingest: with pipeline workers, file-backed streams parse and
-/// decode ahead of compute on a dedicated producer thread.
+/// Background ingest: with pipeline workers, BCF streams read and
+/// decompress ahead of compute on a dedicated producer thread.
 std::unique_ptr<ChunkStream> WrapPrefetch(const PipelineOptions& pipe,
                                           std::unique_ptr<ChunkStream> s) {
   if (pipe.parallel() && pipe.prefetch_depth > 0) {
@@ -271,22 +271,28 @@ Result<col::TablePtr> LazyEngineBase::Execute(
     bound->Increment();
   }
 
-  // Nothing to do: chaining from a materialized frame with an empty plan
-  // (common in per-op modes) must not re-chunk and re-concat the table —
-  // that would double its footprint for no work.
-  if (start >= ops.size() && source.kind == LazySource::Kind::kTable &&
-      scan_drops.empty() && source.table != nullptr) {
-    return source.table;
+  const bool stream_breakers = StreamsBreakers() && MemoryTight(source);
+
+  // An in-memory table whose plan is empty or opens with a materializing
+  // breaker runs whole-table from the start (common when chaining from a
+  // collected frame): slicing it through a stage and concatenating it back
+  // would only copy it and double its footprint.
+  if (source.kind == LazySource::Kind::kTable && source.table != nullptr &&
+      (ops.empty() || (!stream_breakers && !IsStreamable(ops[0])))) {
+    col::TablePtr table = source.table;
+    for (const Op& op : ops) {
+      BENTO_ASSIGN_OR_RETURN(table, frame::ExecTransform(table, op, policy));
+    }
+    return table;
   }
 
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan_drops));
-  // In-memory tables chunk into zero-copy slices; buffering views ahead
-  // would add nothing.
-  if (source.kind != LazySource::Kind::kTable) {
+  // A BCF scan reads ahead on the prefetch thread. A CSV scan needs no
+  // prefetch (its decode runs on the pipeline workers), nor does an
+  // in-memory table (it chunks into zero-copy slices).
+  if (source.kind == LazySource::Kind::kBcf) {
     stream = WrapPrefetch(pipe, std::move(stream));
   }
-
-  const bool stream_breakers = StreamsBreakers() && MemoryTight(source);
 
   // Under memory pressure a streaming engine materializes results
   // file-backed: anything bigger than a slice of the remaining budget
@@ -572,7 +578,7 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
   ExecPolicy worker_policy = policy;
   if (pipe.parallel()) worker_policy.parallel = false;
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, {}));
-  if (source.kind != LazySource::Kind::kTable) {
+  if (source.kind == LazySource::Kind::kBcf) {
     stream = WrapPrefetch(pipe, std::move(stream));
   }
   const auto stage = MakeStage(

@@ -82,25 +82,18 @@ ParallelPipelineDriver::~ParallelPipelineDriver() {
   for (std::thread& t : threads_) t.join();
 }
 
-Result<col::TablePtr> ParallelPipelineDriver::Claim(int64_t* seq) {
+Result<ChunkStream::Deferred> ParallelPipelineDriver::Claim(int64_t* seq) {
   std::lock_guard<std::mutex> claim(claim_mu_);
-  if (claim_stopped_) return col::TablePtr(nullptr);
-  const double t0 = options_.simulate ? sim::NowSeconds() : 0.0;
-  auto pulled = inner_->Next();
-  if (options_.simulate) sim_io_seconds_.push_back(sim::NowSeconds() - t0);
-  if (!pulled.ok()) {
-    claim_stopped_ = true;
-    *seq = next_claim_seq_++;
-    claimed_count_.fetch_add(1, std::memory_order_relaxed);
-    return pulled;
+  if (claim_stopped_) return Deferred();
+  auto claimed = inner_->ClaimDeferred();
+  if (claimed.ok() && !claimed.ValueOrDie()) {
+    claim_stopped_ = true;  // end of stream
+    return claimed;
   }
-  if (pulled.ValueOrDie() == nullptr) {
-    claim_stopped_ = true;
-    return pulled;
-  }
+  if (!claimed.ok()) claim_stopped_ = true;
   *seq = next_claim_seq_++;
   claimed_count_.fetch_add(1, std::memory_order_relaxed);
-  return pulled;
+  return claimed;
 }
 
 void ParallelPipelineDriver::WorkerLoop(int index) {
@@ -124,9 +117,8 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
     }
 
     int64_t seq = -1;
-    auto pulled = Claim(&seq);
-    const bool end = pulled.ok() && pulled.ValueOrDie() == nullptr;
-    if (end) {
+    auto claimed = Claim(&seq);
+    if (claimed.ok() && !claimed.ValueOrDie()) {
       std::lock_guard<std::mutex> lk(mu_);
       --inflight_;  // reservation unused: nothing was claimed
       done_claiming_ = true;
@@ -135,7 +127,9 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
       break;
     }
 
-    Result<col::TablePtr> out = std::move(pulled);
+    // The decode (a CSV parse) runs here, outside the claim lock.
+    Result<col::TablePtr> out =
+        claimed.ok() ? claimed.ValueOrDie()() : claimed.status();
     if (out.ok()) {
       chunk_counter->Increment();
       BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
@@ -181,27 +175,34 @@ void ParallelPipelineDriver::SettleModeledCredit() {
 Result<col::TablePtr> ParallelPipelineDriver::Next() {
   if (!options_.threaded()) {
     // Inline serial mode: this IS the plain streaming loop — same claim,
-    // same map, same delivery order, zero threads. Errors latch the stream
-    // terminal, matching the parallel mode's contract. In modeled mode the
-    // only addition is a stopwatch around the map; the overlap credit for
-    // the whole stage settles once at end of stream.
+    // decode and map, same delivery order, zero threads. Errors latch the
+    // stream terminal, matching the parallel mode's contract. In modeled
+    // mode the only additions are stopwatches around the source pull (claim
+    // and decode) and around the map; the overlap credit for the whole
+    // stage settles once at end of stream.
     if (terminal_) return terminal_error_;
     int64_t seq = -1;
-    Result<col::TablePtr> out = Claim(&seq);
-    if (out.ok() && out.ValueOrDie() != nullptr) {
-      if (options_.simulate) {
-        static obs::Counter* chunk_counter =
-            obs::MetricsRegistry::Global().counter("pipeline.chunks");
-        chunk_counter->Increment();
-        BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
-        const double t0 = sim::NowSeconds();
-        out = map_(out.MoveValueUnsafe(), seq);
-        sim_map_seconds_.push_back(sim::NowSeconds() - t0);
-      } else {
-        out = map_(out.MoveValueUnsafe(), seq);
-      }
-    } else if (out.ok()) {
+    const double t0 = options_.simulate ? sim::NowSeconds() : 0.0;
+    auto claimed = Claim(&seq);
+    const bool end = claimed.ok() && !claimed.ValueOrDie();
+    Result<col::TablePtr> out = end            ? col::TablePtr(nullptr)
+                                : claimed.ok() ? claimed.ValueOrDie()()
+                                               : claimed.status();
+    if (options_.simulate) sim_io_seconds_.push_back(sim::NowSeconds() - t0);
+    if (end) {
       SettleModeledCredit();  // end of stream: grant the stage's overlap
+      return out;
+    }
+    if (out.ok() && options_.simulate) {
+      static obs::Counter* chunk_counter =
+          obs::MetricsRegistry::Global().counter("pipeline.chunks");
+      chunk_counter->Increment();
+      BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
+      const double t1 = sim::NowSeconds();
+      out = map_(out.MoveValueUnsafe(), seq);
+      sim_map_seconds_.push_back(sim::NowSeconds() - t1);
+    } else if (out.ok()) {
+      out = map_(out.MoveValueUnsafe(), seq);
     }
     if (!out.ok()) {
       terminal_ = true;

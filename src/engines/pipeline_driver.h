@@ -22,19 +22,19 @@ namespace bento::eng {
 /// \brief Shape of the morsel-driven parallel streaming executor.
 ///
 /// Every transform stage is a ParallelPipelineDriver whatever the shape.
-/// `workers <= 1` is the serial mode: the driver runs claim and map inline
-/// on the calling thread with no extra threads, no queues and no reordering,
-/// and it is the executor's only serial streaming loop. With `workers > 1`
-/// the driver runs (or models) concurrent workers, and real execution also
-/// wraps file-backed sources in a PrefetchChunkStream.
+/// `workers <= 1` is the serial mode: the driver runs claim, decode and map
+/// inline on the calling thread with no extra threads, no queues and no
+/// reordering, and it is the executor's only serial streaming loop. With
+/// `workers > 1` the driver runs (or models) concurrent workers, and real
+/// execution also wraps BCF sources in a PrefetchChunkStream.
 struct PipelineOptions {
   /// Compute workers concurrently claiming chunks. <= 1 means inline serial.
   int workers = 1;
   /// Extra in-flight chunks beyond `workers` the reorder buffer may hold
   /// (absorbs completion skew so a slow chunk does not idle every worker).
   int readahead = 2;
-  /// Decoded chunks the background prefetch stage may buffer ahead of the
-  /// consumer; 0 disables the prefetch thread.
+  /// Decoded BCF chunks the background prefetch stage may buffer ahead of
+  /// the consumer; 0 disables the prefetch thread.
   int prefetch_depth = 0;
   /// Model the schedule instead of running it: chunks execute serially
   /// inline while each map's wall time is measured, and on completion the
@@ -58,30 +58,31 @@ struct PipelineOptions {
 /// Engages only when the engine asked for chunk-parallel kernels
 /// (`policy.parallel`). With real execution (`sim::WouldUseRealExecution`)
 /// the stage runs on actual worker threads clamped to the physical core
-/// count, plus a background prefetch thread. Inside a *simulated* session
-/// the same pipeline runs in modeled form (`simulate`): serial execution,
-/// measured chunk maps, and a virtual-time credit for the overlap the
-/// session machine's cores would achieve — so pipeline scaling shows in
-/// virtual time host-independently. Without any session the pipeline stays
-/// off in simulated mode (there is no clock to credit).
+/// count, plus a background prefetch thread for BCF sources. Inside a
+/// *simulated* session the same pipeline runs in modeled form (`simulate`):
+/// serial execution, measured chunk maps, and a virtual-time credit for the
+/// overlap the session machine's cores would achieve — so pipeline scaling
+/// shows in virtual time host-independently. Without any session the
+/// pipeline stays off in simulated mode (there is no clock to credit).
 /// `BENTO_PIPELINE_WORKERS=N` pins the worker count exactly, in real and
 /// simulated sessions alike; N=1 forces the serial loop. It is read per
 /// call, so benches and tests can sweep it without rebuilding engines.
 PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 
 /// \brief Order-preserving parallel transform stage: N dedicated workers
-/// concurrently claim sequence-numbered chunks from `inner` and run `map`
-/// on each; `Next()` reassembles results in claim order.
+/// concurrently claim sequence-numbered chunks from `inner`, decode them and
+/// run `map` on each; `Next()` reassembles results in claim order.
 ///
-/// Claims are serialized (one worker at a time pulls `inner->Next()` and
-/// takes the next sequence number), maps run concurrently without locks,
-/// and finished chunks park in a bounded reorder buffer until the consumer
-/// reaches their sequence number. At most `workers + readahead` chunks are
-/// in flight; a worker that gets ahead blocks until the consumer drains —
-/// which is always possible, because the chunk the consumer waits for is
-/// itself held by some worker (deadlock-free by construction). Errors are
-/// delivered at their position in the sequence, exactly where the serial
-/// loop would have surfaced them.
+/// Claims are serialized (one worker at a time calls
+/// `inner->ClaimDeferred()`, which for a CSV source only cuts the text, and
+/// takes the next sequence number). Decodes and maps run concurrently
+/// without locks, and finished chunks park in a bounded reorder buffer
+/// until the consumer reaches their sequence number. At most
+/// `workers + readahead` chunks are in flight; a worker that gets ahead
+/// blocks until the consumer drains — which is always possible, because the
+/// chunk the consumer waits for is itself held by some worker
+/// (deadlock-free by construction). Errors are delivered at their position
+/// in the sequence, exactly where the serial loop would have surfaced them.
 ///
 /// Output is bit-identical to running `map` serially per chunk in stream
 /// order for ANY worker count: the map itself is pure per-chunk work, and
@@ -90,7 +91,8 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 /// budget.
 ///
 /// With `options.workers <= 1` no threads are created and `Next()` runs
-/// claim + map inline — the degenerate case IS the serial streaming loop.
+/// claim + decode + map inline — the degenerate case IS the serial
+/// streaming loop.
 class ParallelPipelineDriver : public ChunkStream {
  public:
   /// Pure per-chunk transform; `seq` is the chunk's 0-based claim index
@@ -114,9 +116,9 @@ class ParallelPipelineDriver : public ChunkStream {
 
  private:
   void WorkerLoop(int index);
-  /// Serial claim of the next chunk + sequence number. Returns nullptr at
-  /// end of stream.
-  Result<col::TablePtr> Claim(int64_t* seq);
+  /// Serial claim of the next chunk (decode deferred) + sequence number.
+  /// Returns an empty function at end of stream.
+  Result<Deferred> Claim(int64_t* seq);
   /// Modeled mode: grants the session the overlap credit for the measured
   /// chunk maps, once (end of stream or destruction, whichever is first).
   void SettleModeledCredit();
@@ -127,8 +129,8 @@ class ParallelPipelineDriver : public ChunkStream {
   sim::MemoryPool* pool_;  // consumer-thread pool, installed on workers
   int capacity_ = 0;       // max chunks in flight (claimed, not consumed)
 
-  // Claim serialization (kept apart from mu_ so a long inner->Next() —
-  // a CSV parse — never blocks the consumer from popping ready chunks).
+  // Claim serialization (kept apart from mu_ so a long claim — a BCF row
+  // group read — never blocks the consumer from popping ready chunks).
   std::mutex claim_mu_;
   int64_t next_claim_seq_ = 0;  // guarded by claim_mu_
   bool claim_stopped_ = false;  // end-of-stream or claim error; claim_mu_
@@ -150,15 +152,16 @@ class ParallelPipelineDriver : public ChunkStream {
   std::vector<std::thread> threads_;
 
   // Modeled (simulate) mode: measured wall seconds of each chunk map and of
-  // each claim (the source pull the real pipeline hides behind prefetch).
+  // each source pull (claim plus decode).
   std::vector<double> sim_map_seconds_;
   std::vector<double> sim_io_seconds_;
   bool sim_credited_ = false;
 };
 
-/// \brief Background I/O prefetch stage: a dedicated producer thread pulls
-/// (parses, decompresses, maps) chunks from `inner` into a bounded queue so
-/// ingest overlaps with compute.
+/// \brief Background I/O prefetch stage for BCF sources: a dedicated
+/// producer thread pulls (reads, decompresses) chunks from `inner` into a
+/// bounded queue so ingest overlaps with compute. CSV sources do not need
+/// it: their decode already runs on the pipeline workers.
 ///
 /// The producer installs the constructing thread's MemoryPool, so decoded
 /// buffers charge the session budget the moment they exist — readahead can

@@ -1,6 +1,7 @@
 #ifndef BENTO_IO_CSV_H_
 #define BENTO_IO_CSV_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,8 +55,16 @@ Result<col::TablePtr> ReadCsvMmap(const std::string& path,
 
 /// \brief Streaming reader producing `chunk_rows`-row batches; the input of
 /// the streaming engines (Polars lazy streaming, Vaex, Spark whole-stage).
+///
+/// A batch comes in two halves. Cut() is serial: one pass over the bytes
+/// finds where the next batch's records end. The decode it returns owns the
+/// cut text and its own copies of the schema, options and field map, so it
+/// may run on any thread, after later cuts or after the reader is gone.
 class CsvChunkReader {
  public:
+  /// A cut batch's pure decode (see the class comment).
+  using Decode = std::function<Result<col::TablePtr>()>;
+
   static Result<std::unique_ptr<CsvChunkReader>> Open(
       const std::string& path, const CsvReadOptions& options = {});
 
@@ -65,7 +74,11 @@ class CsvChunkReader {
 
   const col::SchemaPtr& schema() const { return schema_; }
 
-  /// Next batch, or nullptr at end of file.
+  /// Cuts the next batch's records and returns their decode, or an empty
+  /// function at end of file.
+  Result<Decode> Cut();
+
+  /// Next batch (Cut() and its decode), or nullptr at end of file.
   Result<col::TablePtr> Next();
 
  private:
@@ -76,7 +89,7 @@ class CsvChunkReader {
   col::SchemaPtr schema_;
   /// Kept-column -> raw-field index when drop_columns is set (else empty).
   std::vector<size_t> field_map_;
-  std::string carry_;   // partial record between buffered reads
+  std::string buffer_;  // bytes read but not yet cut
   bool eof_ = false;
 };
 

@@ -102,33 +102,43 @@ bool LooksLikeBool(std::string_view v) {
   return v == "true" || v == "false" || v == "True" || v == "False";
 }
 
-/// Walks `text` record by record (handles quoted newlines) and calls
-/// `on_record(line)` for each one. Returns the offset one past the last
-/// complete record (the remainder is a partial record).
+/// Offset of the '\n' that ends the record starting at `pos` (a newline
+/// inside quotes does not), or npos when `text` holds no complete record
+/// there. A record without quotes costs two memchr scans.
+size_t RecordEnd(std::string_view text, size_t pos) {
+  const char* data = text.data();
+  const void* nl = std::memchr(data + pos, '\n', text.size() - pos);
+  const size_t end =
+      nl != nullptr ? static_cast<size_t>(static_cast<const char*>(nl) - data)
+                    : text.size();
+  if (std::memchr(data + pos, '"', end - pos) == nullptr) {
+    return nl != nullptr ? end : std::string_view::npos;
+  }
+  bool in_quotes = false;
+  for (size_t i = pos; i < text.size(); ++i) {
+    if (data[i] == '"') {
+      in_quotes = !in_quotes;
+    } else if (data[i] == '\n' && !in_quotes) {
+      return i;
+    }
+  }
+  return std::string_view::npos;
+}
+
+/// Calls `on_record(line)` for each record of `text` (quoted newlines stay
+/// inside their record), the last one possibly without a newline. A
+/// trailing '\r' is stripped; lines left empty are skipped.
 template <typename Fn>
-size_t ForEachRecord(std::string_view text, bool allow_partial_tail, Fn on_record) {
+void ForEachRecord(std::string_view text, Fn on_record) {
   size_t pos = 0;
   while (pos < text.size()) {
-    size_t end = pos;
-    bool in_quotes = false;
-    while (end < text.size()) {
-      char c = text[end];
-      if (c == '"') {
-        in_quotes = !in_quotes;
-      } else if (c == '\n' && !in_quotes) {
-        break;
-      }
-      ++end;
-    }
-    if (end >= text.size() && allow_partial_tail) {
-      return pos;  // incomplete tail record
-    }
+    size_t end = RecordEnd(text, pos);
+    if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(pos, end - pos);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (!line.empty()) on_record(line);
     pos = end + 1;
   }
-  return pos;
 }
 
 /// Column-type inference over sampled rows.
@@ -292,7 +302,7 @@ Result<col::TablePtr> ParseRecords(std::string_view body,
   std::vector<bool> quoted;
   std::string scratch;
   scratch.reserve(4096);
-  ForEachRecord(body, /*allow_partial_tail=*/false, [&](std::string_view line) {
+  ForEachRecord(body, [&](std::string_view line) {
     SplitRecord(line, options.delimiter, &fields, &scratch, &quoted);
     for (size_t c = 0; c < decoders.size(); ++c) {
       const size_t f = field_map != nullptr ? (*field_map)[c] : c;
@@ -382,7 +392,7 @@ col::SchemaPtr InferFromBody(std::string_view body,
   std::vector<std::string_view> fields;
   std::string scratch;
   int64_t taken = 0;
-  ForEachRecord(body, false, [&](std::string_view line) {
+  ForEachRecord(body, [&](std::string_view line) {
     if (taken >= options.infer_rows) return;
     SplitRecord(line, options.delimiter, &fields, &scratch);
     std::vector<std::string> row;
@@ -534,7 +544,7 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
   reader->file_ = f;
   reader->options_ = options;
 
-  // Read an inference prefix, then rewind past the header only.
+  // Infer from a prefix, which then seeds the buffer past the header.
   std::string prefix(1 << 20, '\0');
   const size_t got = std::fread(prefix.data(), 1, prefix.size(), f);
   prefix.resize(got);
@@ -547,9 +557,7 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
                          ResolveDropColumns(full, options));
   reader->schema_ = proj.schema;
   if (proj.active) reader->field_map_ = std::move(proj.field_map);
-  if (std::fseek(f, static_cast<long>(header.body_offset), SEEK_SET) != 0) {
-    return Status::IOError("seek failed for ", path);
-  }
+  reader->buffer_ = body;
   return reader;
 }
 
@@ -557,76 +565,55 @@ CsvChunkReader::~CsvChunkReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Result<col::TablePtr> CsvChunkReader::Next() {
-  BENTO_TRACE_SPAN(kIo, "csv.chunk_next");
-  if (eof_ && carry_.empty()) return col::TablePtr(nullptr);
-
-  // Accumulate at least chunk_rows complete records in the buffer, then cut
-  // exactly chunk_rows of them; the remainder carries to the next call.
-  std::string buffer = std::move(carry_);
-  carry_.clear();
-  std::string block(256 * 1024, '\0');
-  std::string chunk_text;
-
-  auto count_and_cut = [&](int64_t limit, int64_t* rows_out) -> size_t {
-    // Scans complete records; returns the offset just past record `limit`
-    // (or past the last complete record when fewer are buffered).
-    int64_t rows = 0;
-    size_t cut = 0;
-    ForEachRecord(buffer, /*allow_partial_tail=*/true,
-                  [&](std::string_view) { ++rows; });
-    // Second pass to find the cut offset for `limit` records.
-    int64_t seen = 0;
-    size_t pos = 0;
-    std::string_view text(buffer);
-    while (pos < text.size() && seen < limit) {
-      size_t end = pos;
-      bool in_quotes = false;
-      while (end < text.size()) {
-        char c = text[end];
-        if (c == '"') {
-          in_quotes = !in_quotes;
-        } else if (c == '\n' && !in_quotes) {
-          break;
-        }
-        ++end;
-      }
-      if (end >= text.size()) break;  // incomplete tail
-      if (end > pos) ++seen;          // skip blank lines without counting
-      pos = end + 1;
-      cut = pos;
-    }
-    *rows_out = rows;
-    return cut;
-  };
-
+Result<CsvChunkReader::Decode> CsvChunkReader::Cut() {
+  BENTO_TRACE_SPAN(kIo, "csv.chunk_cut");
+  // One pass over the records at the front of the buffer, reading on as a
+  // record runs past its end. A `\r`-only line counts toward the cut but
+  // decodes to no row; the chunk ends after `chunk_rows` counted lines once
+  // `chunk_rows` rows exist, and at end of file everything left (a tail
+  // with no newline included) is the last chunk.
+  const int64_t limit = options_.chunk_rows;
+  size_t cut = limit > 0 ? std::string::npos : 0;
+  size_t pos = 0;
+  int64_t lines = 0;
   int64_t rows = 0;
-  while (true) {
-    count_and_cut(0, &rows);
-    if (rows >= options_.chunk_rows || eof_) break;
-    const size_t got = std::fread(block.data(), 1, block.size(), file_);
-    if (got == 0) {
-      eof_ = true;
+  while (rows < limit) {
+    const size_t end = RecordEnd(buffer_, pos);
+    if (end == std::string::npos) {
+      if (eof_) {
+        cut = buffer_.size();
+        break;
+      }
+      constexpr size_t kReadBytes = 256 * 1024;
+      const size_t size = buffer_.size();
+      buffer_.resize(size + kReadBytes);
+      const size_t got =
+          std::fread(buffer_.data() + size, 1, kReadBytes, file_);
+      buffer_.resize(size + got);
+      eof_ = got == 0;
       continue;
     }
-    buffer.append(block.data(), got);
+    if (end > pos) {
+      if (++lines == limit) cut = end + 1;
+      if (end - pos != 1 || buffer_[pos] != '\r') ++rows;
+    }
+    pos = end + 1;
   }
+  if (cut == 0) return Decode();
+  std::string text = buffer_.substr(0, cut);
+  buffer_.erase(0, cut);
+  return Decode([text = std::move(text), schema = schema_, options = options_,
+                 field_map = field_map_]() -> Result<col::TablePtr> {
+    BENTO_TRACE_SPAN(kIo, "csv.chunk_decode");
+    return ParseRecords(text, schema, options,
+                        field_map.empty() ? nullptr : &field_map);
+  });
+}
 
-  if (eof_ && rows <= options_.chunk_rows) {
-    // Flush everything, including a tail record without trailing newline.
-    chunk_text = std::move(buffer);
-    carry_.clear();
-  } else {
-    const size_t cut = count_and_cut(options_.chunk_rows, &rows);
-    chunk_text = buffer.substr(0, cut);
-    carry_ = buffer.substr(cut);
-  }
-  if (chunk_text.empty()) {
-    eof_ = true;
-    return col::TablePtr(nullptr);
-  }
-  return ParseRecords(chunk_text, schema_, options_,
-                      field_map_.empty() ? nullptr : &field_map_);
+Result<col::TablePtr> CsvChunkReader::Next() {
+  BENTO_ASSIGN_OR_RETURN(Decode decode, Cut());
+  if (!decode) return col::TablePtr(nullptr);
+  return decode();
 }
 
 }  // namespace bento::io

@@ -368,6 +368,197 @@ TEST(CsvTest, ChunkReaderStreamsAllRows) {
   EXPECT_GT(chunks, 1);
 }
 
+// --- CSV chunk boundaries ---
+
+/// CRLF rows with `\r`-only (blank CRLF) lines, doubled quotes, quoted
+/// CRLF and LF newlines, quoted empty strings, bare empty (null) cells and
+/// no trailing newline.
+std::string CrlfCsv() {
+  std::string text = "id,name,note\r\n";
+  for (int i = 0; i < 300; ++i) {
+    text += std::to_string(i) + ",n" + std::to_string(i % 17) + ",";
+    if (i % 7 == 0) {
+      text += "\"say \"\"hi\"\" " + std::to_string(i) + "\"";
+    } else if (i % 11 == 0) {
+      text += "\"two\r\nlines\"";
+    } else if (i % 13 == 0) {
+      text += "\"lf\nonly\"";
+    } else if (i % 9 == 0) {
+      text += "\"\"";
+    } else if (i % 4 != 0) {
+      text += "x" + std::to_string(i);
+    }
+    if (i + 1 < 300) text += "\r\n";
+    if (i % 5 == 0) text += "\r\n";
+  }
+  return text;
+}
+
+/// LF rows with a leading blank line, runs of blank and `\r`-only lines,
+/// a quoted field spanning three lines, and a tail of one `\r`-only line
+/// with no newline after it.
+std::string LfBlankLinesCsv() {
+  std::string text = "a,b\n\n";
+  for (int i = 0; i < 250; ++i) {
+    if (i % 6 == 0) text += "\n\n";
+    if (i % 8 == 3) text += "\r\n";
+    if (i % 19 == 0) {
+      text += std::to_string(i) + ",\"x\ny\n\"\"z\"\"\"\n";
+    } else {
+      text += std::to_string(i) + "," + std::to_string(i * 3) + "\n";
+    }
+  }
+  return text + "\r";
+}
+
+/// Wide rows over three 256 KiB read blocks (the chunk reader's read
+/// size). The first block ends inside a quoted newline's record, the
+/// second splits a doubled quote, the third splits a CRLF; blank CRLF
+/// lines recur and the last row has no trailing newline.
+std::string ReadBoundaryCsv() {
+  constexpr size_t kBlock = 256 * 1024;
+  const std::string header = "id,text,n\n";
+  std::string body;
+  int64_t id = 0;
+  auto fill = [&](size_t until) {
+    while (true) {
+      std::string row = std::to_string(id) + "," +
+                        std::string(900 + static_cast<size_t>(id % 97),
+                                    static_cast<char>('a' + id % 26)) +
+                        "," + std::to_string(id % 13) + "\n";
+      if (id % 50 == 49) row += "\r\n";
+      if (body.size() + row.size() + 1500 > until) return;
+      body += row;
+      ++id;
+    }
+  };
+  // Pads `prefix` so the byte after the padding lands at body offset `at`.
+  auto pad_to = [&](const std::string& prefix, size_t at) {
+    return prefix + std::string(at - body.size() - prefix.size(), 'p');
+  };
+  fill(kBlock - 1);
+  body += pad_to(std::to_string(id++) + ",\"", kBlock - 1) +
+          "\nsecond line\",7\n";
+  fill(2 * kBlock - 1);
+  body += pad_to(std::to_string(id++) + ",\"", 2 * kBlock - 1) +
+          "\"\"q\"\"\",8\n";
+  fill(3 * kBlock - 1);
+  body += pad_to(std::to_string(id++) + ",", 3 * kBlock - 1 - 2) + ",9\r\n";
+  fill(3 * kBlock + 20000);
+  body += std::to_string(id) + ",last,10";
+  return header + body;
+}
+
+/// Per-chunk row counts of one CsvChunkReader pass, run-length encoded
+/// ("7x42 3x1": 42 chunks of 7 rows, then one of 3). The chunks must also
+/// concatenate to the whole-file ReadCsv result.
+std::string ChunkRowCounts(const std::string& path, int64_t chunk_rows) {
+  CsvReadOptions options;
+  options.chunk_rows = chunk_rows;
+  auto reader = CsvChunkReader::Open(path, options).ValueOrDie();
+  std::vector<TablePtr> chunks;
+  std::string out;
+  int64_t run_rows = -1;
+  int64_t run_length = 0;
+  auto flush = [&] {
+    if (run_length == 0) return;
+    if (!out.empty()) out += ' ';
+    out += std::to_string(run_rows) + "x" + std::to_string(run_length);
+  };
+  while (true) {
+    auto chunk = reader->Next();
+    EXPECT_TRUE(chunk.ok()) << chunk.status().ToString();
+    if (!chunk.ok() || chunk.ValueOrDie() == nullptr) break;
+    const int64_t rows = chunk.ValueOrDie()->num_rows();
+    if (rows != run_rows) {
+      flush();
+      run_rows = rows;
+      run_length = 0;
+    }
+    ++run_length;
+    chunks.push_back(chunk.ValueOrDie());
+  }
+  flush();
+  if (!chunks.empty()) {
+    test::ExpectTablesEqual(ReadCsv(path).ValueOrDie(),
+                            col::ConcatTables(chunks).ValueOrDie());
+  }
+  return out;
+}
+
+/// Golden chunk boundaries, recorded with an independent two-pass reader
+/// (count the buffered records, then cut): the one-pass cut must keep every
+/// boundary, including where `\r`-only lines count toward the cut but
+/// decode to no row (a chunk of them decodes to zero rows), and where the
+/// final flush takes a tail with no newline.
+TEST(CsvChunkBoundaryTest, MatchesGoldenCountsAcrossChunkSizes) {
+  struct Case {
+    const char* name;
+    std::string text;
+    std::vector<std::pair<int64_t, std::string>> golden;
+  };
+  const std::vector<Case> cases = {
+      {"crlf",
+       CrlfCsv(),
+       {{1,
+         "1x1 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 "
+         "0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 "
+         "1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 "
+         "0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 "
+         "1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 "
+         "0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 "
+         "1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 "
+         "0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 1x5 0x1 "
+         "1x4"},
+        {7,
+         "6x1 5x1 6x5 5x1 6x5 5x1 6x5 5x1 6x5 5x1 6x5 5x1 6x5 5x1 6x5 "
+         "5x1 6x5 5x1 6x1 3x1"},
+        {64, "53x2 54x1 53x2 34x1"},
+        {2048, "300x1"}}},
+      {"lf_blank_lines",
+       LfBlankLinesCsv(),
+       {{1,
+         "1x3 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 "
+         "0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 "
+         "1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 "
+         "0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 1x8 0x1 "
+         "1x8 0x1 1x7 0x1"},
+        {7,
+         "6x2 7x1 6x4 7x1 6x3 7x1 6x4 7x1 6x3 7x1 6x4 7x1 6x3 7x1 6x4 "
+         "7x1 6x3 7x1 6x1 1x1"},
+        {64, "57x3 56x1 23x1"},
+        {2048, "250x1"}}},
+      {"read_boundary",
+       ReadBoundaryCsv(),
+       {{1,
+         "1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 "
+         "1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 1x50 0x1 "
+         "1x50 0x1 1x50 0x1 1x41"},
+        {7,
+         "7x7 6x1 7x6 6x1 7x6 6x1 7x7 6x1 7x6 6x1 7x6 6x1 7x6 6x1 7x7 "
+         "6x1 7x6 6x1 7x6 6x1 7x7 6x1 7x6 6x1 7x6 6x1 7x6 6x1 7x7 6x1 "
+         "7x6 6x1 7x5 3x1"},
+        {64, "63x3 62x1 63x3 62x1 63x3 62x1 63x1 25x1"},
+        {2048, "841x1"}}},
+      {"blank_body",
+       "a,b\n\n\r\n\n",
+       {{1, "0x1"}, {7, "0x1"}, {2048, "0x1"}}},
+      {"header_only", "a,b\n", {{1, ""}, {2048, ""}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempPath path(".csv");
+    {
+      std::ofstream out(path.str(), std::ios::binary);
+      out << c.text;
+    }
+    for (const auto& [chunk_rows, golden] : c.golden) {
+      SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+      EXPECT_EQ(ChunkRowCounts(path.str(), chunk_rows), golden);
+    }
+  }
+}
+
 TEST(CsvTest, ParallelWriterMatchesSerial) {
   // 70K rows cross both the serial writer's 64K-row block and the parallel
   // writer's 8192-row minimum split.

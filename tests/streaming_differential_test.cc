@@ -18,6 +18,8 @@
 #include "engines/streaming_ops.h"
 #include "engines/vaex.h"
 #include "frame/engine.h"
+#include "frame/exec.h"
+#include "io/csv.h"
 #include "kernels/dedup.h"
 #include "kernels/flat_index.h"
 #include "kernels/groupby.h"
@@ -465,9 +467,11 @@ void WriteNonFiniteCsv(const std::string& path, int64_t rows, uint64_t seed) {
 
 /// Scoped temp file.
 struct TempCsv {
-  std::string path = testing::TempDir() + "bento_nonfinite_" +
-                     std::to_string(::getpid()) + ".csv";
+  explicit TempCsv(const std::string& stem = "nonfinite")
+      : path(testing::TempDir() + "bento_" + stem + "_" +
+             std::to_string(::getpid()) + ".csv") {}
   ~TempCsv() { std::remove(path.c_str()); }
+  std::string path;
 };
 
 /// Non-finite floats must survive every file the streaming engines write
@@ -536,6 +540,96 @@ TEST(StreamingDifferentialTest, NonFiniteCsvTightBudgetMatchesUnbounded) {
     test::ExpectTablesEqual(unbounded.ValueOrDie(), streamed.ValueOrDie());
     EXPECT_GT(mapped->value(), mapped_before);
     EXPECT_GT(spill_files->value(), spills_before);
+  }
+}
+
+/// Writes a CSV with an integer key `k`, an integer-valued float `v` and an
+/// integer `n` (both with empty, null cells), and a string `s` whose cells
+/// hold commas, doubled quotes, LF and CRLF newlines, mixed case, the empty
+/// string and nulls.
+void WriteHazardCsv(const std::string& path, int64_t rows, uint64_t seed) {
+  static const char* const kStrings[] = {"plain", "a,b",       "say \"hi\"",
+                                         "two\nlines", "cr\r\nlf", "MiXeD",
+                                         ""};
+  Rng rng(seed);
+  col::Int64Builder k;
+  col::Float64Builder v;
+  col::Int64Builder n;
+  col::StringBuilder s;
+  for (int64_t i = 0; i < rows; ++i) {
+    k.Append(rng.UniformInt(0, 22));
+    v.AppendMaybe(static_cast<double>(rng.UniformInt(0, 1000)),
+                  !rng.Bernoulli(0.15));
+    n.AppendMaybe(rng.UniformInt(-50, 50), !rng.Bernoulli(0.05));
+    s.AppendMaybe(kStrings[rng.Uniform(7)], !rng.Bernoulli(0.1));
+  }
+  auto table = MakeTable({{"k", k.Finish().ValueOrDie()},
+                          {"v", v.Finish().ValueOrDie()},
+                          {"n", n.Finish().ValueOrDie()},
+                          {"s", s.Finish().ValueOrDie()}});
+  ASSERT_TRUE(io::WriteCsv(table, path).ok());
+}
+
+/// A CSV source streams through the cut/decode split: claims cut the text,
+/// and the decodes run on the pipeline workers (real, 4 workers) or inline
+/// (serial and modeled). Whatever the chunk size, worker count, execution
+/// mode and budget, the result must be bit-identical to the whole-file
+/// io::ReadCsv run through the in-memory kernels, for a streaming-only plan
+/// (the drain concatenates decoded chunks) and for one that ends in
+/// breakers (under the tight budget they stream from the raw CSV stream).
+TEST(StreamingDifferentialTest, CsvSourceMatchesWholeFileReadAcrossWorkers) {
+  TempCsv csv("hazard");
+  WriteHazardCsv(csv.path, 6000, /*seed=*/707);
+  const uint64_t csv_bytes = std::filesystem::file_size(csv.path);
+  const std::vector<std::vector<Op>> plans = {
+      {Op::Query("k >= 2"), Op::StrLower("s"), Op::Round("v", 0)},
+      {Op::Query("k >= 2"), Op::StrLower("s"),
+       Op::GroupByAgg({"k", "s"},
+                      {{"n", AggKind::kSum, "n_sum"},
+                       {"v", AggKind::kMax, "v_max"},
+                       {"v", AggKind::kCount, "v_cnt"}}),
+       Op::SortValues({{"n_sum", false}, {"k", true}, {"s", true}})},
+  };
+
+  for (size_t p = 0; p < plans.size(); ++p) {
+    TablePtr expected = io::ReadCsv(csv.path).ValueOrDie();
+    for (const Op& op : plans[p]) {
+      expected = frame::ExecTransform(expected, op, {}).ValueOrDie();
+    }
+    for (const char* engine_id : {"polars", "spark_sql"}) {
+      auto engine = frame::CreateEngine(engine_id).ValueOrDie();
+      for (int workers : {1, 4}) {
+        PipelineWorkersGuard workers_guard(workers);
+        for (const char* chunk_rows : {"1", "7", "2048"}) {
+          ChunkRowsGuard chunk_guard(chunk_rows);
+          for (bool real : {false, true}) {
+            // A tight budget streams the breakers from the raw CSV stream;
+            // with 1-row chunks that only adds spill work the table-source
+            // sweeps above already cover, so that arm stays unbounded.
+            for (bool tight : {false, true}) {
+              if (tight && std::string(chunk_rows) == "1") continue;
+              SCOPED_TRACE(std::string(engine_id) + " plan " +
+                           std::to_string(p) + " workers=" +
+                           std::to_string(workers) + " chunk_rows=" +
+                           chunk_rows + (real ? " real" : " simulated") +
+                           (tight ? " tight" : " unbounded"));
+              sim::MachineSpec machine{"m", 4, tight ? csv_bytes * 4 : 0,
+                                       std::nullopt};
+              sim::Session session(machine);
+              if (real) session.set_execution_mode(sim::ExecutionMode::kReal);
+              auto frame = engine->ReadCsv(csv.path, {});
+              ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+              auto df = frame.ValueOrDie();
+              for (const Op& op : plans[p]) df = df->Apply(op).ValueOrDie();
+              auto got = df->Collect();
+              ASSERT_TRUE(got.ok()) << got.status().ToString();
+              EXPECT_TRUE(*expected->schema() == *got.ValueOrDie()->schema());
+              test::ExpectTablesEqual(expected, got.ValueOrDie());
+            }
+          }
+        }
+      }
+    }
   }
 }
 
