@@ -319,14 +319,28 @@ JsonValue ScalarToJson(const Scalar& s) {
   return v;
 }
 
+/// Integer member `key` of `v`, `fallback` when absent; Invalid when it is
+/// present but not an int64.
+Result<int64_t> IntMember(const JsonValue& v, const std::string& key,
+                          int64_t fallback) {
+  if (!v.Has(key)) return fallback;
+  Result<int64_t> value = v.Get(key).int_value();
+  if (!value.ok()) {
+    return Status::Invalid("\"", key, "\" is ", value.status().message());
+  }
+  return value;
+}
+
 Result<Scalar> ScalarFromJson(const JsonValue& v) {
   const std::string kind = v.GetString("kind", "null");
   if (kind == "null") return Scalar::Null();
-  if (kind == "int") return Scalar::Int(v.GetInt("value"));
+  if (kind == "int" || kind == "timestamp") {
+    BENTO_ASSIGN_OR_RETURN(int64_t value, IntMember(v, "value", 0));
+    return kind == "int" ? Scalar::Int(value) : Scalar::Timestamp(value);
+  }
   if (kind == "double") return Scalar::Double(v.GetNumber("value"));
   if (kind == "bool") return Scalar::Bool(v.GetBool("value"));
   if (kind == "string") return Scalar::Str(v.GetString("value"));
-  if (kind == "timestamp") return Scalar::Timestamp(v.GetInt("value"));
   return Status::Invalid("bad scalar kind '", kind, "'");
 }
 
@@ -504,9 +518,11 @@ Result<Op> OpFromJson(const JsonValue& v) {
                          ? kern::JoinType::kLeft
                          : kern::JoinType::kInner;
       break;
-    case OpKind::kRound:
-      op.decimals = static_cast<int>(v.GetInt("decimals", 2));
+    case OpKind::kRound: {
+      BENTO_ASSIGN_OR_RETURN(int64_t decimals, IntMember(v, "decimals", 2));
+      op.decimals = static_cast<int>(decimals);
       break;
+    }
     case OpKind::kFillNa:
       if (v.GetString("strategy") == "mean") {
         op.fill_with_mean = true;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engines/chunk_stream.h"
+#include "io/bcf.h"
 #include "sim/spill.h"
 
 namespace bento::eng {
@@ -13,13 +14,16 @@ namespace bento::eng {
 /// spill layer of the out-of-core breakers (group-by partial-state spill,
 /// grace-join build/probe partitions, external-sort runs).
 ///
-/// Each Append serializes a table chunk into a single self-describing frame
-/// (per-column type / encoding / validity header + encoded pages) and writes
-/// it with one SpillFile::Write, so spilled bytes are charged to the spill
-/// counters, never to a MemoryPool — spilling converts tracked RAM into
-/// untracked disk. Frames within a partition read back in append order, and
-/// every partition keeps its own schema (a store can hold probe and build
-/// sides at once). The backing file is unlinked when the store dies.
+/// Each Append writes a table chunk's columns through BCF's chunk codec
+/// (io::WriteChunk: the same validity and value pages a BCF row group
+/// holds) into one frame and stores it with one SpillFile::Write, so
+/// spilled bytes are charged to the spill counters, never to a MemoryPool —
+/// spilling converts tracked RAM into untracked disk. The store is the
+/// frames' index: each frame's row count and ChunkMetas stay in memory, and
+/// a frame reads back with one SpillFile::Read. Frames within a partition
+/// read back in append order, and every partition keeps its own schema (a
+/// store can hold probe and build sides at once). The backing file is
+/// unlinked when the store dies.
 class SpillFrameStore {
  public:
   /// `partitions` may be 0 when the count is discovered as data arrives
@@ -35,7 +39,7 @@ class SpillFrameStore {
   SpillFrameStore(const SpillFrameStore&) = delete;
   SpillFrameStore& operator=(const SpillFrameStore&) = delete;
 
-  /// Serializes `chunk` as one frame of `partition`. Zero-row chunks still
+  /// Writes `chunk` as one frame of `partition`. Zero-row chunks still
   /// record the partition's schema (so empty partitions round-trip typed).
   Status Append(int partition, const col::TablePtr& chunk);
 
@@ -53,14 +57,15 @@ class SpillFrameStore {
   uint64_t bytes_written() const { return file_->bytes_written(); }
 
  private:
-  struct FrameRef {
+  /// A frame's index entry (page offsets within the frame) and its place
+  /// in the spill file.
+  struct Frame : io::GroupMeta {
     uint64_t offset = 0;
     uint64_t size = 0;
-    int64_t rows = 0;
   };
   struct Partition {
     col::SchemaPtr schema;
-    std::vector<FrameRef> frames;
+    std::vector<Frame> frames;
     int64_t rows = 0;
   };
   class PartitionStream;
@@ -68,7 +73,7 @@ class SpillFrameStore {
   explicit SpillFrameStore(std::unique_ptr<sim::SpillFile> file)
       : file_(std::move(file)) {}
 
-  Result<col::TablePtr> ReadFrame(const Partition& part, const FrameRef& ref);
+  Result<col::TablePtr> ReadFrame(const Partition& part, const Frame& frame);
 
   std::unique_ptr<sim::SpillFile> file_;
   std::vector<Partition> parts_;

@@ -1,7 +1,5 @@
 #include "engines/streaming_ops.h"
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -396,14 +394,6 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
 
 namespace {
 
-Result<std::string> TempBcfPath() {
-  static std::atomic<uint64_t> counter{0};
-  const char* tmp = std::getenv("TMPDIR");
-  std::string base = tmp != nullptr ? tmp : "/tmp";
-  return base + "/bento_run_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".bcf";
-}
-
 /// Cursor over one spilled sorted run (a SpillFrameStore partition).
 struct RunCursor {
   std::unique_ptr<ChunkStream> stream;
@@ -601,7 +591,7 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const std::vector<kern::SortKey>& keys,
                                        const ExecPolicy& policy,
                                        int64_t run_rows) {
-  BENTO_ASSIGN_OR_RETURN(std::string path, TempBcfPath());
+  const std::string path = sim::TempPath("run", ".bcf");
   io::BcfWriteOptions wopts;
   wopts.row_group_rows = 64 * 1024;
   wopts.compression = false;
@@ -846,7 +836,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
   }
 
   // Pass 1: spill the stream chunk-at-a-time, one row group per chunk.
-  BENTO_ASSIGN_OR_RETURN(std::string spill_path, TempBcfPath());
+  const std::string spill_path = sim::TempPath("run", ".bcf");
   auto spill = [&]() -> Status {
     io::BcfWriteOptions wopts;
     wopts.row_group_rows = 0;  // one group per appended chunk
@@ -872,7 +862,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
 
   // Pass 2: compact into ONE mappable row group. Column-at-a-time, so the
   // peak is a single column (plus its chunk parts), never the frame.
-  BENTO_ASSIGN_OR_RETURN(std::string mapped_path, TempBcfPath());
+  const std::string mapped_path = sim::TempPath("run", ".bcf");
   auto compact = [&]() -> Status {
     BENTO_TRACE_SPAN(kIo, "materialize.compact");
     BENTO_ASSIGN_OR_RETURN(auto src, io::BcfReader::Open(spill_path));
@@ -920,7 +910,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
 
 Result<std::string> SpillStreamToFile(ChunkStream* input) {
   BENTO_TRACE_SPAN(kIo, "spill.stream");
-  BENTO_ASSIGN_OR_RETURN(std::string path, TempBcfPath());
+  const std::string path = sim::TempPath("run", ".bcf");
   io::BcfWriteOptions wopts;
   wopts.row_group_rows = 4096;  // pass-2 readers stream small batches
   wopts.compression = false;

@@ -1,10 +1,8 @@
 #include "engines/vaex.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
+
+#include "sim/spill.h"
 
 namespace bento::eng {
 
@@ -19,14 +17,6 @@ struct TempFileOwner {
 
   std::string path;
 };
-
-std::string TempStorePath() {
-  static std::atomic<uint64_t> counter{0};
-  const char* tmp = std::getenv("TMPDIR");
-  std::string base = tmp != nullptr ? tmp : "/tmp";
-  return base + "/bento_vaex_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".bcf";
-}
 
 }  // namespace
 
@@ -86,7 +76,7 @@ Result<LazySource> VaexEngine::PrepareSource(LazySource source) const {
   options.chunk_rows = ChunkRows();
   BENTO_ASSIGN_OR_RETURN(auto reader,
                          io::CsvChunkReader::Open(source.path, options));
-  const std::string store_path = TempStorePath();
+  const std::string store_path = sim::TempPath("vaex", ".bcf");
   io::BcfWriteOptions wopts;
   wopts.row_group_rows = ChunkRows();
   wopts.compression = false;  // mmap store favors direct layout

@@ -22,17 +22,6 @@ constexpr char kMagic[4] = {'B', 'C', 'F', '1'};
 // Pages smaller than this skip compression (header overhead dominates).
 constexpr size_t kMinCompressSize = 64;
 
-struct PendingChunk {
-  uint64_t validity_offset = 0;
-  uint64_t validity_size = 0;
-  uint64_t data_offset = 0;
-  uint64_t data_size = 0;
-  uint64_t raw_size = 0;
-  Encoding encoding = Encoding::kPlain;
-  bool compressed = false;
-  int64_t null_count = 0;
-};
-
 Status WriteBytes(std::FILE* f, const void* data, size_t size) {
   static obs::Counter* bytes_written =
       obs::MetricsRegistry::Global().counter("io.bcf.bytes_written");
@@ -64,7 +53,171 @@ bool IsFixedWidthMappable(col::TypeId type) {
   }
 }
 
+/// The fewest value-page bytes one row takes in `encoding`: a row count
+/// the page cannot hold is rejected before a decoder sizes a buffer by it.
+uint64_t MinRowBytes(Encoding encoding) {
+  switch (encoding) {
+    case Encoding::kRle:
+      return 0;  // one run covers any number of rows
+    case Encoding::kDict:
+      return 4;  // a u32 code
+    case Encoding::kStrView:
+      return 8;  // an int64 offset
+    default:
+      return 1;  // PLAIN, DELTA
+  }
+}
+
+/// Footer keys of a ChunkMeta's page fields, in the order they are written.
+constexpr std::pair<const char*, uint64_t ChunkMeta::*> kPageKeys[] = {
+    {"vo", &ChunkMeta::validity_offset}, {"vs", &ChunkMeta::validity_size},
+    {"do", &ChunkMeta::data_offset},     {"ds", &ChunkMeta::data_size},
+    {"rs", &ChunkMeta::raw_size}};
+
+/// Footer integer `key` of `obj`; IOError when it is missing or no int64.
+Result<int64_t> FooterInt(const JsonValue& obj, const char* key) {
+  Result<int64_t> value = obj.Get(key).int_value();
+  if (!value.ok()) {
+    return Status::IOError("corrupt BCF footer: \"", key, "\" is ",
+                           value.status().message());
+  }
+  return value;
+}
+
 }  // namespace
+
+Result<ChunkMeta> WriteChunk(const col::ArrayPtr& column,
+                             const BcfWriteOptions& options, uint64_t* offset,
+                             const ByteSink& sink) {
+  ChunkMeta chunk;
+  chunk.null_count = column->null_count();
+  if (chunk.null_count > 0) {
+    // Repack the validity bits of the slice into a fresh bitmap so the
+    // page is self-contained (slices may not be byte-aligned).
+    BENTO_ASSIGN_OR_RETURN(auto bits,
+                           col::AllocateBitmap(column->length(), false));
+    for (int64_t i = 0; i < column->length(); ++i) {
+      if (column->IsValid(i)) col::SetBit(bits->mutable_data(), i);
+    }
+    chunk.validity_offset = *offset;
+    chunk.validity_size = bits->size();
+    BENTO_RETURN_NOT_OK(sink(bits->data(), bits->size()));
+    *offset += bits->size();
+  }
+
+  chunk.encoding =
+      options.mappable ? MappableEncoding(column) : ChooseEncoding(column);
+  BENTO_ASSIGN_OR_RETURN(auto encoded, EncodeArray(column, chunk.encoding));
+  chunk.raw_size = encoded.size();
+  if (options.align_pages && *offset % 8 != 0) {
+    static const uint8_t kZeros[8] = {0};
+    const uint64_t pad = 8 - *offset % 8;
+    BENTO_RETURN_NOT_OK(sink(kZeros, pad));
+    *offset += pad;
+  }
+  std::vector<uint8_t> packed;
+  if (options.compression && encoded.size() >= kMinCompressSize) {
+    packed = LzCompress(encoded.data(), encoded.size());
+    chunk.compressed = packed.size() * 8 < encoded.size() * 7;
+  }
+  const std::vector<uint8_t>& page = chunk.compressed ? packed : encoded;
+  chunk.data_offset = *offset;
+  chunk.data_size = page.size();
+  BENTO_RETURN_NOT_OK(sink(page.data(), page.size()));
+  *offset += page.size();
+  return chunk;
+}
+
+Status CheckChunkMeta(const ChunkMeta& meta, int64_t rows, uint64_t lo,
+                      uint64_t hi) {
+  auto page_ok = [&](uint64_t off, uint64_t size) {
+    return lo <= hi && size <= hi - lo && off >= lo && off <= hi - size;
+  };
+  const uint64_t page_size = meta.compressed ? meta.raw_size : meta.data_size;
+  const uint64_t row_bytes = MinRowBytes(meta.encoding);
+  const bool ok =
+      rows >= 0 && meta.null_count >= 0 && meta.null_count <= rows &&
+      (meta.null_count == 0 || meta.validity_size > 0) &&
+      (meta.validity_size == 0 ||
+       (page_ok(meta.validity_offset, meta.validity_size) &&
+        meta.validity_size >= static_cast<uint64_t>(col::BitmapBytes(rows)))) &&
+      page_ok(meta.data_offset, meta.data_size) &&
+      (!meta.compressed ||
+       meta.raw_size <= LzMaxDecompressedSize(meta.data_size)) &&
+      (row_bytes == 0 || static_cast<uint64_t>(rows) <= page_size / row_bytes);
+  return ok ? Status::OK() : Status::IOError("corrupt column chunk header");
+}
+
+Result<col::ArrayPtr> ReadChunk(col::TypeId type, const ChunkMeta& meta,
+                                int64_t rows, const uint8_t* validity_page,
+                                const uint8_t* data,
+                                const std::shared_ptr<void>& mapping) {
+  static obs::Counter* bytes_mapped =
+      obs::MetricsRegistry::Global().counter("io.bcf.bytes_mapped");
+  col::BufferPtr validity;
+  if (meta.validity_size > 0) {
+    if (mapping != nullptr) {
+      // Validity bitmaps are stored raw, so the page is the in-memory
+      // representation: wrap it, charging nothing.
+      validity =
+          col::Buffer::WrapOwned(validity_page, meta.validity_size, mapping);
+      bytes_mapped->Add(meta.validity_size);
+    } else {
+      BENTO_ASSIGN_OR_RETURN(
+          validity, col::Buffer::CopyOf(validity_page, meta.validity_size));
+    }
+  }
+
+  const bool aligned = reinterpret_cast<uintptr_t>(data) % 8 == 0;
+  if (mapping != nullptr && !meta.compressed &&
+      meta.encoding == Encoding::kStrView && type == col::TypeId::kString &&
+      aligned) {
+    // STRVIEW pages are the in-memory layout: (n+1) aligned int64 offsets
+    // then the character bytes. Validate the offsets (a corrupt page must
+    // fail cleanly, not hand out wild views), then wrap both buffers.
+    BENTO_RETURN_NOT_OK(CheckStrViewOffsets(data, meta.data_size, rows));
+    const uint64_t offsets_bytes = static_cast<uint64_t>(rows + 1) * 8;
+    int64_t char_bytes;
+    std::memcpy(&char_bytes, data + static_cast<size_t>(rows) * 8, 8);
+    auto offsets = col::Buffer::WrapOwned(data, offsets_bytes, mapping);
+    auto chars = col::Buffer::WrapOwned(
+        data + offsets_bytes, static_cast<uint64_t>(char_bytes), mapping);
+    bytes_mapped->Add(meta.data_size);
+    return col::Array::MakeString(rows, std::move(offsets), std::move(chars),
+                                  std::move(validity), meta.null_count);
+  }
+  if (mapping != nullptr && !meta.compressed &&
+      meta.encoding == Encoding::kPlain && IsFixedWidthMappable(type)) {
+    const uint64_t width = static_cast<uint64_t>(col::ByteWidth(type));
+    const uint64_t expected = static_cast<uint64_t>(rows) * width;
+    // Zero-copy needs the page to be complete and (for multi-byte types)
+    // 8-byte aligned — unaligned int64/double loads are UB. Files written
+    // with align_pages qualify; others fall through to the decode path.
+    if (meta.data_size >= expected && (width == 1 || aligned)) {
+      auto values = col::Buffer::WrapOwned(data, expected, mapping);
+      bytes_mapped->Add(expected);
+      return col::Array::MakeFixed(type, rows, std::move(values),
+                                   std::move(validity), meta.null_count);
+    }
+  }
+
+  if (mapping != nullptr) {
+    // Decoding out of a mapped file reads the page like a buffered read.
+    static obs::Counter* bytes_read =
+        obs::MetricsRegistry::Global().counter("io.bcf.bytes_read");
+    bytes_read->Add(meta.data_size);
+  }
+  std::vector<uint8_t> inflated;
+  uint64_t size = meta.data_size;
+  if (meta.compressed) {
+    BENTO_ASSIGN_OR_RETURN(inflated,
+                           LzDecompress(data, meta.data_size, meta.raw_size));
+    data = inflated.data();
+    size = inflated.size();
+  }
+  return DecodeArray(type, meta.encoding, data, size, rows,
+                     std::move(validity), meta.null_count);
+}
 
 struct BcfMmapRegion {
   const uint8_t* addr = nullptr;
@@ -108,10 +261,6 @@ struct BcfMmapRegion {
   }
 };
 
-struct BcfWriter::GroupMeta {
-  int64_t rows = 0;
-  std::vector<PendingChunk> chunks;
-};
 
 Result<std::unique_ptr<BcfWriter>> BcfWriter::Open(
     const std::string& path, const BcfWriteOptions& options) {
@@ -129,65 +278,6 @@ BcfWriter::~BcfWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status BcfWriter::WriteColumnChunk(const col::ArrayPtr& column,
-                                   GroupMeta* meta) {
-  PendingChunk chunk;
-  chunk.null_count = column->null_count();
-
-  if (chunk.null_count > 0) {
-    // Repack the validity bits of the slice into a fresh bitmap so the
-    // on-disk page is self-contained (slices may not be byte-aligned).
-    BENTO_ASSIGN_OR_RETURN(auto bits,
-                           col::AllocateBitmap(column->length(), false));
-    for (int64_t i = 0; i < column->length(); ++i) {
-      if (column->IsValid(i)) col::SetBit(bits->mutable_data(), i);
-    }
-    chunk.validity_offset = offset_;
-    chunk.validity_size = bits->size();
-    BENTO_RETURN_NOT_OK(WriteBytes(file_, bits->data(), bits->size()));
-    offset_ += bits->size();
-  }
-
-  chunk.encoding =
-      options_.mappable ? MappableEncoding(column) : ChooseEncoding(column);
-  BENTO_ASSIGN_OR_RETURN(auto encoded, EncodeArray(column, chunk.encoding));
-  chunk.raw_size = encoded.size();
-  if (options_.align_pages && offset_ % 8 != 0) {
-    static const uint8_t kZeros[8] = {0};
-    const uint64_t pad = 8 - offset_ % 8;
-    BENTO_RETURN_NOT_OK(WriteBytes(file_, kZeros, pad));
-    offset_ += pad;
-  }
-  chunk.data_offset = offset_;
-  if (options_.compression && encoded.size() >= kMinCompressSize) {
-    std::vector<uint8_t> packed = LzCompress(encoded.data(), encoded.size());
-    if (packed.size() * 8 < encoded.size() * 7) {
-      chunk.compressed = true;
-      chunk.data_size = packed.size();
-      BENTO_RETURN_NOT_OK(WriteBytes(file_, packed.data(), packed.size()));
-      offset_ += packed.size();
-    }
-  }
-  if (!chunk.compressed) {
-    chunk.data_size = encoded.size();
-    BENTO_RETURN_NOT_OK(WriteBytes(file_, encoded.data(), encoded.size()));
-    offset_ += encoded.size();
-  }
-  meta->chunks.push_back(chunk);
-  return Status::OK();
-}
-
-Status BcfWriter::AppendGroup(const col::TablePtr& slice) {
-  GroupMeta meta;
-  meta.rows = slice->num_rows();
-  for (int c = 0; c < slice->num_columns(); ++c) {
-    BENTO_RETURN_NOT_OK(WriteColumnChunk(slice->column(c), &meta));
-  }
-  groups_.push_back(std::move(meta));
-  total_rows_ += slice->num_rows();
-  return Status::OK();
-}
-
 Status BcfWriter::AppendColumnGroup(
     const col::SchemaPtr& schema, int64_t num_rows,
     const std::function<Result<col::ArrayPtr>(int)>& column_at) {
@@ -197,6 +287,9 @@ Status BcfWriter::AppendColumnGroup(
   } else if (!(*schema_ == *schema)) {
     return Status::Invalid("BcfWriter schema mismatch");
   }
+  const ByteSink sink = [this](const void* data, size_t size) {
+    return WriteBytes(file_, data, size);
+  };
   GroupMeta meta;
   meta.rows = num_rows;
   for (int c = 0; c < schema->num_fields(); ++c) {
@@ -206,7 +299,9 @@ Status BcfWriter::AppendColumnGroup(
                              schema->field(c).name, "' has ", column->length(),
                              " rows, expected ", num_rows);
     }
-    BENTO_RETURN_NOT_OK(WriteColumnChunk(column, &meta));
+    BENTO_ASSIGN_OR_RETURN(auto chunk,
+                           WriteChunk(column, options_, &offset_, sink));
+    meta.columns.push_back(chunk);
   }
   groups_.push_back(std::move(meta));
   total_rows_ += num_rows;
@@ -214,22 +309,19 @@ Status BcfWriter::AppendColumnGroup(
 }
 
 Status BcfWriter::Append(const col::TablePtr& table) {
-  if (finished_) return Status::Invalid("BcfWriter already finished");
-  if (schema_ == nullptr) {
-    schema_ = table->schema();
-  } else if (!(*schema_ == *table->schema())) {
-    return Status::Invalid("BcfWriter schema mismatch");
-  }
+  const int64_t rows = table->num_rows();
   const int64_t group_rows =
-      options_.row_group_rows > 0 ? options_.row_group_rows : table->num_rows();
-  if (table->num_rows() == 0) {
-    return AppendGroup(table);
-  }
-  for (int64_t begin = 0; begin < table->num_rows(); begin += group_rows) {
-    const int64_t rows = std::min(group_rows, table->num_rows() - begin);
-    BENTO_ASSIGN_OR_RETURN(auto slice, table->Slice(begin, rows));
-    BENTO_RETURN_NOT_OK(AppendGroup(slice));
-  }
+      options_.row_group_rows > 0 ? options_.row_group_rows : rows;
+  // A zero-row table still becomes one (empty) group.
+  int64_t begin = 0;
+  do {
+    const int64_t n = std::min(group_rows, rows - begin);
+    BENTO_ASSIGN_OR_RETURN(auto slice, table->Slice(begin, n));
+    BENTO_RETURN_NOT_OK(AppendColumnGroup(
+        table->schema(), n,
+        [&slice](int c) -> Result<col::ArrayPtr> { return slice->column(c); }));
+    begin += n;
+  } while (begin < rows);
   return Status::OK();
 }
 
@@ -255,13 +347,11 @@ Status BcfWriter::Finish() {
     JsonValue gj = JsonValue::Object();
     gj.Set("rows", JsonValue::Int(meta.rows));
     JsonValue cols = JsonValue::Array();
-    for (const PendingChunk& chunk : meta.chunks) {
+    for (const ChunkMeta& chunk : meta.columns) {
       JsonValue cj = JsonValue::Object();
-      cj.Set("vo", JsonValue::Int(static_cast<int64_t>(chunk.validity_offset)));
-      cj.Set("vs", JsonValue::Int(static_cast<int64_t>(chunk.validity_size)));
-      cj.Set("do", JsonValue::Int(static_cast<int64_t>(chunk.data_offset)));
-      cj.Set("ds", JsonValue::Int(static_cast<int64_t>(chunk.data_size)));
-      cj.Set("rs", JsonValue::Int(static_cast<int64_t>(chunk.raw_size)));
+      for (const auto& [key, field] : kPageKeys) {
+        cj.Set(key, JsonValue::Int(static_cast<int64_t>(chunk.*field)));
+      }
       cj.Set("enc", JsonValue::Int(static_cast<int>(chunk.encoding)));
       cj.Set("z", JsonValue::Bool(chunk.compressed));
       cj.Set("nc", JsonValue::Int(chunk.null_count));
@@ -313,83 +403,59 @@ Result<std::unique_ptr<BcfReader>> BcfReader::Open(
 
   char head[4];
   char tail[12];
-  {
-    // Raw byte reads, valid in both modes (map_ bounds were checked above).
-    auto read_at = [&](uint64_t off, void* out, size_t n) -> Status {
-      if (reader->map_ != nullptr) {
-        std::memcpy(out, reader->map_->addr + off, n);
-        return Status::OK();
-      }
-      if (std::fseek(reader->file_, static_cast<long>(off), SEEK_SET) != 0 ||
-          std::fread(out, 1, n, reader->file_) != n) {
-        return Status::IOError("cannot read BCF trailer");
-      }
-      return Status::OK();
-    };
-    BENTO_RETURN_NOT_OK(read_at(0, head, 4));
-    BENTO_RETURN_NOT_OK(read_at(file_size - 12, tail, 12));
-  }
+  BENTO_RETURN_NOT_OK(reader->ReadAt(0, 4, head));
+  BENTO_RETURN_NOT_OK(reader->ReadAt(file_size - 12, 12, tail));
   if (std::memcmp(head, kMagic, 4) != 0 ||
       std::memcmp(tail + 8, kMagic, 4) != 0) {
     return Status::IOError(path, " has no BCF magic");
   }
   uint64_t footer_len;
   std::memcpy(&footer_len, tail, 8);
-  if (footer_len + 16 > file_size) {
+  if (footer_len > file_size - 16) {  // file_size >= 16; cannot wrap
     return Status::IOError("corrupt BCF footer length");
   }
   reader->data_end_ = file_size - 12 - footer_len;
 
   std::string footer_text(footer_len, '\0');
-  if (reader->map_ != nullptr) {
-    std::memcpy(footer_text.data(), reader->map_->addr + reader->data_end_,
-                footer_len);
-  } else if (std::fseek(reader->file_, static_cast<long>(reader->data_end_),
-                        SEEK_SET) != 0 ||
-             std::fread(footer_text.data(), 1, footer_len, reader->file_) !=
-                 footer_len) {
-    return Status::IOError("cannot read BCF footer");
-  }
+  BENTO_RETURN_NOT_OK(
+      reader->ReadAt(reader->data_end_, footer_len, footer_text.data()));
   BENTO_ASSIGN_OR_RETURN(JsonValue footer, ParseJson(footer_text));
 
   std::vector<col::Field> fields;
   for (const JsonValue& fj : footer.Get("schema").items()) {
-    fields.push_back(col::Field{
-        fj.GetString("name"),
-        static_cast<col::TypeId>(fj.GetInt("type"))});
+    BENTO_ASSIGN_OR_RETURN(int64_t type, FooterInt(fj, "type"));
+    if (type < 0 || type > static_cast<int64_t>(col::TypeId::kCategorical)) {
+      return Status::IOError("corrupt BCF schema: type id ", type);
+    }
+    fields.push_back(
+        col::Field{fj.GetString("name"), static_cast<col::TypeId>(type)});
   }
   reader->schema_ = std::make_shared<col::Schema>(std::move(fields));
-  reader->num_rows_ = footer.GetInt("num_rows");
+  BENTO_ASSIGN_OR_RETURN(reader->num_rows_, FooterInt(footer, "num_rows"));
 
   for (const JsonValue& gj : footer.Get("groups").items()) {
-    RowGroup group;
-    group.num_rows = gj.GetInt("rows");
+    GroupMeta group;
+    BENTO_ASSIGN_OR_RETURN(group.rows, FooterInt(gj, "rows"));
     for (const JsonValue& cj : gj.Get("columns").items()) {
-      ColumnChunk chunk;
-      chunk.validity_offset = static_cast<uint64_t>(cj.GetInt("vo"));
-      chunk.validity_size = static_cast<uint64_t>(cj.GetInt("vs"));
-      chunk.data_offset = static_cast<uint64_t>(cj.GetInt("do"));
-      chunk.data_size = static_cast<uint64_t>(cj.GetInt("ds"));
-      chunk.raw_size = static_cast<uint64_t>(cj.GetInt("rs"));
-      chunk.encoding = static_cast<Encoding>(cj.GetInt("enc"));
+      ChunkMeta chunk;
+      BENTO_ASSIGN_OR_RETURN(int64_t enc, FooterInt(cj, "enc"));
+      if (enc < 0 || enc > static_cast<int64_t>(Encoding::kStrView)) {
+        return Status::IOError("corrupt BCF row group header: encoding ", enc);
+      }
+      chunk.encoding = static_cast<Encoding>(enc);
+      // Negative offsets and sizes wrap to huge values, which the meta
+      // check below rejects along with every other out-of-range page.
+      for (const auto& [key, field] : kPageKeys) {
+        BENTO_ASSIGN_OR_RETURN(int64_t value, FooterInt(cj, key));
+        chunk.*field = static_cast<uint64_t>(value);
+      }
+      BENTO_ASSIGN_OR_RETURN(chunk.null_count, FooterInt(cj, "nc"));
       chunk.compressed = cj.GetBool("z");
-      chunk.null_count = cj.GetInt("nc");
-      // Every page the footer points at must land inside the data region
-      // [4, data_end_); overflow-safe so a hostile offset cannot wrap. A
+      // Every page must land inside the data region [4, data_end_): a
       // corrupt header fails here with a clean error instead of a wild
       // read (or, in mmap mode, a SIGBUS past the mapping).
-      const uint64_t data_lo = 4;
-      auto page_ok = [&](uint64_t off, uint64_t size) {
-        return size <= reader->data_end_ && off >= data_lo &&
-               off <= reader->data_end_ - size;
-      };
-      if ((chunk.validity_size > 0 &&
-           !page_ok(chunk.validity_offset, chunk.validity_size)) ||
-          !page_ok(chunk.data_offset, chunk.data_size) ||
-          cj.GetInt("enc") < 0 ||
-          cj.GetInt("enc") > static_cast<int64_t>(Encoding::kStrView)) {
-        return Status::IOError("corrupt BCF row group header");
-      }
+      BENTO_RETURN_NOT_OK(
+          CheckChunkMeta(chunk, group.rows, 4, reader->data_end_));
       group.columns.push_back(chunk);
     }
     if (group.columns.size() !=
@@ -404,7 +470,7 @@ Result<std::unique_ptr<BcfReader>> BcfReader::Open(
   // concatenated groups keep one type.
   const size_t n_fields = static_cast<size_t>(reader->schema_->num_fields());
   reader->dict_everywhere_.assign(n_fields, !reader->groups_.empty());
-  for (const RowGroup& group : reader->groups_) {
+  for (const GroupMeta& group : reader->groups_) {
     for (size_t c = 0; c < n_fields; ++c) {
       if (group.columns[c].encoding != Encoding::kDict) {
         reader->dict_everywhere_[c] = false;
@@ -418,29 +484,24 @@ BcfReader::~BcfReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Result<std::vector<uint8_t>> BcfReader::ReadRange(uint64_t offset,
-                                                  uint64_t size) {
-  static obs::Counter* bytes_read =
-      obs::MetricsRegistry::Global().counter("io.bcf.bytes_read");
-  bytes_read->Add(size);
-  std::vector<uint8_t> out(size);
+Status BcfReader::ReadAt(uint64_t offset, uint64_t size, void* out) {
+  if (size == 0) return Status::OK();
   if (map_ != nullptr) {
-    // Offsets were bounds-checked at Open; this is a plain copy out of the
-    // mapping (used for pages that need decode and so cannot be zero-copy).
-    if (size > 0) std::memcpy(out.data(), map_->addr + offset, size);
-    return out;
+    // Callers have bounds-checked the range against the mapping.
+    std::memcpy(out, map_->addr + offset, size);
+    return Status::OK();
   }
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
-      (size > 0 && std::fread(out.data(), 1, size, file_) != size)) {
+      std::fread(out, 1, size, file_) != size) {
     return Status::IOError("BCF read failed at offset ", offset);
   }
-  return out;
+  return Status::OK();
 }
 
 std::pair<uint64_t, uint64_t> BcfReader::GroupByteRange(
-    const RowGroup& g) const {
+    const GroupMeta& g) const {
   uint64_t lo = data_end_, hi = 0;
-  for (const ColumnChunk& chunk : g.columns) {
+  for (const ChunkMeta& chunk : g.columns) {
     if (chunk.validity_size > 0) {
       lo = std::min(lo, chunk.validity_offset);
       hi = std::max(hi, chunk.validity_offset + chunk.validity_size);
@@ -465,7 +526,7 @@ Result<col::TablePtr> BcfReader::ReadRowGroup(
   if (group < 0 || group >= num_row_groups()) {
     return Status::IndexError("row group ", group, " out of range");
   }
-  const RowGroup& g = groups_[static_cast<size_t>(group)];
+  const GroupMeta& g = groups_[static_cast<size_t>(group)];
 
   std::vector<int> selected;
   if (columns.empty()) {
@@ -478,8 +539,8 @@ Result<col::TablePtr> BcfReader::ReadRowGroup(
     }
   }
 
-  static obs::Counter* bytes_mapped =
-      obs::MetricsRegistry::Global().counter("io.bcf.bytes_mapped");
+  static obs::Counter* bytes_read =
+      obs::MetricsRegistry::Global().counter("io.bcf.bytes_read");
   if (map_ != nullptr) {
     // Lazy per-group prefetch: fault this group's pages in ahead of the
     // column loop instead of demand-faulting one cache miss at a time.
@@ -490,77 +551,7 @@ Result<col::TablePtr> BcfReader::ReadRowGroup(
   std::vector<col::Field> fields;
   std::vector<col::ArrayPtr> out_columns;
   for (int c : selected) {
-    const ColumnChunk& chunk = g.columns[static_cast<size_t>(c)];
-    col::BufferPtr validity;
-    if (chunk.validity_size > 0) {
-      if (map_ != nullptr) {
-        // Validity bitmaps are stored raw, so the on-disk page is the
-        // in-memory representation: wrap it, charging nothing.
-        validity = col::Buffer::WrapOwned(map_->addr + chunk.validity_offset,
-                                          chunk.validity_size, map_);
-        bytes_mapped->Add(chunk.validity_size);
-      } else {
-        BENTO_ASSIGN_OR_RETURN(
-            auto raw, ReadRange(chunk.validity_offset, chunk.validity_size));
-        BENTO_ASSIGN_OR_RETURN(validity,
-                               col::Buffer::CopyOf(raw.data(), raw.size()));
-      }
-    }
-
-    const col::TypeId type = schema_->field(c).type;
-    if (map_ != nullptr && !chunk.compressed &&
-        chunk.encoding == Encoding::kStrView && type == col::TypeId::kString &&
-        chunk.data_offset % 8 == 0) {
-      // STRVIEW pages are the in-memory layout: (n+1) aligned int64 offsets
-      // then the character bytes. Validate the offsets (a corrupt page must
-      // fail cleanly, not hand out wild views), then wrap both buffers.
-      const uint8_t* page = map_->addr + chunk.data_offset;
-      BENTO_RETURN_NOT_OK(
-          CheckStrViewOffsets(page, chunk.data_size, g.num_rows));
-      const uint64_t offsets_bytes = static_cast<uint64_t>(g.num_rows + 1) * 8;
-      int64_t char_bytes;
-      std::memcpy(&char_bytes, page + static_cast<size_t>(g.num_rows) * 8, 8);
-      auto offsets = col::Buffer::WrapOwned(page, offsets_bytes, map_);
-      auto chars = col::Buffer::WrapOwned(
-          page + offsets_bytes, static_cast<uint64_t>(char_bytes), map_);
-      bytes_mapped->Add(chunk.data_size);
-      BENTO_ASSIGN_OR_RETURN(
-          auto array,
-          col::Array::MakeString(g.num_rows, std::move(offsets),
-                                 std::move(chars), std::move(validity),
-                                 chunk.null_count));
-      fields.push_back(schema_->field(c));
-      out_columns.push_back(std::move(array));
-      continue;
-    }
-    if (map_ != nullptr && !chunk.compressed &&
-        chunk.encoding == Encoding::kPlain && IsFixedWidthMappable(type)) {
-      const uint64_t width = static_cast<uint64_t>(col::ByteWidth(type));
-      const uint64_t expected = static_cast<uint64_t>(g.num_rows) * width;
-      // Zero-copy needs the page to be complete and (for multi-byte types)
-      // 8-byte aligned — unaligned int64/double loads are UB. Files written
-      // with align_pages qualify; others fall through to the copy path.
-      if (chunk.data_size >= expected &&
-          (width == 1 || chunk.data_offset % 8 == 0)) {
-        auto values = col::Buffer::WrapOwned(map_->addr + chunk.data_offset,
-                                             expected, map_);
-        bytes_mapped->Add(expected);
-        BENTO_ASSIGN_OR_RETURN(
-            auto array,
-            col::Array::MakeFixed(type, g.num_rows, std::move(values),
-                                  std::move(validity), chunk.null_count));
-        fields.push_back(schema_->field(c));
-        out_columns.push_back(std::move(array));
-        continue;
-      }
-    }
-
-    BENTO_ASSIGN_OR_RETURN(auto data,
-                           ReadRange(chunk.data_offset, chunk.data_size));
-    if (chunk.compressed) {
-      BENTO_ASSIGN_OR_RETURN(
-          data, LzDecompress(data.data(), data.size(), chunk.raw_size));
-    }
+    const ChunkMeta& chunk = g.columns[static_cast<size_t>(c)];
     col::Field field = schema_->field(c);
     if (options_.strings_as_categorical && field.type == col::TypeId::kString &&
         dict_everywhere_[static_cast<size_t>(c)]) {
@@ -568,10 +559,23 @@ Result<col::TablePtr> BcfReader::ReadRowGroup(
       // no string materialization.
       field.type = col::TypeId::kCategorical;
     }
-    BENTO_ASSIGN_OR_RETURN(
-        auto array,
-        DecodeArray(field.type, chunk.encoding, data.data(), data.size(),
-                    g.num_rows, std::move(validity), chunk.null_count));
+    col::ArrayPtr array;
+    if (map_ != nullptr) {
+      BENTO_ASSIGN_OR_RETURN(
+          array, ReadChunk(field.type, chunk, g.rows,
+                           map_->addr + chunk.validity_offset,
+                           map_->addr + chunk.data_offset, map_));
+    } else {
+      std::vector<uint8_t> validity(chunk.validity_size);
+      std::vector<uint8_t> data(chunk.data_size);
+      bytes_read->Add(validity.size() + data.size());
+      BENTO_RETURN_NOT_OK(
+          ReadAt(chunk.validity_offset, validity.size(), validity.data()));
+      BENTO_RETURN_NOT_OK(ReadAt(chunk.data_offset, data.size(), data.data()));
+      BENTO_ASSIGN_OR_RETURN(array,
+                             ReadChunk(field.type, chunk, g.rows,
+                                       validity.data(), data.data(), nullptr));
+    }
     fields.push_back(field);
     out_columns.push_back(std::move(array));
   }

@@ -21,11 +21,11 @@ namespace bento::io {
 /// Layout:
 ///   "BCF1" | row-group pages... | footer(JSON) | u64 footer_len | "BCF1"
 ///
-/// Each column chunk stores an optional raw validity bitmap page followed by
-/// the encoded value page. The footer records offsets/sizes/encodings, so
-/// readers can project columns and stream row groups without touching the
-/// rest of the file — the property behind the paper's Parquet observations
-/// (Fig. 5/6).
+/// Each column chunk is written and read by the chunk codec below (an
+/// optional raw validity bitmap page, then the encoded value page). The
+/// footer records every chunk's ChunkMeta, so readers can project columns
+/// and stream row groups without touching the rest of the file — the
+/// property behind the paper's Parquet observations (Fig. 5/6).
 ///
 /// The footer holds integers, booleans and strings only — no statistics
 /// over the column values — so no float64 value in the data (NaN, ±inf,
@@ -46,6 +46,61 @@ struct BcfWriteOptions {
   /// frame charges (almost) nothing against the memory budget.
   bool mappable = false;
 };
+
+/// \brief Where one column chunk's pages sit in the byte stream they were
+/// written to (a BCF file, a spill frame) and how the value page is
+/// stored. BCF keeps these in its footer; SpillFrameStore in memory.
+struct ChunkMeta {
+  uint64_t validity_offset = 0;
+  uint64_t validity_size = 0;  ///< 0: the column has no nulls
+  uint64_t data_offset = 0;
+  uint64_t data_size = 0;      ///< stored (possibly compressed) size
+  uint64_t raw_size = 0;       ///< encoded size before compression
+  Encoding encoding = Encoding::kPlain;
+  bool compressed = false;
+  int64_t null_count = 0;
+};
+
+/// \brief The index entry of a BCF row group or a spill frame: its row
+/// count and one ChunkMeta per column.
+struct GroupMeta {
+  int64_t rows = 0;
+  std::vector<ChunkMeta> columns;
+};
+
+/// Receives a chunk's bytes in stream order.
+using ByteSink = std::function<Status(const void* data, size_t size)>;
+
+/// \brief Writes `column` as one chunk to `sink`, whose stream is at byte
+/// `*offset`, and advances `*offset`. The validity bits are repacked into a
+/// page of their own when there are nulls; the value page takes
+/// ChooseEncoding (MappableEncoding when `options.mappable`), an 8-byte pad
+/// before it under `align_pages`, and LZ under `compression` when that
+/// saves an eighth. `row_group_rows` is not used.
+Result<ChunkMeta> WriteChunk(const col::ArrayPtr& column,
+                             const BcfWriteOptions& options, uint64_t* offset,
+                             const ByteSink& sink);
+
+/// \brief IOError unless `meta` can describe a chunk of `rows` rows whose
+/// pages lie in the byte range [lo, hi): `rows` >= 0, a null count in
+/// [0, rows] with a validity page whenever it is non-zero, a validity page
+/// of at least BitmapBytes(rows) bytes, a raw size the LZ format can reach
+/// from a compressed page, and a value page with room for `rows` rows of
+/// its encoding. Overflow-safe, so hostile offsets cannot wrap. ReadChunk
+/// relies on a meta that passed.
+Status CheckChunkMeta(const ChunkMeta& meta, int64_t rows, uint64_t lo,
+                      uint64_t hi);
+
+/// \brief Turns a chunk's pages back into a `rows`-row array of `type`.
+/// `validity_page` and `data` point at the two pages (`validity_page` is
+/// unused when there is none). When `mapping` owns the pages (an mmap
+/// region), the validity page, aligned uncompressed STRVIEW pages and
+/// PLAIN fixed-width pages become zero-copy views that co-own it; anything
+/// else decodes into fresh buffers.
+Result<col::ArrayPtr> ReadChunk(col::TypeId type, const ChunkMeta& meta,
+                                int64_t rows, const uint8_t* validity_page,
+                                const uint8_t* data,
+                                const std::shared_ptr<void>& mapping);
 
 Status WriteBcf(const col::TablePtr& table, const std::string& path,
                 const BcfWriteOptions& options = {});
@@ -79,11 +134,7 @@ class BcfWriter {
   Status Finish();
 
  private:
-  struct GroupMeta;
   BcfWriter() = default;
-
-  Status AppendGroup(const col::TablePtr& slice);
-  Status WriteColumnChunk(const col::ArrayPtr& column, GroupMeta* meta);
 
   std::FILE* file_ = nullptr;
   BcfWriteOptions options_;
@@ -145,33 +196,19 @@ class BcfReader {
   void DoneWithGroup(int group);
 
  private:
-  struct ColumnChunk {
-    uint64_t validity_offset = 0;
-    uint64_t validity_size = 0;
-    uint64_t data_offset = 0;
-    uint64_t data_size = 0;      // on-disk (possibly compressed) size
-    uint64_t raw_size = 0;       // decoded-page byte size
-    Encoding encoding = Encoding::kPlain;
-    bool compressed = false;
-    int64_t null_count = 0;
-  };
-  struct RowGroup {
-    int64_t num_rows = 0;
-    std::vector<ColumnChunk> columns;
-  };
-
   BcfReader() = default;
 
-  Result<std::vector<uint8_t>> ReadRange(uint64_t offset, uint64_t size);
+  /// Copies [offset, offset+size) of the file into `out`, in either mode.
+  Status ReadAt(uint64_t offset, uint64_t size, void* out);
   /// [first page byte, last page byte) span of a row group, for madvise.
-  std::pair<uint64_t, uint64_t> GroupByteRange(const RowGroup& g) const;
+  std::pair<uint64_t, uint64_t> GroupByteRange(const GroupMeta& g) const;
 
   std::FILE* file_ = nullptr;
   std::shared_ptr<BcfMmapRegion> map_;
   uint64_t data_end_ = 0;  // pages live in [4, data_end_); footer follows
   BcfReadOptions options_;
   col::SchemaPtr schema_;
-  std::vector<RowGroup> groups_;
+  std::vector<GroupMeta> groups_;
   int64_t num_rows_ = 0;
   /// Per column: every row group's chunk is DICT-encoded (so the column can
   /// surface as one categorical type under strings_as_categorical).

@@ -73,8 +73,16 @@ std::vector<uint8_t> LzCompress(const uint8_t* data, size_t size) {
   return out;
 }
 
+uint64_t LzMaxDecompressedSize(uint64_t size) {
+  return size / 3 * kMaxMatch + size % 3;
+}
+
 Result<std::vector<uint8_t>> LzDecompress(const uint8_t* data, size_t size,
                                           size_t expected_size) {
+  if (expected_size > LzMaxDecompressedSize(size)) {
+    return Status::IOError("LZ page of ", size, " bytes cannot expand to ",
+                           expected_size);
+  }
   std::vector<uint8_t> out;
   out.reserve(expected_size);
   size_t pos = 0;

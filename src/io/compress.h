@@ -20,6 +20,11 @@ namespace bento::io {
 /// Compress never fails; Decompress validates framing and sizes.
 std::vector<uint8_t> LzCompress(const uint8_t* data, size_t size);
 
+/// \brief The most bytes `size` compressed bytes can expand to: a 3-byte
+/// match token emits at most 130 bytes, and a literal run never emits more
+/// bytes than it stores. A larger expected size marks a corrupt page header.
+uint64_t LzMaxDecompressedSize(uint64_t size);
+
 Result<std::vector<uint8_t>> LzDecompress(const uint8_t* data, size_t size,
                                           size_t expected_size);
 

@@ -76,7 +76,11 @@ Result<std::vector<uint8_t>> EncodeDelta(const ArrayPtr& a) {
   int64_t prev = 0;
   for (int64_t i = 0; i < a->length(); ++i) {
     int64_t v = a->IsValid(i) ? data[i] : prev;  // nulls carry previous value
-    PutVarint(ZigZag(v - prev), &out);
+    // Deltas wrap modulo 2^64 (the decoder's sum wraps back), so values a
+    // full int64 range apart encode without signed overflow.
+    PutVarint(ZigZag(static_cast<int64_t>(static_cast<uint64_t>(v) -
+                                          static_cast<uint64_t>(prev))),
+              &out);
     prev = v;
   }
   return out;
@@ -284,7 +288,8 @@ Result<ArrayPtr> DecodeDelta(TypeId type, const uint8_t* data, size_t size,
   int64_t prev = 0;
   for (int64_t i = 0; i < length; ++i) {
     BENTO_ASSIGN_OR_RETURN(uint64_t zz, GetVarint(data, size, &pos));
-    prev += UnZigZag(zz);
+    prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
+                                static_cast<uint64_t>(UnZigZag(zz)));
     out[i] = prev;
   }
   return Array::MakeFixed(type, length, std::move(buf), std::move(validity),
@@ -302,7 +307,7 @@ Result<ArrayPtr> DecodeRle(const uint8_t* data, size_t size, int64_t length,
     BENTO_ASSIGN_OR_RETURN(uint64_t run, GetVarint(data, size, &pos));
     if (pos >= size) return Status::IOError("corrupt RLE page");
     const uint8_t v = data[pos++];
-    if (emitted + static_cast<int64_t>(run) > length) {
+    if (run > static_cast<uint64_t>(length - emitted)) {
       return Status::IOError("RLE overrun");
     }
     std::memset(out + emitted, v, run);
@@ -317,6 +322,8 @@ Result<ArrayPtr> DecodeDict(TypeId type, const uint8_t* data, size_t size,
                             int64_t null_count) {
   size_t pos = 0;
   BENTO_ASSIGN_OR_RETURN(uint32_t dict_size, GetU32(data, size, &pos));
+  // Every entry stores at least its 4-byte length: bound the reserve.
+  if (dict_size > (size - pos) / 4) return Status::IOError("corrupt dictionary");
   auto dict = std::make_shared<std::vector<std::string>>();
   dict->reserve(dict_size);
   for (uint32_t k = 0; k < dict_size; ++k) {
@@ -383,6 +390,9 @@ Result<ArrayPtr> DecodeStrView(TypeId type, const uint8_t* data, size_t size,
 Result<ArrayPtr> DecodeArray(TypeId type, Encoding encoding,
                              const uint8_t* data, size_t size, int64_t length,
                              col::BufferPtr validity, int64_t null_count) {
+  if (type == TypeId::kCategorical && encoding != Encoding::kDict) {
+    return Status::IOError("categorical column needs a DICT page");
+  }
   switch (encoding) {
     case Encoding::kPlain:
       return DecodePlain(type, data, size, length, std::move(validity),

@@ -12,7 +12,6 @@
 namespace bento::sim {
 
 namespace {
-std::atomic<uint64_t> g_spill_counter{0};
 constexpr uint64_t kFuseDisarmed = UINT64_MAX;
 std::atomic<uint64_t> g_write_fuse{kFuseDisarmed};
 std::atomic<uint64_t> g_read_fuse{kFuseDisarmed};
@@ -28,6 +27,14 @@ bool FuseBlows(std::atomic<uint64_t>* fuse, uint64_t size) {
 }
 }  // namespace
 
+std::string TempPath(const std::string& tag, const std::string& suffix) {
+  static std::atomic<uint64_t> counter{0};
+  const char* tmp = std::getenv("TMPDIR");
+  return std::string(tmp != nullptr ? tmp : "/tmp") + "/bento_" + tag + "_" +
+         std::to_string(::getpid()) + "_" +
+         std::to_string(counter.fetch_add(1)) + suffix;
+}
+
 void SpillFile::InjectFaults(uint64_t write_bytes, uint64_t read_bytes) {
   g_write_fuse.store(write_bytes, std::memory_order_relaxed);
   g_read_fuse.store(read_bytes, std::memory_order_relaxed);
@@ -38,15 +45,8 @@ void SpillFile::ClearFaults() {
   g_read_fuse.store(kFuseDisarmed, std::memory_order_relaxed);
 }
 
-Result<std::unique_ptr<SpillFile>> SpillFile::Create(const std::string& dir) {
-  std::string base = dir;
-  if (base.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    base = tmp != nullptr ? tmp : "/tmp";
-  }
-  std::string path = base + "/bento_spill_" + std::to_string(::getpid()) +
-                     "_" + std::to_string(g_spill_counter.fetch_add(1)) +
-                     ".bin";
+Result<std::unique_ptr<SpillFile>> SpillFile::Create() {
+  std::string path = TempPath("spill", ".bin");
   std::FILE* f = std::fopen(path.c_str(), "w+b");
   if (f == nullptr) {
     return Status::IOError("cannot create spill file at ", path);

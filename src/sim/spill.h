@@ -10,6 +10,11 @@
 
 namespace bento::sim {
 
+/// \brief A path no earlier call in this process returned:
+/// `<dir>/bento_<tag>_<pid>_<n><suffix>`, where `dir` is $TMPDIR or /tmp.
+/// Creates nothing; every temp file of the engines is named here.
+std::string TempPath(const std::string& tag, const std::string& suffix);
+
 /// \brief A temporary on-disk byte store used by out-of-core operators
 /// (the SparkSQL engine's spill path). Bytes written here are *not* charged
 /// to any MemoryPool, which is exactly the point: spilling converts tracked
@@ -18,8 +23,8 @@ namespace bento::sim {
 /// The backing file is unlinked on destruction.
 class SpillFile {
  public:
-  /// Creates a spill file in `dir` (defaults to the system temp directory).
-  static Result<std::unique_ptr<SpillFile>> Create(const std::string& dir = "");
+  /// Creates a spill file at a fresh TempPath.
+  static Result<std::unique_ptr<SpillFile>> Create();
 
   ~SpillFile();
 

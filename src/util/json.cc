@@ -80,9 +80,18 @@ double JsonValue::GetNumber(const std::string& key, double fallback) const {
   return v.is_number() ? v.number_value() : fallback;
 }
 
+Result<int64_t> JsonValue::int_value() const {
+  // -2^63 and 2^63 are exact doubles; NaN fails both comparisons.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!is_number() || !(number_ >= -kLimit && number_ < kLimit)) {
+    return Status::Invalid("not an int64: ", Dump());
+  }
+  return static_cast<int64_t>(number_);
+}
+
 int64_t JsonValue::GetInt(const std::string& key, int64_t fallback) const {
-  const JsonValue& v = Get(key);
-  return v.is_number() ? v.int_value() : fallback;
+  Result<int64_t> v = Get(key).int_value();
+  return v.ok() ? *v : fallback;
 }
 
 bool JsonValue::GetBool(const std::string& key, bool fallback) const {

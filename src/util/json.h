@@ -40,7 +40,9 @@ class JsonValue {
 
   bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
-  int64_t int_value() const { return static_cast<int64_t>(number_); }
+  /// The number truncated to int64_t; Invalid when this is not a number or
+  /// the number lies outside int64_t's range.
+  Result<int64_t> int_value() const;
   const std::string& string_value() const { return string_; }
 
   // Array access.
@@ -58,7 +60,8 @@ class JsonValue {
     return object_;
   }
 
-  // Typed getters with defaults, for ergonomic config reading.
+  // Typed getters with defaults, for ergonomic config reading. GetInt also
+  // falls back when the member is outside int64_t's range.
   std::string GetString(const std::string& key,
                         const std::string& fallback = "") const;
   double GetNumber(const std::string& key, double fallback = 0.0) const;

@@ -44,6 +44,26 @@ TEST(PipelineTest, JsonRoundTrip) {
             p.steps.size());
 }
 
+TEST(PipelineTest, OutOfRangeIntegersAreInvalid) {
+  // "value" of an int scalar and "decimals" of a round go through the
+  // range-checked int64 accessor: 1e300 is Invalid, not an overflowing cast.
+  const char* specs[] = {
+      R"({"steps": [{"op": "fillna", "stage": "DC", "column": "a",
+                     "value": {"kind": "int", "value": 1e300}}]})",
+      R"({"steps": [{"op": "round", "stage": "DT", "column": "a",
+                     "decimals": 1e300}]})",
+  };
+  for (const char* text : specs) {
+    SCOPED_TRACE(text);
+    auto parsed = PipelineFromJson(ParseJson(text).ValueOrDie());
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().IsInvalid()) << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("not an int64"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(PipelineTest, RowFnRegistry) {
   EXPECT_TRUE(LookupRowFn("bmi").ok());
   EXPECT_TRUE(LookupRowFn("total_check").ok());

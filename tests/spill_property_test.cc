@@ -9,6 +9,7 @@
 
 #include "engines/spill_frames.h"
 #include "engines/streaming_ops.h"
+#include "io/bcf.h"
 #include "kernels/groupby.h"
 #include "kernels/sort.h"
 #include "sim/spill.h"
@@ -33,20 +34,38 @@ struct FaultGuard {
   ~FaultGuard() { sim::SpillFile::ClearFaults(); }
 };
 
+/// One column of every type, each with nulls, so every page encoding and
+/// the validity repack pass through the frame codec.
 TablePtr RandomChunk(Rng* rng, int64_t rows) {
   col::Int64Builder a;
   col::Float64Builder b;
   col::StringBuilder c;
+  col::BoolBuilder d;
+  col::TimestampBuilder e;
+  col::CategoricalBuilder f;
   for (int64_t i = 0; i < rows; ++i) {
     a.AppendMaybe(rng->UniformInt(-1000, 1000), !rng->Bernoulli(0.1));
     b.AppendMaybe(static_cast<double>(rng->UniformInt(0, 500)),
                   !rng->Bernoulli(0.2));
     c.AppendMaybe("s" + std::to_string(rng->UniformInt(0, 9)),
                   !rng->Bernoulli(0.05));
+    d.AppendMaybe(rng->Bernoulli(0.5), !rng->Bernoulli(0.15));
+    e.AppendMaybe(1600000000000000 + rng->UniformInt(0, 1 << 20) * 1000,
+                  !rng->Bernoulli(0.1));
+    if (rng->Bernoulli(0.1)) {
+      f.AppendNull();
+    } else {
+      f.Append(static_cast<int32_t>(rng->Uniform(5)));
+    }
   }
+  auto dict = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"north", "south", "east", "west", "centre"});
   return MakeTable({{"a", a.Finish().ValueOrDie()},
                     {"b", b.Finish().ValueOrDie()},
-                    {"c", c.Finish().ValueOrDie()}});
+                    {"c", c.Finish().ValueOrDie()},
+                    {"d", d.Finish().ValueOrDie()},
+                    {"e", e.Finish().ValueOrDie()},
+                    {"f", f.Finish(dict).ValueOrDie()}});
 }
 
 TEST(SpillFilePropertyTest, RandomBlocksRoundTripInAnyReadOrder) {
@@ -133,7 +152,12 @@ TEST(SpillFrameStoreTest, RandomFramesRoundTripPerPartition) {
   std::vector<std::vector<TablePtr>> appended(3);
   for (int i = 0; i < 30; ++i) {
     const int partition = static_cast<int>(rng.Uniform(3));
-    auto chunk = RandomChunk(&rng, 1 + rng.UniformInt(0, 400));
+    const int64_t rows = 1 + rng.UniformInt(0, 400);
+    auto chunk = RandomChunk(&rng, rows + 16);
+    // Every other chunk is a slice starting at an odd row (1, 3, ..., 15),
+    // so its validity bits begin mid-byte and must be repacked.
+    const int64_t offset = i % 2 == 0 ? 0 : 1 + 2 * rng.UniformInt(0, 7);
+    chunk = chunk->Slice(offset, rows).ValueOrDie();
     ASSERT_OK(store->Append(partition, chunk));
     appended[static_cast<size_t>(partition)].push_back(chunk);
   }
@@ -228,6 +252,91 @@ TEST(SpillFrameStoreTest, FaultsNeverSurfaceCorruptFrames) {
   EXPECT_TRUE(bad.status().IsIOError()) << bad.status().ToString();
   sim::SpillFile::ClearFaults();
   ASSERT_OK(store->ReadPartition(0).status());
+}
+
+/// Lays `chunk` out as SpillFrameStore::Append does: every column through
+/// the BCF chunk codec, uncompressed and unpadded, into one frame.
+std::vector<uint8_t> EncodeFrame(const TablePtr& chunk,
+                                 std::vector<io::ChunkMeta>* metas) {
+  std::vector<uint8_t> frame;
+  uint64_t size = 0;
+  const io::ByteSink sink = [&frame](const void* data, size_t n) {
+    const auto* begin = static_cast<const uint8_t*>(data);
+    frame.insert(frame.end(), begin, begin + n);
+    return Status::OK();
+  };
+  io::BcfWriteOptions pages;
+  pages.compression = false;
+  for (int c = 0; c < chunk->num_columns(); ++c) {
+    metas->push_back(
+        io::WriteChunk(chunk->column(c), pages, &size, sink).ValueOrDie());
+  }
+  return frame;
+}
+
+/// Decodes a frame as SpillFrameStore::ReadFrame does, from its index.
+Result<TablePtr> DecodeFrame(const col::SchemaPtr& schema,
+                             const std::vector<io::ChunkMeta>& metas,
+                             int64_t rows, const std::vector<uint8_t>& frame) {
+  std::vector<col::ArrayPtr> columns;
+  for (size_t c = 0; c < metas.size(); ++c) {
+    const io::ChunkMeta& meta = metas[c];
+    BENTO_RETURN_NOT_OK(io::CheckChunkMeta(meta, rows, 0, frame.size()));
+    BENTO_ASSIGN_OR_RETURN(
+        auto column,
+        io::ReadChunk(schema->field(static_cast<int>(c)).type, meta, rows,
+                      frame.data() + meta.validity_offset,
+                      frame.data() + meta.data_offset, nullptr));
+    columns.push_back(std::move(column));
+  }
+  return col::Table::Make(schema, std::move(columns));
+}
+
+TEST(SpillFrameStoreTest, CorruptFrameBytesFailCleanly) {
+  // bcf_robustness_test's hostile-bytes sweep, run on a spill frame: seeded
+  // truncations and byte flips of one frame, decoded through the chunk codec
+  // against the frame's in-memory index. Each decode returns a Status or a
+  // table with the indexed row count, and never crashes.
+  Rng rng(13);
+  const int64_t rows = 300;
+  auto chunk = RandomChunk(&rng, rows);
+  std::vector<io::ChunkMeta> metas;
+  const std::vector<uint8_t> frame = EncodeFrame(chunk, &metas);
+  test::ExpectTablesEqual(
+      chunk, DecodeFrame(chunk->schema(), metas, rows, frame).ValueOrDie());
+  // The store writes exactly this frame: its pages and nothing else.
+  auto store = SpillFrameStore::Create(1).ValueOrDie();
+  ASSERT_OK(store->Append(0, chunk));
+  EXPECT_EQ(store->bytes_written(), frame.size());
+
+  int truncations = 0;
+  int failures = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng mutate(seed);
+    std::vector<uint8_t> bytes = frame;
+    if (seed % 3 == 0) {
+      // A fresh allocation of exactly the kept bytes, so a decode that
+      // reads past them leaves the heap block (ASan reports it).
+      bytes = std::vector<uint8_t>(
+          frame.begin(),
+          frame.begin() + static_cast<ptrdiff_t>(mutate.Uniform(frame.size())));
+      ++truncations;
+    } else {
+      for (uint64_t k = 1 + mutate.Uniform(8); k > 0; --k) {
+        bytes[mutate.Uniform(bytes.size())] ^=
+            static_cast<uint8_t>(1 + mutate.Uniform(255));
+      }
+    }
+    auto decoded = DecodeFrame(chunk->schema(), metas, rows, bytes);
+    if (decoded.ok()) {
+      EXPECT_EQ(decoded.ValueOrDie()->num_rows(), rows);
+    } else {
+      ++failures;
+    }
+  }
+  // A truncated frame can never pass the meta check of its last column.
+  EXPECT_GE(failures, truncations);
 }
 
 /// Integer-valued table with a heavily skewed key: ~90% of rows share key 0,

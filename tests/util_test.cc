@@ -212,7 +212,7 @@ TEST(StringUtilTest, HumanBytes) {
 TEST(JsonTest, ParsePrimitives) {
   EXPECT_TRUE(ParseJson("null").ValueOrDie().is_null());
   EXPECT_TRUE(ParseJson("true").ValueOrDie().bool_value());
-  EXPECT_EQ(ParseJson("42").ValueOrDie().int_value(), 42);
+  EXPECT_EQ(ParseJson("42").ValueOrDie().int_value().ValueOrDie(), 42);
   EXPECT_DOUBLE_EQ(ParseJson("-2.5e2").ValueOrDie().number_value(), -250.0);
   EXPECT_EQ(ParseJson("\"hi\\nthere\"").ValueOrDie().string_value(),
             "hi\nthere");
@@ -282,6 +282,32 @@ TEST(JsonTest, EdgeNumbersDumpAsParseableJson) {
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_TRUE(back.ValueOrDie().Get("x").is_null());
   }
+}
+
+TEST(JsonTest, IntValueIsRangeChecked) {
+  // int64_t's range is [-2^63, 2^63): the first double past either end
+  // (and anything that is not a number) is Invalid, never a wild cast.
+  const double two63 = std::ldexp(1.0, 63);
+  EXPECT_EQ(JsonValue::Number(-two63).int_value().ValueOrDie(), INT64_MIN);
+  EXPECT_EQ(JsonValue::Number(std::nextafter(two63, 0.0))
+                .int_value()
+                .ValueOrDie(),
+            INT64_C(9223372036854774784));
+  EXPECT_EQ(JsonValue::Number(-7.9).int_value().ValueOrDie(), -7);
+  for (const JsonValue& bad :
+       {JsonValue::Number(two63), JsonValue::Number(1e300),
+        JsonValue::Number(std::nextafter(-two63, -HUGE_VAL)),
+        JsonValue::Number(-1e300), JsonValue::Number(std::nan("")),
+        JsonValue::Number(HUGE_VAL), JsonValue::Str("1"), JsonValue::Null()}) {
+    SCOPED_TRACE(bad.Dump());
+    auto v = bad.int_value();
+    ASSERT_FALSE(v.ok());
+    EXPECT_TRUE(v.status().IsInvalid()) << v.status().ToString();
+  }
+  // GetInt keeps its fallback contract for out-of-range members.
+  auto obj = ParseJson(R"({"rows": 1e300, "n": 12})").ValueOrDie();
+  EXPECT_EQ(obj.GetInt("rows", -1), -1);
+  EXPECT_EQ(obj.GetInt("n", -1), 12);
 }
 
 TEST(JsonTest, ObjectSetOverwrites) {
