@@ -420,15 +420,14 @@ BENCHMARK(BM_CompareSimd)->Arg(1000000);
 
 void BM_FilterSimd(benchmark::State& state) {
   // Mask built outside the loop; fixed-width columns only, so the measured
-  // work is MaskToIndices + the typed gathers (the string gather is a
-  // builder loop the SIMD layer does not touch).
+  // work is MaskToIndices + the typed gathers on one worker.
   auto t = BenchTable(state.range(0))->DropColumns({"s"}).ValueOrDie();
   auto v = t->GetColumn("v").ValueOrDie();
   auto mask =
       kern::CompareScalar(v, kern::CompareOp::kGt, col::Scalar::Double(50.0))
           .ValueOrDie();
   for (auto _ : state) {
-    auto filtered = kern::FilterTable(t, mask);
+    auto filtered = kern::FilterTable(t, mask, sim::OneWorker());
     benchmark::DoNotOptimize(filtered);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -616,10 +615,9 @@ void BM_CsvChunkRead(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvChunkRead)->Arg(65536)->Unit(benchmark::kMillisecond);
 
-// A drained stream of 2048-row slices concatenated back whole: six string
-// columns and three numeric ones, all with about 10% nulls. Items are rows.
-void BM_ConcatTables(benchmark::State& state) {
-  const int64_t rows = state.range(0);
+/// Six string columns and three numeric ones (int64, float64, bool), all
+/// with about 10% nulls: the column mix of the patrol table.
+col::TablePtr PatrolShapedTable(int64_t rows) {
   Rng rng(2048);
   std::vector<col::Field> fields;
   std::vector<col::ArrayPtr> arrays;
@@ -645,8 +643,15 @@ void BM_ConcatTables(benchmark::State& state) {
   add("i", ints.Finish().ValueOrDie());
   add("f", floats.Finish().ValueOrDie());
   add("b", bools.Finish().ValueOrDie());
-  auto table = col::Table::Make(std::make_shared<col::Schema>(fields), arrays)
-                   .ValueOrDie();
+  return col::Table::Make(std::make_shared<col::Schema>(fields), arrays)
+      .ValueOrDie();
+}
+
+// A drained stream of 2048-row slices of the patrol-shaped table
+// concatenated back whole. Items are rows.
+void BM_ConcatTables(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const col::TablePtr table = PatrolShapedTable(rows);
   std::vector<col::TablePtr> slices;
   for (int64_t offset = 0; offset < rows; offset += 2048) {
     slices.push_back(
@@ -660,6 +665,28 @@ void BM_ConcatTables(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_ConcatTables)->Arg(262144);
+
+// A whole-table query filter over the patrol-shaped table (about 45% of
+// the rows kept) on 1 vs 4 real workers: the mask turns into row indices
+// once, then every column goes through the sized morsel gather. Items are
+// input rows.
+void BM_FilterReal(benchmark::State& state) {
+  const col::TablePtr table = PatrolShapedTable(state.range(0));
+  auto mask = kern::CompareScalar(table->GetColumn("i").ValueOrDie(),
+                                  kern::CompareOp::kGt,
+                                  col::Scalar::Double(500000.0))
+                  .ValueOrDie();
+  auto opts = RealOptions(static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    auto filtered = kern::FilterTable(table, mask, opts);
+    benchmark::DoNotOptimize(filtered);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FilterReal)
+    ->Args({1000000, 1})
+    ->Args({1000000, 4})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bento
@@ -729,6 +756,7 @@ int CheckScaling(const std::map<std::string, double>& wall_ns,
   const std::pair<const char*, const char*> pairs[] = {
       {"BM_GroupByReal/1000000/4", "BM_GroupByReal/1000000/1"},
       {"BM_JoinReal/1000000/4", "BM_JoinReal/1000000/1"},
+      {"BM_FilterReal/1000000/4", "BM_FilterReal/1000000/1"},
   };
   int failures = 0;
   for (const auto& [parallel, serial] : pairs) {

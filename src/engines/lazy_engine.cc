@@ -273,13 +273,21 @@ Result<col::TablePtr> LazyEngineBase::Execute(
 
   const bool stream_breakers = StreamsBreakers() && MemoryTight(source);
 
-  // An in-memory table whose plan is empty or opens with a materializing
-  // breaker runs whole-table from the start (common when chaining from a
-  // collected frame): slicing it through a stage and concatenating it back
-  // would only copy it and double its footprint.
+  // An in-memory table runs whole-table, op by op with the full policy,
+  // unless the breakers stream: row-local ops run as kernels over the whole
+  // table (filters gather once on the morsel pool), where slicing it
+  // through a stage and concatenating the chunks back would only copy it.
+  // A plan that opens with a streamable op still pays the modeled
+  // per-chunk overhead for the chunks the table spans, as that stage did.
   if (source.kind == LazySource::Kind::kTable && source.table != nullptr &&
-      (ops.empty() || (!stream_breakers && !IsStreamable(ops[0])))) {
+      (ops.empty() || !stream_breakers)) {
     col::TablePtr table = source.table;
+    if (!ops.empty() && IsStreamable(ops[0])) {
+      const int64_t chunk_rows = ChunkRows();
+      ChargeChunks(PerChunkOverheadSeconds(),
+                   std::max<int64_t>(
+                       1, (table->num_rows() + chunk_rows - 1) / chunk_rows));
+    }
     for (const Op& op : ops) {
       BENTO_ASSIGN_OR_RETURN(table, frame::ExecTransform(table, op, policy));
     }

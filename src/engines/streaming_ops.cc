@@ -220,7 +220,8 @@ Result<std::vector<TablePtr>> HashPartitionTable(
                   static_cast<uint64_t>(p));
     }
     BENTO_ASSIGN_OR_RETURN(auto m, mask.Finish());
-    BENTO_ASSIGN_OR_RETURN(auto part, kern::FilterTable(table, m));
+    BENTO_ASSIGN_OR_RETURN(auto part,
+                           kern::FilterTable(table, m, sim::OneWorker()));
     out.push_back(std::move(part));
   }
   return out;

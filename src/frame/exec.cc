@@ -88,13 +88,20 @@ Result<TablePtr> DoSort(const TablePtr& table, const Op& op,
   return kern::SortTable(table, op.sort_keys);
 }
 
-Result<TablePtr> DoQuery(const TablePtr& table, const Op& op) {
+/// The row filters' fan-out: the engine's pool when it runs parallel
+/// kernels, one worker otherwise, so a serial engine's filters stay serial.
+sim::ParallelOptions FilterOptions(const ExecPolicy& policy) {
+  return policy.parallel ? policy.parallel_options : sim::OneWorker();
+}
+
+Result<TablePtr> DoQuery(const TablePtr& table, const Op& op,
+                         const ExecPolicy& policy) {
   BENTO_ASSIGN_OR_RETURN(auto expr, expr::ParseExpr(op.text));
   BENTO_ASSIGN_OR_RETURN(auto mask, expr::Evaluate(expr, table));
   if (mask->type() != col::TypeId::kBool) {
     return Status::TypeError("query predicate must be boolean: ", op.text);
   }
-  return kern::FilterTable(table, mask);
+  return kern::FilterTable(table, mask, FilterOptions(policy));
 }
 
 Result<TablePtr> DoApplyExpr(const TablePtr& table, const Op& op) {
@@ -220,7 +227,7 @@ Result<col::TablePtr> ExecTransform(const col::TablePtr& table, const Op& op,
     case OpKind::kSortValues:
       return MaybeCopy(DoSort(table, op, policy), policy);
     case OpKind::kQuery:
-      return MaybeCopy(DoQuery(table, op), policy);
+      return MaybeCopy(DoQuery(table, op, policy), policy);
     case OpKind::kCast:
       return MaybeCopy(ReplaceColumn(table, op.column,
                                      [&](const ArrayPtr& c) {
@@ -251,7 +258,9 @@ Result<col::TablePtr> ExecTransform(const col::TablePtr& table, const Op& op,
                                      }),
                        policy);
     case OpKind::kDropNa:
-      return MaybeCopy(kern::DropNullRows(table, op.columns), policy);
+      return MaybeCopy(
+          kern::DropNullRows(table, op.columns, FilterOptions(policy)),
+          policy);
     case OpKind::kStrLower:
       return MaybeCopy(ReplaceColumn(table, op.column,
                                      [&](const ArrayPtr& c) {

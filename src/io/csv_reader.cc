@@ -404,6 +404,13 @@ col::SchemaPtr InferFromBody(std::string_view body,
   return InferSchema(names, sample, options);
 }
 
+/// Every CSV reader counts the file bytes it reads here.
+void CountBytesRead(uint64_t bytes) {
+  static obs::Counter* bytes_read =
+      obs::MetricsRegistry::Global().counter("io.csv.bytes_read");
+  bytes_read->Add(bytes);
+}
+
 Result<std::string> SlurpFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IOError("cannot open ", path);
@@ -423,9 +430,7 @@ Result<col::TablePtr> ReadCsv(const std::string& path,
                               const CsvReadOptions& options) {
   BENTO_TRACE_SPAN(kIo, "csv.read");
   BENTO_ASSIGN_OR_RETURN(std::string content, SlurpFile(path));
-  static obs::Counter* bytes_read =
-      obs::MetricsRegistry::Global().counter("io.csv.bytes_read");
-  bytes_read->Add(content.size());
+  CountBytesRead(content.size());
   HeaderInfo header = ReadHeader(content, options);
   std::string_view body =
       std::string_view(content).substr(header.body_offset);
@@ -454,9 +459,7 @@ Result<col::TablePtr> ReadCsvMmap(const std::string& path,
     return Status::IOError("stat failed for ", path);
   }
   const size_t size = static_cast<size_t>(st.st_size);
-  static obs::Counter* bytes_read =
-      obs::MetricsRegistry::Global().counter("io.csv.bytes_read");
-  bytes_read->Add(size);
+  CountBytesRead(size);
   void* mapped = size > 0 ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0)
                           : nullptr;
   ::close(fd);
@@ -547,6 +550,7 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
   // Infer from a prefix, which then seeds the buffer past the header.
   std::string prefix(1 << 20, '\0');
   const size_t got = std::fread(prefix.data(), 1, prefix.size(), f);
+  CountBytesRead(got);
   prefix.resize(got);
   HeaderInfo header = ReadHeader(prefix, options);
   std::string_view body = std::string_view(prefix).substr(header.body_offset);
@@ -589,6 +593,7 @@ Result<CsvChunkReader::Decode> CsvChunkReader::Cut() {
       buffer_.resize(size + kReadBytes);
       const size_t got =
           std::fread(buffer_.data() + size, 1, kReadBytes, file_);
+      CountBytesRead(got);
       buffer_.resize(size + got);
       eof_ = got == 0;
       continue;

@@ -4,6 +4,7 @@
 
 #include "columnar/builder.h"
 #include "kernels/selection.h"
+#include "simd/simd.h"
 
 namespace bento::kern {
 
@@ -175,7 +176,8 @@ Result<ArrayPtr> FillNullWithMean(const ArrayPtr& values) {
 }
 
 Result<TablePtr> DropNullRows(const TablePtr& table,
-                              const std::vector<std::string>& subset) {
+                              const std::vector<std::string>& subset,
+                              const sim::ParallelOptions& options) {
   std::vector<int> column_indices;
   if (subset.empty()) {
     for (int i = 0; i < table->num_columns(); ++i) column_indices.push_back(i);
@@ -187,20 +189,30 @@ Result<TablePtr> DropNullRows(const TablePtr& table,
     }
   }
 
-  col::BoolBuilder keep;
-  keep.Reserve(table->num_rows());
-  for (int64_t r = 0; r < table->num_rows(); ++r) {
-    bool any_null = false;
-    for (int c : column_indices) {
-      if (table->column(c)->IsNull(r)) {
-        any_null = true;
-        break;
-      }
+  // A row stays when its bit is set in every subset column's validity
+  // bitmap (a column without one has no nulls). `keep` is whole 64-bit
+  // words; the bits past the last row, which a byte-aligned slice shares
+  // with its parent, are masked off when the words turn into row indices.
+  const int64_t n = table->num_rows();
+  const int64_t words = (n + 63) / 64;
+  std::vector<uint64_t> keep(static_cast<size_t>(words), ~uint64_t{0});
+  uint8_t* keep_bytes = reinterpret_cast<uint8_t*>(keep.data());
+  for (int c : column_indices) {
+    const uint8_t* bits = table->column(c)->validity_bits();
+    if (bits != nullptr) {
+      simd::AndBytes(keep_bytes, bits, keep_bytes, col::BitmapBytes(n));
     }
-    keep.Append(!any_null);
   }
-  BENTO_ASSIGN_OR_RETURN(auto mask, keep.Finish());
-  return FilterTable(table, mask);
+  std::vector<int64_t> rows;
+  rows.reserve(static_cast<size_t>(n));
+  for (int64_t w = 0; w < words; ++w) {
+    uint64_t word = keep[static_cast<size_t>(w)];
+    if (w == words - 1 && (n & 63) != 0) word &= (uint64_t{1} << (n & 63)) - 1;
+    for (; word != 0; word &= word - 1) {
+      rows.push_back(w * 64 + __builtin_ctzll(word));
+    }
+  }
+  return FilterTableRows(table, rows, options);
 }
 
 }  // namespace bento::kern

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "kernels/common.h"
+#include "sim/parallel.h"
 
 namespace bento::kern {
 
@@ -33,9 +34,12 @@ Result<ArrayPtr> FillNull(const ArrayPtr& values, const Scalar& fill);
 Result<ArrayPtr> FillNullWithMean(const ArrayPtr& values);
 
 /// \brief Drops rows that contain a null in any of `subset` columns
-/// (all columns when `subset` is empty).
+/// (all columns when `subset` is empty). The kept rows come from the AND of
+/// the subset's validity bitmaps and go through FilterTableRows' gather
+/// under `options`.
 Result<TablePtr> DropNullRows(const TablePtr& table,
-                              const std::vector<std::string>& subset = {});
+                              const std::vector<std::string>& subset,
+                              const sim::ParallelOptions& options);
 
 }  // namespace bento::kern
 

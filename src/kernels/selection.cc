@@ -1,6 +1,7 @@
 #include "kernels/selection.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "columnar/builder.h"
 #include "obs/trace.h"
@@ -12,51 +13,9 @@ namespace {
 
 using col::BoolBuilder;
 using col::CategoricalBuilder;
-using col::FixedBuilder;
 using col::Float64Builder;
 using col::Int64Builder;
 using col::StringBuilder;
-
-/// Sized gather of pre-materialized filter indices into a fixed-width
-/// column: exact-size output buffer, no builder growth. Null slots keep the
-/// zero-initialized payload — the same bytes the builder's AppendNull
-/// staged, so results stay bit-identical to the old per-row builder loop.
-template <typename T>
-struct FilteredFixed {
-  col::BufferPtr data;
-  col::BufferPtr validity;  // nullptr when no output slot is null
-  int64_t null_count = 0;
-};
-
-template <typename T>
-Result<FilteredFixed<T>> FilterGatherFixed(const ArrayPtr& values,
-                                           const T* src,
-                                           const int64_t* idx,
-                                           int64_t count) {
-  FilteredFixed<T> out;
-  BENTO_ASSIGN_OR_RETURN(
-      out.data, col::Buffer::Allocate(static_cast<uint64_t>(count) * sizeof(T)));
-  T* dst = out.data->template mutable_data_as<T>();
-  const uint8_t* src_valid = values->validity_bits();
-  if (src_valid == nullptr) {
-    for (int64_t k = 0; k < count; ++k) dst[k] = src[idx[k]];
-    return out;
-  }
-  BENTO_ASSIGN_OR_RETURN(auto validity, col::AllocateBitmap(count, false));
-  uint8_t* vbits = validity->mutable_data();
-  int64_t valid = 0;
-  for (int64_t k = 0; k < count; ++k) {
-    const int64_t i = idx[k];
-    if (col::BitIsSet(src_valid, i)) {
-      dst[k] = src[i];
-      col::SetBit(vbits, k);
-      ++valid;
-    }
-  }
-  out.null_count = count - valid;
-  if (out.null_count > 0) out.validity = std::move(validity);
-  return out;
-}
 
 template <typename Builder, typename Getter>
 Result<ArrayPtr> TakeFixed(const ArrayPtr& values,
@@ -80,81 +39,6 @@ Result<ArrayPtr> RetypeTimestamp(Result<ArrayPtr> r) {
 }
 
 }  // namespace
-
-Result<ArrayPtr> Filter(const ArrayPtr& values, const ArrayPtr& mask) {
-  if (mask->type() != TypeId::kBool) {
-    return Status::TypeError("filter mask must be bool, got ",
-                             col::TypeName(mask->type()));
-  }
-  if (mask->length() != values->length()) {
-    return Status::Invalid("mask length ", mask->length(),
-                           " != values length ", values->length());
-  }
-  // Vectorized mask scan: materialize the selected row indices once, then
-  // gather into exact-size output buffers.
-  const int64_t n = values->length();
-  std::vector<int64_t> idx(static_cast<size_t>(n));
-  const int64_t count =
-      simd::MaskToIndices(mask->bool_data(), mask->validity_bits(), n,
-                          idx.data());
-  switch (values->type()) {
-    case TypeId::kInt64:
-    case TypeId::kTimestamp: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, FilterGatherFixed<int64_t>(values, values->int64_data(),
-                                             idx.data(), count));
-      return Array::MakeFixed(values->type(), count, std::move(g.data),
-                              std::move(g.validity), g.null_count);
-    }
-    case TypeId::kFloat64: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, FilterGatherFixed<double>(values, values->float64_data(),
-                                            idx.data(), count));
-      return Array::MakeFixed(TypeId::kFloat64, count, std::move(g.data),
-                              std::move(g.validity), g.null_count);
-    }
-    case TypeId::kBool: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, FilterGatherFixed<uint8_t>(values, values->bool_data(),
-                                             idx.data(), count));
-      return Array::MakeFixed(TypeId::kBool, count, std::move(g.data),
-                              std::move(g.validity), g.null_count);
-    }
-    case TypeId::kString: {
-      StringBuilder builder;
-      builder.Reserve(count);
-      for (int64_t k = 0; k < count; ++k) {
-        const int64_t i = idx[static_cast<size_t>(k)];
-        if (values->IsValid(i)) {
-          builder.Append(values->GetView(i));
-        } else {
-          builder.AppendNull();
-        }
-      }
-      return builder.Finish();
-    }
-    case TypeId::kCategorical: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, FilterGatherFixed<int32_t>(values, values->codes_data(),
-                                             idx.data(), count));
-      return Array::MakeCategorical(count, std::move(g.data),
-                                    values->dictionary(), std::move(g.validity),
-                                    g.null_count);
-    }
-  }
-  return Status::Invalid("unsupported type in Filter");
-}
-
-Result<TablePtr> FilterTable(const TablePtr& table, const ArrayPtr& mask) {
-  std::vector<ArrayPtr> columns;
-  columns.reserve(static_cast<size_t>(table->num_columns()));
-  for (const ArrayPtr& c : table->columns()) {
-    BENTO_ASSIGN_OR_RETURN(auto filtered, Filter(c, mask));
-    columns.push_back(std::move(filtered));
-  }
-  if (columns.empty()) return table;
-  return Table::Make(table->schema(), std::move(columns));
-}
 
 Result<ArrayPtr> Take(const ArrayPtr& values,
                       const std::vector<int64_t>& indices) {
@@ -217,7 +101,7 @@ Result<TablePtr> TakeTable(const TablePtr& table,
 }
 
 // ---------------------------------------------------------------------------
-// Sized parallel gather (TakeParallel / TakeTableParallel)
+// Sized gather (TakeParallel / TakeTableParallel and the filters)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -269,222 +153,292 @@ Result<GatherPlan> PlanGather(const std::vector<int64_t>& indices,
   return plan;
 }
 
-/// Buffers of one gathered fixed-width column.
-struct GatheredBuffers {
-  col::BufferPtr data;
-  col::BufferPtr validity;  // nullptr when no output slot is null
-  int64_t null_count = 0;
+/// One value as the builders store it: a bool as 0 or 1.
+template <typename T>
+T Stored(T value) {
+  if constexpr (std::is_same_v<T, uint8_t>) {
+    return value != 0;
+  } else {
+    return value;
+  }
+}
+
+/// Gathers rows [b, e) of one fixed-width column into `dst`; returns how
+/// many are valid. A null slot holds `null_value` (-1 for categorical codes,
+/// 0 otherwise): the bytes the serial builders' AppendNull writes.
+template <typename T>
+int64_t GatherFixedRange(const T* src, const uint8_t* src_valid, T null_value,
+                         const std::vector<int64_t>& indices, int64_t b,
+                         int64_t e, T* dst, uint8_t* vbits) {
+  if (vbits == nullptr) {
+    for (int64_t i = b; i < e; ++i) {
+      dst[i] = Stored(src[indices[static_cast<size_t>(i)]]);
+    }
+    return e - b;
+  }
+  int64_t valid = 0;
+  for (int64_t i = b; i < e; ++i) {
+    const int64_t idx = indices[static_cast<size_t>(i)];
+    if (idx < 0 || (src_valid != nullptr && !col::BitIsSet(src_valid, idx))) {
+      dst[i] = null_value;  // cleared bit = null slot
+      continue;
+    }
+    dst[i] = Stored(src[idx]);
+    col::SetBit(vbits, i);
+    ++valid;
+  }
+  return valid;
+}
+
+/// Output of one column of a sized gather, filled range by range.
+struct ColumnGather {
+  const Array* src = nullptr;
+  col::BufferPtr data;      // values, or a string column's offsets
+  col::BufferPtr chars;     // strings: sized once pass 1 knows the bytes
+  col::BufferPtr validity;  // set when an output slot may be null
+  std::vector<int64_t> valid;  // valid slots per range
+  std::vector<int64_t> bytes;  // strings: characters per range
 };
 
-/// Fixed-width gather: exact-size output buffer, one memwrite per row, no
-/// builder growth. Null slots keep the zero-initialized value — the same
-/// bytes the serial builder's AppendNull produces.
-template <typename T>
-Result<GatheredBuffers> GatherFixed(const ArrayPtr& values, const T* src,
-                                    const std::vector<int64_t>& indices,
-                                    const GatherPlan& plan,
-                                    const sim::ParallelOptions& options) {
-  const int64_t n = static_cast<int64_t>(indices.size());
-  BENTO_ASSIGN_OR_RETURN(
-      auto data, col::Buffer::Allocate(static_cast<uint64_t>(n) * sizeof(T)));
-  T* dst = data->mutable_data_as<T>();
-
-  const bool need_validity = plan.any_negative || values->MayHaveNulls();
-  col::BufferPtr validity;
-  uint8_t* vbits = nullptr;
-  if (need_validity) {
-    BENTO_ASSIGN_OR_RETURN(validity, col::AllocateBitmap(n, false));
-    vbits = validity->mutable_data();
+/// Pass 1 over rows [b, e) of one column: fixed-width values are copied;
+/// a string row's byte length is staged in off[i + 1].
+int64_t GatherPass1(ColumnGather* g, const std::vector<int64_t>& indices,
+                    int64_t b, int64_t e, int64_t* range_bytes) {
+  const Array& a = *g->src;
+  const uint8_t* src_valid = a.validity_bits();
+  uint8_t* vbits = g->validity != nullptr ? g->validity->mutable_data() : nullptr;
+  switch (a.type()) {
+    case TypeId::kInt64:
+    case TypeId::kTimestamp:
+      return GatherFixedRange<int64_t>(a.int64_data(), src_valid, 0, indices,
+                                       b, e,
+                                       g->data->mutable_data_as<int64_t>(),
+                                       vbits);
+    case TypeId::kFloat64:
+      return GatherFixedRange<double>(a.float64_data(), src_valid, 0.0,
+                                      indices, b, e,
+                                      g->data->mutable_data_as<double>(),
+                                      vbits);
+    case TypeId::kBool:
+      return GatherFixedRange<uint8_t>(a.bool_data(), src_valid, 0, indices, b,
+                                       e, g->data->mutable_data(), vbits);
+    case TypeId::kCategorical:
+      return GatherFixedRange<int32_t>(a.codes_data(), src_valid, -1, indices,
+                                       b, e,
+                                       g->data->mutable_data_as<int32_t>(),
+                                       vbits);
+    case TypeId::kString: {
+      const int64_t* src_off = a.offsets_data();
+      int64_t* off = g->data->mutable_data_as<int64_t>();
+      int64_t bytes = 0;
+      int64_t valid = 0;
+      for (int64_t i = b; i < e; ++i) {
+        const int64_t idx = indices[static_cast<size_t>(i)];
+        int64_t len = 0;
+        if (idx >= 0 && (src_valid == nullptr || col::BitIsSet(src_valid, idx))) {
+          len = src_off[idx + 1] - src_off[idx];
+          if (vbits != nullptr) col::SetBit(vbits, i);
+          ++valid;
+        }
+        off[i + 1] = len;
+        bytes += len;
+      }
+      *range_bytes = bytes;
+      return valid;
+    }
   }
-  const uint8_t* src_valid = values->validity_bits();
+  return 0;
+}
 
-  std::vector<int64_t> valid_counts(plan.ranges.size(), 0);
+/// Pass 2 over rows [b, e) of one string column: staged lengths become
+/// absolute offsets from the range's base, and the characters are copied
+/// into their disjoint [off[i], off[i + 1]) spans.
+void GatherPass2(ColumnGather* g, const std::vector<int64_t>& indices,
+                 int64_t b, int64_t e, int64_t base) {
+  const int64_t* src_off = g->src->offsets_data();
+  const char* src_chars = g->src->chars_data();
+  int64_t* off = g->data->mutable_data_as<int64_t>();
+  char* dst = reinterpret_cast<char*>(g->chars->mutable_data());
+  for (int64_t i = b; i < e; ++i) {
+    const int64_t len = off[i + 1];
+    if (len > 0) {
+      std::memcpy(dst + base, src_chars + src_off[indices[static_cast<size_t>(i)]],
+                  static_cast<size_t>(len));
+    }
+    base += len;
+    off[i + 1] = base;
+  }
+}
+
+/// A gathered column as an array, without a bitmap when no slot is null.
+Result<ArrayPtr> FinishColumn(ColumnGather* g, int64_t n) {
+  int64_t null_count = n;
+  for (int64_t v : g->valid) null_count -= v;
+  if (null_count == 0) g->validity.reset();
+  switch (g->src->type()) {
+    case TypeId::kString:
+      return Array::MakeString(n, std::move(g->data), std::move(g->chars),
+                               std::move(g->validity), null_count);
+    case TypeId::kCategorical:
+      return Array::MakeCategorical(n, std::move(g->data),
+                                    g->src->dictionary(),
+                                    std::move(g->validity), null_count);
+    default:
+      return Array::MakeFixed(g->src->type(), n, std::move(g->data),
+                              std::move(g->validity), null_count);
+  }
+}
+
+/// The sized gather of every column at once: exact-size output buffers,
+/// no builder growth. One task per (column, morsel range) copies the
+/// fixed-width values and stages string lengths; a serial prefix over the
+/// range totals sizes each string column's characters; a second task set
+/// writes its offsets and characters. Small tables still fan out across
+/// their columns.
+Result<std::vector<ArrayPtr>> GatherColumns(
+    const std::vector<ArrayPtr>& columns, const std::vector<int64_t>& indices,
+    const GatherPlan& plan, const sim::ParallelOptions& options) {
+  const int64_t n = static_cast<int64_t>(indices.size());
+  const int64_t nranges = static_cast<int64_t>(plan.ranges.size());
+  std::vector<ColumnGather> gathers(columns.size());
+  std::vector<size_t> strings;  // indices into `gathers`
+  for (size_t c = 0; c < columns.size(); ++c) {
+    ColumnGather& g = gathers[c];
+    g.src = columns[c].get();
+    const bool is_string = g.src->type() == TypeId::kString;
+    const uint64_t bytes =
+        is_string ? static_cast<uint64_t>(n + 1) * sizeof(int64_t)
+                  : static_cast<uint64_t>(n) * col::ByteWidth(g.src->type());
+    BENTO_ASSIGN_OR_RETURN(g.data, col::Buffer::Allocate(bytes));
+    if (plan.any_negative || g.src->MayHaveNulls()) {
+      BENTO_ASSIGN_OR_RETURN(g.validity, col::AllocateBitmap(n, false));
+    }
+    g.valid.assign(static_cast<size_t>(nranges), 0);
+    if (is_string) {
+      g.bytes.assign(static_cast<size_t>(nranges), 0);
+      strings.push_back(c);
+    }
+  }
+
   BENTO_RETURN_NOT_OK(sim::ParallelFor(
-      static_cast<int64_t>(plan.ranges.size()),
-      [&](int64_t r) {
-        auto [b, e] = plan.ranges[static_cast<size_t>(r)];
-        if (vbits == nullptr) {
-          for (int64_t i = b; i < e; ++i) {
-            dst[i] = src[indices[static_cast<size_t>(i)]];
-          }
-          return Status::OK();
-        }
-        int64_t count = 0;
-        for (int64_t i = b; i < e; ++i) {
-          const int64_t idx = indices[static_cast<size_t>(i)];
-          if (idx < 0 || (src_valid != nullptr && !col::BitIsSet(src_valid, idx))) {
-            continue;  // zero-initialized data + cleared bit = null slot
-          }
-          dst[i] = src[idx];
-          col::SetBit(vbits, i);
-          ++count;
-        }
-        valid_counts[static_cast<size_t>(r)] = count;
+      static_cast<int64_t>(columns.size()) * nranges,
+      [&](int64_t t) {
+        ColumnGather& g = gathers[static_cast<size_t>(t / nranges)];
+        const size_t r = static_cast<size_t>(t % nranges);
+        auto [b, e] = plan.ranges[r];
+        int64_t* range_bytes = g.bytes.empty() ? nullptr : &g.bytes[r];
+        g.valid[r] = GatherPass1(&g, indices, b, e, range_bytes);
         return Status::OK();
       },
       options));
 
-  GatheredBuffers out;
-  out.data = std::move(data);
-  if (vbits != nullptr) {
-    out.null_count = n;
-    for (int64_t c : valid_counts) out.null_count -= c;
-    if (out.null_count > 0) out.validity = std::move(validity);
+  // Serial prefix over each string column's range totals.
+  std::vector<std::vector<int64_t>> bases(strings.size());
+  for (size_t s = 0; s < strings.size(); ++s) {
+    ColumnGather& g = gathers[strings[s]];
+    int64_t total = 0;
+    for (int64_t bytes : g.bytes) {
+      bases[s].push_back(total);
+      total += bytes;
+    }
+    BENTO_ASSIGN_OR_RETURN(g.chars,
+                           col::Buffer::Allocate(static_cast<uint64_t>(total)));
+  }
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+      static_cast<int64_t>(strings.size()) * nranges,
+      [&](int64_t t) {
+        const size_t s = static_cast<size_t>(t / nranges);
+        const size_t r = static_cast<size_t>(t % nranges);
+        auto [b, e] = plan.ranges[r];
+        GatherPass2(&gathers[strings[s]], indices, b, e, bases[s][r]);
+        return Status::OK();
+      },
+      options));
+
+  std::vector<ArrayPtr> out;
+  out.reserve(columns.size());
+  for (ColumnGather& g : gathers) {
+    BENTO_ASSIGN_OR_RETURN(auto a, FinishColumn(&g, n));
+    out.push_back(std::move(a));
   }
   return out;
 }
 
-Result<ArrayPtr> GatherString(const ArrayPtr& values,
+Result<TablePtr> GatherTable(const TablePtr& table,
+                             const std::vector<int64_t>& indices,
+                             const GatherPlan& plan,
+                             const sim::ParallelOptions& options) {
+  if (table->num_columns() == 0) return table;
+  BENTO_ASSIGN_OR_RETURN(auto columns, GatherColumns(table->columns(), indices,
+                                                     plan, options));
+  return Table::Make(table->schema(), std::move(columns));
+}
+
+Result<ArrayPtr> GatherColumn(const ArrayPtr& values,
                               const std::vector<int64_t>& indices,
                               const GatherPlan& plan,
                               const sim::ParallelOptions& options) {
-  const int64_t n = static_cast<int64_t>(indices.size());
-  const int64_t* src_off = values->offsets_data();
-  const char* src_chars = values->chars_data();
-  const uint8_t* src_valid = values->validity_bits();
-
-  BENTO_ASSIGN_OR_RETURN(
-      auto offsets,
-      col::Buffer::Allocate(static_cast<uint64_t>(n + 1) * sizeof(int64_t)));
-  int64_t* off = offsets->mutable_data_as<int64_t>();
-
-  const bool need_validity = plan.any_negative || values->MayHaveNulls();
-  col::BufferPtr validity;
-  uint8_t* vbits = nullptr;
-  if (need_validity) {
-    BENTO_ASSIGN_OR_RETURN(validity, col::AllocateBitmap(n, false));
-    vbits = validity->mutable_data();
-  }
-
-  // Pass 1: per-row byte lengths (staged in off[i+1]) + per-range totals.
-  const size_t nranges = plan.ranges.size();
-  std::vector<int64_t> range_bytes(nranges, 0);
-  std::vector<int64_t> valid_counts(nranges, 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
-      static_cast<int64_t>(nranges),
-      [&](int64_t r) {
-        auto [b, e] = plan.ranges[static_cast<size_t>(r)];
-        int64_t bytes = 0;
-        int64_t count = 0;
-        for (int64_t i = b; i < e; ++i) {
-          const int64_t idx = indices[static_cast<size_t>(i)];
-          int64_t len = 0;
-          if (idx >= 0 &&
-              (src_valid == nullptr || col::BitIsSet(src_valid, idx))) {
-            len = src_off[idx + 1] - src_off[idx];
-            if (vbits != nullptr) col::SetBit(vbits, i);
-            ++count;
-          }
-          off[i + 1] = len;
-          bytes += len;
-        }
-        range_bytes[static_cast<size_t>(r)] = bytes;
-        valid_counts[static_cast<size_t>(r)] = count;
-        return Status::OK();
-      },
-      options));
-
-  // Serial prefix over range totals -> per-range base offsets.
-  std::vector<int64_t> range_base(nranges, 0);
-  int64_t total_bytes = 0;
-  for (size_t r = 0; r < nranges; ++r) {
-    range_base[r] = total_bytes;
-    total_bytes += range_bytes[r];
-  }
-
-  // Pass 2: staged lengths -> absolute offsets. Each range reads and writes
-  // only its own off[b+1..e]; off[b] was finalized by the preceding range
-  // (and off[0] is the buffer's zero initialization).
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
-      static_cast<int64_t>(nranges),
-      [&](int64_t r) {
-        auto [b, e] = plan.ranges[static_cast<size_t>(r)];
-        int64_t running = range_base[static_cast<size_t>(r)];
-        for (int64_t i = b; i < e; ++i) {
-          running += off[i + 1];
-          off[i + 1] = running;
-        }
-        return Status::OK();
-      },
-      options));
-
-  BENTO_ASSIGN_OR_RETURN(auto chars,
-                         col::Buffer::Allocate(static_cast<uint64_t>(total_bytes)));
-  char* dst_chars = reinterpret_cast<char*>(chars->mutable_data());
-
-  // Pass 3: byte copies into disjoint [off[i], off[i+1]) spans.
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
-      static_cast<int64_t>(nranges),
-      [&](int64_t r) {
-        auto [b, e] = plan.ranges[static_cast<size_t>(r)];
-        for (int64_t i = b; i < e; ++i) {
-          const int64_t len = off[i + 1] - off[i];
-          if (len > 0) {
-            const int64_t idx = indices[static_cast<size_t>(i)];
-            std::memcpy(dst_chars + off[i], src_chars + src_off[idx],
-                        static_cast<size_t>(len));
-          }
-        }
-        return Status::OK();
-      },
-      options));
-
-  int64_t null_count = 0;
-  if (vbits != nullptr) {
-    null_count = n;
-    for (int64_t c : valid_counts) null_count -= c;
-    if (null_count == 0) validity.reset();
-  }
-  return Array::MakeString(n, std::move(offsets), std::move(chars),
-                           std::move(validity), null_count);
-}
-
-Result<ArrayPtr> TakeParallelImpl(const ArrayPtr& values,
-                                  const std::vector<int64_t>& indices,
-                                  const GatherPlan& plan,
-                                  const sim::ParallelOptions& options) {
-  const int64_t n = static_cast<int64_t>(indices.size());
-  switch (values->type()) {
-    case TypeId::kInt64:
-    case TypeId::kTimestamp: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, GatherFixed<int64_t>(values, values->int64_data(), indices,
-                                       plan, options));
-      return Array::MakeFixed(values->type(), n, std::move(g.data),
-                              std::move(g.validity), g.null_count);
-    }
-    case TypeId::kFloat64: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, GatherFixed<double>(values, values->float64_data(), indices,
-                                      plan, options));
-      return Array::MakeFixed(TypeId::kFloat64, n, std::move(g.data),
-                              std::move(g.validity), g.null_count);
-    }
-    case TypeId::kBool: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, GatherFixed<uint8_t>(values, values->bool_data(), indices,
-                                       plan, options));
-      return Array::MakeFixed(TypeId::kBool, n, std::move(g.data),
-                              std::move(g.validity), g.null_count);
-    }
-    case TypeId::kString:
-      return GatherString(values, indices, plan, options);
-    case TypeId::kCategorical: {
-      BENTO_ASSIGN_OR_RETURN(
-          auto g, GatherFixed<int32_t>(values, values->codes_data(), indices,
-                                       plan, options));
-      return Array::MakeCategorical(n, std::move(g.data), values->dictionary(),
-                                    std::move(g.validity), g.null_count);
-    }
-  }
-  return Status::Invalid("unsupported type in TakeParallel");
+  BENTO_ASSIGN_OR_RETURN(auto columns,
+                         GatherColumns({values}, indices, plan, options));
+  return columns[0];
 }
 
 /// Below this row count the sized-gather setup (morsel planning, bitmap
 /// allocation, fan-out) costs more than the serial builder path saves.
 constexpr int64_t kMinParallelTakeRows = 4096;
 
+/// The rows where `mask` is true and valid, checked against `length`.
+Result<std::vector<int64_t>> MaskRows(const ArrayPtr& mask, int64_t length) {
+  if (mask->type() != TypeId::kBool) {
+    return Status::TypeError("filter mask must be bool, got ",
+                             col::TypeName(mask->type()));
+  }
+  if (mask->length() != length) {
+    return Status::Invalid("mask length ", mask->length(),
+                           " != values length ", length);
+  }
+  std::vector<int64_t> rows(static_cast<size_t>(length));
+  rows.resize(static_cast<size_t>(simd::MaskToIndices(
+      mask->bool_data(), mask->validity_bits(), length, rows.data())));
+  return rows;
+}
+
+/// A filter's kept rows are in bounds and never -1, so its gather needs
+/// only the morsel ranges, not PlanGather's scan.
+GatherPlan FilterPlan(const std::vector<int64_t>& rows,
+                      const sim::ParallelOptions& options) {
+  GatherPlan plan;
+  plan.ranges = sim::MorselRanges(static_cast<int64_t>(rows.size()),
+                                  sim::ResolveWorkers(options));
+  return plan;
+}
+
 }  // namespace
+
+Result<ArrayPtr> Filter(const ArrayPtr& values, const ArrayPtr& mask,
+                        const sim::ParallelOptions& options) {
+  BENTO_ASSIGN_OR_RETURN(auto rows, MaskRows(mask, values->length()));
+  return GatherColumn(values, rows, FilterPlan(rows, options), options);
+}
+
+Result<TablePtr> FilterTable(const TablePtr& table, const ArrayPtr& mask,
+                             const sim::ParallelOptions& options) {
+  BENTO_TRACE_SPAN(kKernel, "filter");
+  BENTO_ASSIGN_OR_RETURN(auto rows, MaskRows(mask, table->num_rows()));
+  return GatherTable(table, rows, FilterPlan(rows, options), options);
+}
+
+Result<TablePtr> FilterTableRows(const TablePtr& table,
+                                 const std::vector<int64_t>& rows,
+                                 const sim::ParallelOptions& options) {
+  BENTO_TRACE_SPAN(kKernel, "filter");
+  if (!rows.empty() && (rows.front() < 0 || rows.back() >= table->num_rows())) {
+    return Status::IndexError("filter rows [", rows.front(), ", ", rows.back(),
+                              "] outside a table of ", table->num_rows(),
+                              " rows");
+  }
+  return GatherTable(table, rows, FilterPlan(rows, options), options);
+}
 
 Result<ArrayPtr> TakeParallel(const ArrayPtr& values,
                               const std::vector<int64_t>& indices,
@@ -494,7 +448,7 @@ Result<ArrayPtr> TakeParallel(const ArrayPtr& values,
   }
   BENTO_ASSIGN_OR_RETURN(auto plan,
                          PlanGather(indices, values->length(), options));
-  return TakeParallelImpl(values, indices, plan, options);
+  return GatherColumn(values, indices, plan, options);
 }
 
 Result<TablePtr> TakeTableParallel(const TablePtr& table,
@@ -506,15 +460,7 @@ Result<TablePtr> TakeTableParallel(const TablePtr& table,
   BENTO_TRACE_SPAN(kKernel, "take.parallel");
   BENTO_ASSIGN_OR_RETURN(auto plan,
                          PlanGather(indices, table->num_rows(), options));
-  std::vector<ArrayPtr> columns;
-  columns.reserve(static_cast<size_t>(table->num_columns()));
-  for (const ArrayPtr& c : table->columns()) {
-    BENTO_ASSIGN_OR_RETURN(auto taken,
-                           TakeParallelImpl(c, indices, plan, options));
-    columns.push_back(std::move(taken));
-  }
-  if (columns.empty()) return table;
-  return Table::Make(table->schema(), std::move(columns));
+  return GatherTable(table, indices, plan, options);
 }
 
 }  // namespace bento::kern

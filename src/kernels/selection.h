@@ -10,9 +10,20 @@
 namespace bento::kern {
 
 /// \brief Keeps rows where `mask` is true (null mask slots drop the row).
-/// `mask` must be a kBool array of the same length.
-Result<ArrayPtr> Filter(const ArrayPtr& values, const ArrayPtr& mask);
-Result<TablePtr> FilterTable(const TablePtr& table, const ArrayPtr& mask);
+/// `mask` must be a kBool array of the same length. The mask turns into row
+/// indices once per call; every column then goes through the sized gather
+/// of TakeTableParallel at any row count, with `options` deciding its
+/// fan-out (one worker keeps it serial).
+Result<ArrayPtr> Filter(const ArrayPtr& values, const ArrayPtr& mask,
+                        const sim::ParallelOptions& options);
+Result<TablePtr> FilterTable(const TablePtr& table, const ArrayPtr& mask,
+                             const sim::ParallelOptions& options);
+
+/// \brief The gather behind FilterTable, for callers that already hold the
+/// kept rows: `rows` must be ascending and inside the table.
+Result<TablePtr> FilterTableRows(const TablePtr& table,
+                                 const std::vector<int64_t>& rows,
+                                 const sim::ParallelOptions& options);
 
 /// \brief Gathers rows at `indices`; an index of -1 emits a null row
 /// (used by left joins).
@@ -22,8 +33,10 @@ Result<TablePtr> TakeTable(const TablePtr& table,
                            const std::vector<int64_t>& indices);
 
 /// \brief Sized two-pass gather: output buffers are allocated to their exact
-/// final size up front (prefix-summed byte totals for strings) and morsel
-/// tasks copy disjoint output ranges — no growth-amortized builder appends.
+/// final size up front (prefix-summed byte totals for strings) and one task
+/// per (column, morsel range) copies a disjoint output range — no
+/// growth-amortized builder appends, and a table smaller than one morsel
+/// still fans out across its columns.
 /// Bit-identical to Take (including -1 -> null and the null/validity
 /// layout); falls back to the serial builder path for small inputs. Used by
 /// the parallel join/sort/dedup/group-by assembly stages; in kSimulated mode

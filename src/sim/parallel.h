@@ -46,6 +46,14 @@ struct ParallelOptions {
   ExecutionMode mode = ExecutionMode::kSimulated;
 };
 
+/// \brief Options that keep a kernel on one worker: its tasks run serially
+/// on the caller and earn no makespan credit.
+inline ParallelOptions OneWorker() {
+  ParallelOptions options;
+  options.max_workers = 1;
+  return options;
+}
+
 /// \brief Executes `n` independent tasks, either simulating their parallel
 /// schedule or actually running them on the work-stealing thread pool.
 ///

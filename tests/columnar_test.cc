@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "columnar/bitmap.h"
 #include "columnar/builder.h"
@@ -15,9 +13,12 @@ namespace bento::col {
 namespace {
 
 using test::Bools;
+using test::ExpectSameBytes;
 using test::F64;
 using test::I64;
 using test::MakeTable;
+using test::RandomDictionary;
+using test::RawArray;
 using test::Str;
 
 TEST(BufferTest, AllocateZeroInitialized) {
@@ -303,117 +304,6 @@ ArrayPtr ReferenceConcat(const std::vector<ArrayPtr>& parts, TypeId type) {
     }
   }
   return nullptr;
-}
-
-/// Asserts byte identity: length, cached null count, validity presence and
-/// bytes, data / offsets bytes, dictionary values and ByteSize.
-void ExpectSameBytes(const ArrayPtr& expected, const ArrayPtr& actual) {
-  ASSERT_EQ(expected->type(), actual->type());
-  ASSERT_EQ(expected->length(), actual->length());
-  EXPECT_EQ(expected->cached_null_count(), actual->cached_null_count());
-  EXPECT_EQ(expected->ByteSize(), actual->ByteSize());
-  auto same = [](const BufferPtr& a, const BufferPtr& b, const char* what) {
-    ASSERT_EQ(a == nullptr, b == nullptr) << what;
-    if (a == nullptr) return;
-    ASSERT_EQ(a->size(), b->size()) << what;
-    EXPECT_TRUE(a->size() == 0 ||
-                std::memcmp(a->data(), b->data(), a->size()) == 0)
-        << what;
-  };
-  same(expected->validity_buffer(), actual->validity_buffer(), "validity");
-  same(expected->data_buffer(), actual->data_buffer(), "data");
-  same(expected->offsets_buffer(), actual->offsets_buffer(), "offsets");
-  if (expected->type() == TypeId::kCategorical) {
-    EXPECT_EQ(*expected->dictionary(), *actual->dictionary());
-  }
-}
-
-/// Validity bitmap of `n` bits with about `null_frac` of them cleared, or
-/// nullptr when none are; `dense` keeps an all-set bitmap anyway.
-BufferPtr RandomValidity(int64_t n, double null_frac, bool dense, Rng* rng) {
-  auto bits = AllocateBitmap(n, true).ValueOrDie();
-  bool any_null = false;
-  for (int64_t i = 0; i < n; ++i) {
-    if (rng->Bernoulli(null_frac)) {
-      ClearBit(bits->mutable_data(), i);
-      any_null = true;
-    }
-  }
-  return any_null || dense ? bits : nullptr;
-}
-
-/// A raw `type` array of `n` rows. `hostile` fills null slots with
-/// garbage: random bytes under fixed-width nulls, characters under string
-/// nulls, out-of-range codes under categorical nulls, and bool bytes other
-/// than 0/1 in every slot.
-ArrayPtr RawArray(TypeId type, int64_t n, double null_frac, bool hostile,
-                  const Dictionary& dict, Rng* rng) {
-  BufferPtr validity = RandomValidity(n, null_frac, rng->Bernoulli(0.3), rng);
-  auto valid = [&](int64_t i) {
-    return validity == nullptr || BitIsSet(validity->data(), i);
-  };
-  switch (type) {
-    case TypeId::kString: {
-      auto offsets =
-          Buffer::Allocate(static_cast<uint64_t>(n + 1) * 8).ValueOrDie();
-      std::string chars;
-      int64_t* off = offsets->mutable_data_as<int64_t>();
-      off[0] = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        if (valid(i) || (hostile && rng->Bernoulli(0.5))) {
-          chars += rng->AsciiString(0, 9);
-        }
-        off[i + 1] = static_cast<int64_t>(chars.size());
-      }
-      return Array::MakeString(n, offsets,
-                               Buffer::CopyOf(chars.data(), chars.size())
-                                   .ValueOrDie(),
-                               validity)
-          .ValueOrDie();
-    }
-    case TypeId::kCategorical: {
-      auto codes = Buffer::Allocate(static_cast<uint64_t>(n) * 4).ValueOrDie();
-      for (int64_t i = 0; i < n; ++i) {
-        codes->mutable_data_as<int32_t>()[i] =
-            valid(i) || !hostile
-                ? static_cast<int32_t>(rng->Uniform(dict->size()))
-                : static_cast<int32_t>(rng->Next() >> 40) + 1000;
-      }
-      return Array::MakeCategorical(n, codes, dict, validity).ValueOrDie();
-    }
-    default: {
-      const uint64_t width = static_cast<uint64_t>(ByteWidth(type));
-      auto data = Buffer::Allocate(static_cast<uint64_t>(n) * width)
-                      .ValueOrDie();
-      for (int64_t i = 0; i < n; ++i) {
-        uint8_t* slot = data->mutable_data() + static_cast<uint64_t>(i) * width;
-        if (type == TypeId::kBool) {
-          *slot = static_cast<uint8_t>(hostile ? rng->Uniform(256)
-                                               : rng->Uniform(2));
-        } else if (valid(i) || hostile) {
-          const uint64_t bits = type == TypeId::kFloat64
-                                    ? std::bit_cast<uint64_t>(
-                                          rng->UniformDouble(-1e6, 1e6))
-                                    : rng->Next();
-          std::memcpy(slot, &bits, 8);
-        }
-      }
-      return Array::MakeFixed(type, n, data, validity).ValueOrDie();
-    }
-  }
-}
-
-/// A random dictionary of distinct values.
-Dictionary RandomDictionary(Rng* rng) {
-  auto dict = std::make_shared<std::vector<std::string>>();
-  const int size = static_cast<int>(rng->UniformInt(1, 12));
-  for (int k = 0; dict->size() < static_cast<size_t>(size); ++k) {
-    std::string v = "v" + std::to_string(rng->Uniform(20));
-    if (std::find(dict->begin(), dict->end(), v) == dict->end()) {
-      dict->push_back(v);
-    }
-  }
-  return dict;
 }
 
 /// Bulk concat against the element-wise builder reference for all six

@@ -190,8 +190,8 @@ void StripIndexFromAction(ActionResult* a) {
         keep.Append(names->IsNull(i) ||
                     std::string(names->GetView(i)).rfind("__index__", 0) != 0);
       }
-      a->table =
-          kern::FilterTable(a->table, keep.Finish().ValueOrDie()).ValueOrDie();
+      a->table = kern::FilterTable(a->table, keep.Finish().ValueOrDie(), {})
+                     .ValueOrDie();
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "io/csv.h"
 #include "io/encoding.h"
 #include "kernels/cast.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -484,6 +485,51 @@ std::string ChunkRowCounts(const std::string& path, int64_t chunk_rows) {
                             col::ConcatTables(chunks).ValueOrDie());
   }
   return out;
+}
+
+/// Each CSV reader moves io.csv.bytes_read by exactly the file size: the
+/// whole-file and mapped reads, and a drained chunk reader, whose 1 MiB
+/// inference prefix and 256 KiB reads both count (the 2.7 MiB file takes
+/// both; the small one ends inside the prefix).
+TEST(CsvTest, EveryReaderCountsTheFileBytes) {
+  const obs::Counter* bytes_read =
+      obs::MetricsRegistry::Global().counter("io.csv.bytes_read");
+  for (int64_t rows : {int64_t{50}, int64_t{100000}}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    TempPath path(".csv");
+    Rng rng(static_cast<uint64_t>(rows));
+    col::Int64Builder ints;
+    col::StringBuilder strs;
+    for (int64_t i = 0; i < rows; ++i) {
+      ints.Append(rng.UniformInt(-1000000, 1000000));
+      strs.Append(rng.AsciiString(10, 30));
+    }
+    ASSERT_TRUE(WriteCsv(MakeTable({{"i", ints.Finish().ValueOrDie()},
+                                    {"s", strs.Finish().ValueOrDie()}}),
+                         path.str())
+                    .ok());
+    const uint64_t size = ReadFileBytes(path.str()).size();
+    ASSERT_GT(size, rows > 1000 ? 2u << 20 : 0u);
+
+    uint64_t before = bytes_read->value();
+    ASSERT_TRUE(ReadCsv(path.str()).ok());
+    EXPECT_EQ(bytes_read->value() - before, size);
+    before = bytes_read->value();
+    ASSERT_TRUE(ReadCsvMmap(path.str()).ok());
+    EXPECT_EQ(bytes_read->value() - before, size);
+
+    before = bytes_read->value();
+    CsvReadOptions options;
+    options.chunk_rows = 4096;
+    auto reader = CsvChunkReader::Open(path.str(), options).ValueOrDie();
+    int64_t streamed = 0;
+    for (auto chunk = reader->Next().ValueOrDie(); chunk != nullptr;
+         chunk = reader->Next().ValueOrDie()) {
+      streamed += chunk->num_rows();
+    }
+    EXPECT_EQ(streamed, rows);
+    EXPECT_EQ(bytes_read->value() - before, size);
+  }
 }
 
 /// Golden chunk boundaries, recorded with an independent two-pass reader

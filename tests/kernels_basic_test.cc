@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/compare.h"
@@ -11,6 +12,7 @@ namespace bento::kern {
 namespace {
 
 using col::Scalar;
+using col::TablePtr;
 using col::TypeId;
 using test::Bools;
 using test::F64;
@@ -21,7 +23,7 @@ using test::Str;
 TEST(FilterTest, KeepsMaskedRows) {
   auto values = I64({10, 20, 30, 40});
   auto mask = Bools({true, false, true, false});
-  auto out = Filter(values, mask).ValueOrDie();
+  auto out = Filter(values, mask, {}).ValueOrDie();
   ASSERT_EQ(out->length(), 2);
   EXPECT_EQ(out->int64_data()[0], 10);
   EXPECT_EQ(out->int64_data()[1], 30);
@@ -30,7 +32,7 @@ TEST(FilterTest, KeepsMaskedRows) {
 TEST(FilterTest, NullMaskSlotsDropRows) {
   auto values = Str({"a", "b", "c"});
   auto mask = Bools({true, true, true}, {true, false, true});
-  auto out = Filter(values, mask).ValueOrDie();
+  auto out = Filter(values, mask, {}).ValueOrDie();
   ASSERT_EQ(out->length(), 2);
   EXPECT_EQ(out->GetView(1), "c");
 }
@@ -38,19 +40,19 @@ TEST(FilterTest, NullMaskSlotsDropRows) {
 TEST(FilterTest, PreservesNullsInValues) {
   auto values = F64({1.0, 2.0, 3.0}, {true, false, true});
   auto mask = Bools({true, true, false});
-  auto out = Filter(values, mask).ValueOrDie();
+  auto out = Filter(values, mask, {}).ValueOrDie();
   ASSERT_EQ(out->length(), 2);
   EXPECT_TRUE(out->IsNull(1));
 }
 
 TEST(FilterTest, TypeAndLengthChecks) {
-  EXPECT_FALSE(Filter(I64({1}), I64({1})).ok());
-  EXPECT_FALSE(Filter(I64({1, 2}), Bools({true})).ok());
+  EXPECT_FALSE(Filter(I64({1}), I64({1}), {}).ok());
+  EXPECT_FALSE(Filter(I64({1, 2}), Bools({true}), {}).ok());
 }
 
 TEST(FilterTest, TableFilter) {
   auto t = MakeTable({{"a", I64({1, 2, 3})}, {"b", Str({"x", "y", "z"})}});
-  auto out = FilterTable(t, Bools({false, true, true})).ValueOrDie();
+  auto out = FilterTable(t, Bools({false, true, true}), {}).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2);
   EXPECT_EQ(out->column(1)->GetView(0), "y");
 }
@@ -221,13 +223,66 @@ TEST(FillNullTest, WithMean) {
 TEST(DropNullRowsTest, AllColumnsAndSubset) {
   auto t = MakeTable({{"a", I64({1, 2, 3}, {true, false, true})},
                       {"b", Str({"x", "y", "z"}, {true, true, false})}});
-  auto all = DropNullRows(t).ValueOrDie();
+  auto all = DropNullRows(t, {}, {}).ValueOrDie();
   EXPECT_EQ(all->num_rows(), 1);
   EXPECT_EQ(all->column(0)->int64_data()[0], 1);
 
-  auto subset = DropNullRows(t, {"a"}).ValueOrDie();
+  auto subset = DropNullRows(t, {"a"}, {}).ValueOrDie();
   EXPECT_EQ(subset->num_rows(), 2);
-  EXPECT_FALSE(DropNullRows(t, {"zz"}).ok());
+  EXPECT_FALSE(DropNullRows(t, {"zz"}, {}).ok());
+}
+
+/// DropNullRows equals a per-row IsNull scan whose kept rows go through the
+/// builders, byte for byte: columns with nulls, without a bitmap, with an
+/// all-set bitmap and all null; every subset; slices at odd and byte-aligned
+/// offsets (an aligned slice shares bitmap bits past its end); an empty
+/// table.
+TEST(DropNullRowsTest, BitmapAndMatchesPerRowScan) {
+  Rng rng(31);
+  const int64_t n = 1000;
+  const col::Dictionary dict = test::RandomDictionary(&rng);
+  std::vector<int64_t> plain(static_cast<size_t>(n));
+  for (int64_t& v : plain) v = rng.UniformInt(-5, 5);
+  col::BufferPtr all_set = col::AllocateBitmap(n, true).ValueOrDie();
+  const TablePtr whole = MakeTable(
+      {{"nulls", test::RawArray(TypeId::kFloat64, n, 0.2, true, dict, &rng)},
+       {"strs", test::RawArray(TypeId::kString, n, 0.1, true, dict, &rng)},
+       {"cats", test::RawArray(TypeId::kCategorical, n, 0.1, true, dict, &rng)},
+       {"no_bitmap", I64(plain)},
+       {"all_set", col::Array::MakeFixed(TypeId::kInt64, n,
+                                         I64(plain)->data_buffer(), all_set)
+                       .ValueOrDie()},
+       {"all_null", test::RawArray(TypeId::kBool, n, 1.0, true, dict, &rng)}});
+
+  const std::vector<std::pair<std::string, TablePtr>> tables = {
+      {"whole", whole},
+      {"odd slice", whole->Slice(5, n - 12).ValueOrDie()},
+      {"aligned slice", whole->Slice(64, 301).ValueOrDie()},
+      {"empty", whole->Slice(0, 0).ValueOrDie()}};
+  const std::vector<std::vector<std::string>> subsets = {
+      {}, {"nulls"}, {"strs", "cats"}, {"no_bitmap"}, {"all_set"},
+      {"no_bitmap", "all_set", "cats"}, {"all_null"}};
+  for (const auto& [name, t] : tables) {
+    for (const auto& subset : subsets) {
+      SCOPED_TRACE(name + " subset of " + std::to_string(subset.size()));
+      std::vector<int> cols;
+      for (int c = 0; c < t->num_columns(); ++c) {
+        const std::string& field = t->schema()->field(c).name;
+        if (subset.empty() ||
+            std::find(subset.begin(), subset.end(), field) != subset.end()) {
+          cols.push_back(c);
+        }
+      }
+      std::vector<int64_t> kept;
+      for (int64_t r = 0; r < t->num_rows(); ++r) {
+        bool any_null = false;
+        for (int c : cols) any_null = any_null || t->column(c)->IsNull(r);
+        if (!any_null) kept.push_back(r);
+      }
+      test::ExpectSameTableBytes(test::BuilderGatherTable(t, kept),
+                                 DropNullRows(t, subset, {}).ValueOrDie());
+    }
+  }
 }
 
 }  // namespace

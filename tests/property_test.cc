@@ -140,7 +140,7 @@ TEST_P(SeededProperty, FilterThenConcatIsPartition) {
   int64_t total = 0;
   for (auto* builder : {&is_true, &is_false, &is_null}) {
     auto mask = builder->Finish().ValueOrDie();
-    total += kern::FilterTable(t, mask).ValueOrDie()->num_rows();
+    total += kern::FilterTable(t, mask, {}).ValueOrDie()->num_rows();
   }
   EXPECT_EQ(total, t->num_rows());
 }

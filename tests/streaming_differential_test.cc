@@ -178,11 +178,24 @@ TEST(StreamingDifferentialTest, TightBudgetMatchesUnboundedAcrossChunkSizes) {
   }
 }
 
+/// Scoped temp file.
+struct TempCsv {
+  explicit TempCsv(const std::string& stem = "nonfinite")
+      : path(testing::TempDir() + "bento_" + stem + "_" +
+             std::to_string(::getpid()) + ".csv") {}
+  ~TempCsv() { std::remove(path.c_str()); }
+  std::string path;
+};
+
 /// Every registered engine must produce the same frame regardless of worker
 /// count and chunk-size override: parallel merges and chunked scans are
-/// deterministic, not just "equivalent".
+/// deterministic, not just "equivalent". An in-memory table runs whole-table
+/// on the lazy engines at this budget, so the same table also comes in as
+/// a CSV file, whose scan streams through the chunk driver.
 TEST(StreamingDifferentialTest, AllEnginesStableAcrossWorkersAndChunks) {
   auto t = IntValuedTable(3000, /*seed=*/202);
+  TempCsv csv("stable");
+  ASSERT_TRUE(io::WriteCsv(t, csv.path).ok());
   std::vector<Op> plan = {
       Op::Query("k >= 1"),
       Op::GroupByAgg({"k", "s"}, TestAggs()),
@@ -190,29 +203,155 @@ TEST(StreamingDifferentialTest, AllEnginesStableAcrossWorkersAndChunks) {
   };
 
   for (const std::string& id : frame::EngineIds()) {
-    SCOPED_TRACE(id);
-    TablePtr baseline;
-    for (int cores : {1, 2, 4}) {
-      for (const char* chunk_rows :
-           {static_cast<const char*>(nullptr), "513"}) {
-        SCOPED_TRACE(std::string("cores=") + std::to_string(cores) +
-                     " chunk_rows=" +
-                     (chunk_rows != nullptr ? chunk_rows : "(default)"));
-        ChunkRowsGuard guard(chunk_rows);
-        sim::MachineSpec machine{"m", cores, 8ULL << 30, std::nullopt};
-        sim::Session session(machine);
-        auto engine = frame::CreateEngine(id).ValueOrDie();
-        auto frame = engine->FromTable(t).ValueOrDie();
-        for (const Op& op : plan) frame = frame->Apply(op).ValueOrDie();
-        auto result = frame->Collect().ValueOrDie();
-        if (baseline == nullptr) {
-          baseline = result;
-        } else {
-          test::ExpectTablesEqual(baseline, result);
+    for (bool from_csv : {false, true}) {
+      SCOPED_TRACE(id + (from_csv ? " csv" : " table"));
+      TablePtr baseline;
+      for (int cores : {1, 2, 4}) {
+        for (const char* chunk_rows :
+             {static_cast<const char*>(nullptr), "513"}) {
+          SCOPED_TRACE(std::string("cores=") + std::to_string(cores) +
+                       " chunk_rows=" +
+                       (chunk_rows != nullptr ? chunk_rows : "(default)"));
+          ChunkRowsGuard guard(chunk_rows);
+          sim::MachineSpec machine{"m", cores, 8ULL << 30, std::nullopt};
+          sim::Session session(machine);
+          auto engine = frame::CreateEngine(id).ValueOrDie();
+          auto frame = from_csv ? engine->ReadCsv(csv.path).ValueOrDie()
+                                : engine->FromTable(t).ValueOrDie();
+          for (const Op& op : plan) frame = frame->Apply(op).ValueOrDie();
+          auto result = frame->Collect().ValueOrDie();
+          if (baseline == nullptr) {
+            baseline = result;
+          } else {
+            test::ExpectTablesEqual(baseline, result);
+          }
         }
       }
     }
   }
+}
+
+/// A table for the whole-table arm: integer key `k`, integer-valued float
+/// `v` and integer `n` with nulls, a mixed-case string `s` with nulls and a
+/// date string `d` with nulls and unparsable cells.
+TablePtr MixedTable(int64_t rows, uint64_t seed) {
+  static const char* const kWords[] = {"Alpha", "BETA", "gamma", "DeLtA"};
+  static const char* const kDates[] = {"2021-03-04", "2020/12/31",
+                                       "07/15/2019 ", "not a date",
+                                       "2022-01-02 03:04:05"};
+  Rng rng(seed);
+  col::Int64Builder k;
+  col::Float64Builder v;
+  col::Int64Builder n;
+  col::StringBuilder s;
+  col::StringBuilder d;
+  for (int64_t i = 0; i < rows; ++i) {
+    k.Append(rng.UniformInt(0, 22));
+    v.AppendMaybe(static_cast<double>(rng.UniformInt(0, 1000)),
+                  !rng.Bernoulli(0.15));
+    n.AppendMaybe(rng.UniformInt(-50, 50), !rng.Bernoulli(0.1));
+    s.AppendMaybe(kWords[rng.Uniform(4)], !rng.Bernoulli(0.05));
+    d.AppendMaybe(kDates[rng.Uniform(5)], !rng.Bernoulli(0.05));
+  }
+  return MakeTable({{"k", k.Finish().ValueOrDie()},
+                    {"v", v.Finish().ValueOrDie()},
+                    {"n", n.Finish().ValueOrDie()},
+                    {"s", s.Finish().ValueOrDie()},
+                    {"d", d.Finish().ValueOrDie()}});
+}
+
+/// An in-memory table runs whole-table unless the breakers stream. Without
+/// a budget the streaming engines stream no chunk through a stage map; under
+/// a budget of 4x the table they do. Both runs equal the plain
+/// frame::ExecTransform chain, in simulated and real sessions at 1 and 4
+/// workers.
+TEST(StreamingDifferentialTest, InMemoryTableRunsWholeTableUnlessBreakersStream) {
+  auto t = MixedTable(6000, /*seed=*/111);
+  const std::vector<std::vector<Op>> plans = {
+      {Op::Query("k >= 2"), Op::Cast("n", col::TypeId::kFloat64),
+       Op::GetDummies("s")},
+      {Op::DropNa({"v"}), Op::ToDatetime("d"), Op::StrLower("s"),
+       Op::FillNaMean("n")},
+  };
+  LazySource source;
+  source.kind = LazySource::Kind::kTable;
+  source.table = t;
+  obs::Counter* chunks =
+      obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
+
+  for (size_t p = 0; p < plans.size(); ++p) {
+    TablePtr expected = t;
+    for (const Op& op : plans[p]) {
+      expected = frame::ExecTransform(expected, op, {}).ValueOrDie();
+    }
+    for (const char* engine_id : {"polars", "spark_sql", "vaex"}) {
+      auto created = frame::CreateEngine(engine_id).ValueOrDie();
+      auto* engine = dynamic_cast<LazyEngineBase*>(created.get());
+      ASSERT_NE(engine, nullptr);
+      for (int workers : {1, 4}) {
+        PipelineWorkersGuard workers_guard(workers);
+        ChunkRowsGuard chunk_guard("257");
+        for (bool real : {false, true}) {
+          for (bool tight : {false, true}) {
+            SCOPED_TRACE(std::string(engine_id) + " plan " +
+                         std::to_string(p) + " workers=" +
+                         std::to_string(workers) +
+                         (real ? " real" : " simulated") +
+                         (tight ? " tight" : " unbounded"));
+            sim::MachineSpec machine{
+                "m", workers,
+                tight ? static_cast<uint64_t>(t->ByteSize() * 4) : 0,
+                std::nullopt};
+            sim::Session session(machine);
+            if (real) session.set_execution_mode(sim::ExecutionMode::kReal);
+            const uint64_t before = chunks->value();
+            auto got = engine->Execute(source, plans[p]);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            if (tight) {
+              EXPECT_GT(chunks->value(), before);
+            } else {
+              EXPECT_EQ(chunks->value(), before);
+            }
+            EXPECT_TRUE(*expected->schema() == *got.ValueOrDie()->schema());
+            test::ExpectTablesEqual(expected, got.ValueOrDie());
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Vaex's whole-table run charges the modeled per-chunk overhead of the
+/// chunk stage it replaced: the same virtual seconds as the streamed run of
+/// the same table, one charge per chunk the table spans. Real sessions take
+/// no modeled credit, so the credit is exactly the charge.
+TEST(StreamingDifferentialTest, VaexWholeTableChargesTheChunkStageOverhead) {
+  auto t = IntValuedTable(3000, /*seed=*/404);
+  VaexEngine vaex;
+  ChunkRowsGuard chunk_guard("257");
+  const std::vector<Op> plan = {Op::Query("k >= 1"), Op::StrLower("s")};
+  LazySource source;
+  source.kind = LazySource::Kind::kTable;
+  source.table = t;
+  obs::Counter* chunks =
+      obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
+  auto charged = [&](uint64_t budget, uint64_t* streamed) {
+    sim::Session session(sim::MachineSpec{"m", 4, budget, std::nullopt});
+    session.set_execution_mode(sim::ExecutionMode::kReal);
+    const uint64_t before = chunks->value();
+    EXPECT_TRUE(vaex.Execute(source, plan).ok());
+    *streamed = chunks->value() - before;
+    return -session.credit_seconds();
+  };
+  uint64_t whole_chunks = 0;
+  uint64_t stage_chunks = 0;
+  const double whole = charged(0, &whole_chunks);
+  const double staged =
+      charged(static_cast<uint64_t>(t->ByteSize() * 4), &stage_chunks);
+  EXPECT_EQ(whole_chunks, 0u);
+  EXPECT_EQ(stage_chunks, 12u);  // ceil(3000 / 257)
+  EXPECT_DOUBLE_EQ(whole, staged);
+  EXPECT_DOUBLE_EQ(whole, 12 * vaex.PerChunkOverheadSeconds());
 }
 
 /// Forced spill (threshold 0 spills the partial state from the first chunk)
@@ -464,15 +603,6 @@ void WriteNonFiniteCsv(const std::string& path, int64_t rows, uint64_t seed) {
     out << ',' << static_cast<char>('a' + rng.Uniform(4)) << '\n';
   }
 }
-
-/// Scoped temp file.
-struct TempCsv {
-  explicit TempCsv(const std::string& stem = "nonfinite")
-      : path(testing::TempDir() + "bento_" + stem + "_" +
-             std::to_string(::getpid()) + ".csv") {}
-  ~TempCsv() { std::remove(path.c_str()); }
-  std::string path;
-};
 
 /// Non-finite floats must survive every file the streaming engines write
 /// for themselves: Vaex's converted store, the two-pass and sort spill
