@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -519,8 +520,11 @@ BENCHMARK(BM_JoinReal)->Args({1000000, 1})->Args({1000000, 4});
 
 // Loan-shaped frame for the CSV writer: mostly float64 columns of
 // two-decimal values with ~30% nulls (as datagen's loan filler columns),
-// plus a few int64 and short string columns.
-col::TablePtr LoanShapedTable(int64_t rows, int64_t* float_cells) {
+// plus a few int64 and short string columns. `random_bits` fills the float
+// columns with finite random bit patterns instead, which no short decimal
+// matches: the formatter's precision-ladder case.
+col::TablePtr LoanShapedTable(int64_t rows, bool random_bits,
+                              int64_t* float_cells) {
   constexpr int kFloat = 32, kInt = 4, kString = 4;
   Rng rng(4242);
   std::vector<col::Field> fields;
@@ -531,16 +535,23 @@ col::TablePtr LoanShapedTable(int64_t rows, int64_t* float_cells) {
     for (int64_t i = 0; i < rows; ++i) {
       const bool valid = !rng.Bernoulli(0.3);
       *float_cells += valid ? 1 : 0;
-      b.AppendMaybe(std::round(rng.Normal(15000.0, 8500.0) * 100.0) / 100.0,
-                    valid);
+      double v = std::round(rng.Normal(15000.0, 8500.0) * 100.0) / 100.0;
+      if (random_bits) {
+        do {
+          v = std::bit_cast<double>(rng.Next());
+        } while (!std::isfinite(v));
+      }
+      b.AppendMaybe(v, valid);
     }
-    fields.push_back({"f" + std::to_string(c), col::TypeId::kFloat64});
+    fields.push_back(
+        {std::string("f").append(std::to_string(c)), col::TypeId::kFloat64});
     columns.push_back(b.Finish().ValueOrDie());
   }
   for (int c = 0; c < kInt; ++c) {
     col::Int64Builder b;
     for (int64_t i = 0; i < rows; ++i) b.Append(rng.UniformInt(0, 1000000));
-    fields.push_back({"i" + std::to_string(c), col::TypeId::kInt64});
+    fields.push_back(
+        {std::string("i").append(std::to_string(c)), col::TypeId::kInt64});
     columns.push_back(b.Finish().ValueOrDie());
   }
   for (int c = 0; c < kString; ++c) {
@@ -548,7 +559,8 @@ col::TablePtr LoanShapedTable(int64_t rows, int64_t* float_cells) {
     for (int64_t i = 0; i < rows; ++i) {
       b.AppendMaybe(rng.AsciiString(2, 12), !rng.Bernoulli(0.1));
     }
-    fields.push_back({"s" + std::to_string(c), col::TypeId::kString});
+    fields.push_back(
+        {std::string("s").append(std::to_string(c)), col::TypeId::kString});
     columns.push_back(b.Finish().ValueOrDie());
   }
   return col::Table::Make(std::make_shared<col::Schema>(std::move(fields)),
@@ -558,9 +570,9 @@ col::TablePtr LoanShapedTable(int64_t rows, int64_t* float_cells) {
 
 // Pandas-style single-threaded to_csv of a loan-shaped frame to /dev/null.
 // Items are the non-null float64 cells, whose formatting dominates.
-void BM_WriteCsv(benchmark::State& state) {
+void WriteLoanShapedCsv(benchmark::State& state, bool random_bits) {
   int64_t float_cells = 0;
-  auto t = LoanShapedTable(state.range(0), &float_cells);
+  auto t = LoanShapedTable(state.range(0), random_bits, &float_cells);
   for (auto _ : state) {
     Status st = io::WriteCsv(t, "/dev/null");
     benchmark::DoNotOptimize(st);
@@ -571,29 +583,67 @@ void BM_WriteCsv(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * float_cells);
 }
+void BM_WriteCsv(benchmark::State& state) { WriteLoanShapedCsv(state, false); }
 BENCHMARK(BM_WriteCsv)->Arg(10000);
+void BM_WriteCsvRandomBits(benchmark::State& state) {
+  WriteLoanShapedCsv(state, true);
+}
+BENCHMARK(BM_WriteCsvRandomBits)->Arg(10000);
 
-/// Datagen's patrol table at scale 0.005 (~135K rows of 34 columns),
-/// written once per process as CSV to a temp file removed at exit.
+/// Datagen's `dataset` table at `scale`, written once as CSV to a temp
+/// file that is removed at exit.
+class TempDatasetCsv {
+ public:
+  TempDatasetCsv(const std::string& dataset, double scale)
+      : path_((std::filesystem::temp_directory_path() /
+               ("bento_bench_" + dataset + "_" +
+                std::to_string(::getpid()) + ".csv"))
+                  .string()) {
+    auto table = gen::GenerateDataset(dataset, scale, 1).ValueOrDie();
+    Status st = io::WriteCsv(table, path_);
+    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  }
+  ~TempDatasetCsv() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Datagen's patrol table at scale 0.005 (~135K rows of 34 columns).
 const std::string& PatrolCsvPath() {
-  struct TempCsv {
-    std::string path = (std::filesystem::temp_directory_path() /
-                        ("bento_bench_patrol_" + std::to_string(::getpid()) +
-                         ".csv"))
-                           .string();
-    TempCsv() {
-      auto table = gen::GenerateDataset("patrol", 0.005, 1).ValueOrDie();
-      Status st = io::WriteCsv(table, path);
-      if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    }
-    ~TempCsv() { std::remove(path.c_str()); }
-  };
-  static const TempCsv csv;
-  return csv.path;
+  static const TempDatasetCsv csv("patrol", 0.005);
+  return csv.path();
 }
 
+/// Datagen's loan table at scale 0.01 (20K rows of 151 columns, mostly
+/// two-decimal floats): the input of perfbench's loan_eager.
+const std::string& LoanCsvPath() {
+  static const TempDatasetCsv csv("loan", 0.01);
+  return csv.path();
+}
+
+// Pandas-style read_csv: a whole-file serial ReadCsv of the loan CSV with
+// type inference. Items are fields (rows x columns).
+void BM_ReadCsv(benchmark::State& state) {
+  const std::string& path = LoanCsvPath();
+  int64_t fields = 0;
+  for (auto _ : state) {
+    auto table = io::ReadCsv(path);
+    if (!table.ok()) {
+      state.SkipWithError(table.status().ToString().c_str());
+      break;
+    }
+    fields += table.ValueOrDie()->num_rows() *
+              table.ValueOrDie()->num_columns();
+  }
+  state.SetItemsProcessed(fields);
+}
+BENCHMARK(BM_ReadCsv)->Unit(benchmark::kMillisecond);
+
 // Streaming read of the patrol CSV in 64 Ki-row chunks (the streaming
-// engines' full-scale batch): cut and decode, serially. Items are rows.
+// engines' full-scale batch) and in 2 Ki-row chunks (about the batch of a
+// run at scale 0.01): cut and decode, serially. Items are rows.
 void BM_CsvChunkRead(benchmark::State& state) {
   const std::string& path = PatrolCsvPath();
   io::CsvReadOptions options;
@@ -613,7 +663,10 @@ void BM_CsvChunkRead(benchmark::State& state) {
   }
   state.SetItemsProcessed(rows);
 }
-BENCHMARK(BM_CsvChunkRead)->Arg(65536)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CsvChunkRead)
+    ->Arg(65536)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
 
 /// Six string columns and three numeric ones (int64, float64, bool), all
 /// with about 10% nulls: the column mix of the patrol table.
@@ -630,7 +683,7 @@ col::TablePtr PatrolShapedTable(int64_t rows) {
     for (int64_t i = 0; i < rows; ++i) {
       b.AppendMaybe(rng.AsciiString(2, 24), !rng.Bernoulli(0.1));
     }
-    add("s" + std::to_string(c), b.Finish().ValueOrDie());
+    add(std::string("s").append(std::to_string(c)), b.Finish().ValueOrDie());
   }
   col::Int64Builder ints;
   col::Float64Builder floats;

@@ -55,8 +55,11 @@ int main(int argc, char** argv) {
     return FormatFixed(m.null_fraction * 100.0, 1) + "%";
   });
   row("Str len range", [](const gen::MeasuredProfile& m) {
-    return "(" + std::to_string(m.str_len_min) + ", " +
-           std::to_string(m.str_len_max) + ")";
+    std::string range = "(";
+    range += std::to_string(m.str_len_min);
+    range += ", ";
+    range += std::to_string(m.str_len_max);
+    return range + ")";
   });
   std::printf("%s\n", table.ToString().c_str());
 

@@ -3,8 +3,8 @@
 // forced and timed, as in the paper's per-operation measurements) with
 // tracing on, then prints where to load the result.
 //
-//   $ ./build/examples/trace_pipeline [--trace out.json] [--report] \
-//       [--streaming] [dataset] [engine]
+//   $ ./build/examples/trace_pipeline [--trace out.json] [--report]
+//         [--streaming] [dataset] [engine]
 //
 // Defaults: loan pipeline, polars engine, trace written to
 // bento_trace.json (or $BENTO_TRACE when set). Open the file at

@@ -57,9 +57,10 @@ Result<col::TablePtr> ReadCsvMmap(const std::string& path,
 /// the streaming engines (Polars lazy streaming, Vaex, Spark whole-stage).
 ///
 /// A batch comes in two halves. Cut() is serial: one pass over the bytes
-/// finds where the next batch's records end. The decode it returns owns the
-/// cut text and its own copies of the schema, options and field map, so it
-/// may run on any thread, after later cuts or after the reader is gone.
+/// finds where the next batch's records end. The decode it returns shares
+/// the read block holding the cut text and owns its own copies of the
+/// schema, options and field map, so it may run on any thread, after later
+/// cuts or after the reader is gone.
 class CsvChunkReader {
  public:
   /// A cut batch's pure decode (see the class comment).
@@ -84,12 +85,22 @@ class CsvChunkReader {
  private:
   CsvChunkReader() = default;
 
+  /// Reads the next 256 KiB after the uncut bytes, first carrying those
+  /// bytes to a new block when this one has no room left.
+  void Refill();
+
   std::FILE* file_ = nullptr;
   CsvReadOptions options_;
   col::SchemaPtr schema_;
   /// Kept-column -> raw-field index when drop_columns is set (else empty).
   std::vector<size_t> field_map_;
-  std::string buffer_;  // bytes read but not yet cut
+  /// Bytes read but not yet cut are [begin_, end_) of block_, which is
+  /// never zero-filled. Cut decodes share the block, so cut text is never
+  /// copied; only uncut bytes move, when a full block is replaced.
+  std::shared_ptr<char[]> block_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
   bool eof_ = false;
 };
 

@@ -3,11 +3,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <set>
 
-#include "columnar/builder.h"
+#include "columnar/bitmap.h"
 #include "io/csv.h"
 #include "kernels/flat_index.h"
 #include "obs/metrics.h"
@@ -78,13 +81,30 @@ void SplitRecord(std::string_view line, char delimiter,
   }
 }
 
-bool IsNullLiteral(std::string_view v,
-                   const std::vector<std::string>& null_literals) {
-  for (const std::string& lit : null_literals) {
-    if (v == lit) return true;
+/// The null literals of one parse, bucketed by length so that a field is
+/// compared only with the literals of its own length.
+class NullLiterals {
+ public:
+  explicit NullLiterals(const std::vector<std::string>& literals) {
+    for (const std::string& lit : literals) {
+      (lit.size() < kBuckets ? by_length_[lit.size()] : longer_)
+          .push_back(lit);
+    }
   }
-  return false;
-}
+
+  bool Match(std::string_view v) const {
+    for (std::string_view lit :
+         v.size() < kBuckets ? by_length_[v.size()] : longer_) {
+      if (lit == v) return true;
+    }
+    return false;
+  }
+
+ private:
+  static constexpr size_t kBuckets = 17;  // lengths 0..16; longer_ the rest
+  std::array<std::vector<std::string_view>, kBuckets> by_length_;
+  std::vector<std::string_view> longer_;
+};
 
 bool LooksLikeInt(std::string_view v) {
   int64_t out;
@@ -104,16 +124,18 @@ bool LooksLikeBool(std::string_view v) {
 
 /// Offset of the '\n' that ends the record starting at `pos` (a newline
 /// inside quotes does not), or npos when `text` holds no complete record
-/// there. A record without quotes costs two memchr scans.
-size_t RecordEnd(std::string_view text, size_t pos) {
+/// there. A record without quotes costs two memchr scans; `has_quote`
+/// (optional) tells whether the record holds a '"'.
+size_t RecordEnd(std::string_view text, size_t pos,
+                 bool* has_quote = nullptr) {
   const char* data = text.data();
   const void* nl = std::memchr(data + pos, '\n', text.size() - pos);
   const size_t end =
       nl != nullptr ? static_cast<size_t>(static_cast<const char*>(nl) - data)
                     : text.size();
-  if (std::memchr(data + pos, '"', end - pos) == nullptr) {
-    return nl != nullptr ? end : std::string_view::npos;
-  }
+  const bool quote = std::memchr(data + pos, '"', end - pos) != nullptr;
+  if (has_quote != nullptr) *has_quote = quote;
+  if (!quote) return nl != nullptr ? end : std::string_view::npos;
   bool in_quotes = false;
   for (size_t i = pos; i < text.size(); ++i) {
     if (data[i] == '"') {
@@ -125,197 +147,234 @@ size_t RecordEnd(std::string_view text, size_t pos) {
   return std::string_view::npos;
 }
 
-/// Calls `on_record(line)` for each record of `text` (quoted newlines stay
-/// inside their record), the last one possibly without a newline. A
-/// trailing '\r' is stripped; lines left empty are skipped.
+/// Calls `on_record(line, has_quote)` for each record of `text` (quoted
+/// newlines stay inside their record), the last one possibly without a
+/// newline, up to `max_records` of them. A trailing '\r' is stripped;
+/// lines left empty are skipped.
 template <typename Fn>
-void ForEachRecord(std::string_view text, Fn on_record) {
+void ForEachRecord(std::string_view text, Fn on_record,
+                   int64_t max_records = INT64_MAX) {
   size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = RecordEnd(text, pos);
+  for (int64_t records = 0; pos < text.size() && records < max_records;) {
+    bool has_quote = false;
+    size_t end = RecordEnd(text, pos, &has_quote);
     if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(pos, end - pos);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) on_record(line);
+    if (!line.empty()) {
+      on_record(line, has_quote);
+      ++records;
+    }
     pos = end + 1;
   }
 }
 
-/// Column-type inference over sampled rows.
-col::SchemaPtr InferSchema(const std::vector<std::string>& names,
-                           const std::vector<std::vector<std::string>>& sample,
-                           const CsvReadOptions& options) {
-  const size_t n_cols = names.size();
-  std::vector<bool> all_int(n_cols, true);
-  std::vector<bool> all_double(n_cols, true);
-  std::vector<bool> all_bool(n_cols, true);
-  std::vector<bool> any_value(n_cols, false);
-
-  for (const auto& row : sample) {
-    for (size_t c = 0; c < n_cols && c < row.size(); ++c) {
-      std::string_view v = row[c];
-      if (IsNullLiteral(v, options.null_literals)) continue;
-      any_value[c] = true;
-      if (all_int[c] && !LooksLikeInt(v)) all_int[c] = false;
-      if (all_double[c] && !LooksLikeDouble(v)) all_double[c] = false;
-      if (all_bool[c] && !LooksLikeBool(v)) all_bool[c] = false;
-    }
-  }
-
-  std::vector<col::Field> fields;
-  for (size_t c = 0; c < n_cols; ++c) {
-    TypeId t = TypeId::kString;
-    if (any_value[c]) {
-      if (all_int[c]) {
-        t = TypeId::kInt64;
-      } else if (all_double[c]) {
-        t = TypeId::kFloat64;
-      } else if (all_bool[c]) {
-        t = TypeId::kBool;
-      }
-    }
-    if (t == TypeId::kString && options.dictionary_encode_strings) {
-      t = TypeId::kCategorical;
-    }
-    fields.push_back({names[c], t});
-  }
-  return std::make_shared<col::Schema>(std::move(fields));
-}
-
-/// Typed appender: decodes one field into the right builder; unparsable
-/// values become null.
-class ColumnDecoder {
+/// One column's staging for a parse of a known number of rows. Values
+/// (int64, double, bool byte, categorical code) and string end offsets go
+/// straight into the column's exact-size pool buffer; string bytes and the
+/// validity bitmap stage in scratch memory and are copied into exact-size
+/// pool buffers at Finish, the bitmap only if a row is null. The buffers
+/// hold the bytes the column builders would: zero under a null value, a
+/// -1 code, a repeated offset.
+class ColumnStage {
  public:
-  ColumnDecoder(TypeId type, const CsvReadOptions* options)
-      : type_(type), options_(options) {}
-
-  void Append(std::string_view v, bool was_quoted = false) {
-    // Quoted fields are literal content; only bare fields decode as null.
-    if (!was_quoted && IsNullLiteral(v, options_->null_literals)) {
-      AppendNull();
-      return;
+  static Result<ColumnStage> Make(TypeId type, int64_t rows) {
+    // A type the CSV text has no decoding for (timestamps) reads as strings.
+    if (type != TypeId::kInt64 && type != TypeId::kFloat64 &&
+        type != TypeId::kBool && type != TypeId::kCategorical) {
+      type = TypeId::kString;
     }
-    switch (type_) {
-      case TypeId::kInt64: {
-        int64_t out;
-        auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-        if (ec == std::errc() && p == v.data() + v.size()) {
-          ints_.Append(out);
-        } else {
-          ints_.AppendNull();
-        }
-        break;
-      }
-      case TypeId::kFloat64: {
-        double out;
-        auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-        if (ec == std::errc() && p == v.data() + v.size()) {
-          doubles_.Append(out);
-        } else {
-          doubles_.AppendNull();
-        }
-        break;
-      }
-      case TypeId::kBool: {
-        if (v == "true" || v == "True") {
-          bools_.Append(true);
-        } else if (v == "false" || v == "False") {
-          bools_.Append(false);
-        } else {
-          bools_.AppendNull();
-        }
-        break;
-      }
-      case TypeId::kCategorical:
-        // Intern at parse time: one copy per distinct value, int32 codes
-        // per row — the dictionary-encoded string column path.
-        cats_.Append(interner_.FindOrInsert(v));
-        break;
-      default:
-        strings_.Append(v);
-    }
+    ColumnStage stage(type, rows);
+    const int64_t slots = type == TypeId::kString ? rows + 1 : rows;
+    BENTO_ASSIGN_OR_RETURN(stage.data_,
+                           col::Buffer::Allocate(static_cast<uint64_t>(
+                               slots * col::ByteWidth(type))));
+    stage.values_ = stage.data_->mutable_data();
+    return stage;
   }
 
-  void AppendNull() {
+  /// Decodes field `v` into `row`; `v` is content rather than a null
+  /// literal, yet unparsable numbers and bools still become null.
+  void Set(int64_t row, std::string_view v) {
+    bool valid = true;
     switch (type_) {
       case TypeId::kInt64:
-        ints_.AppendNull();
+        valid = ParseInto(v, &At<int64_t>(row));
         break;
       case TypeId::kFloat64:
-        doubles_.AppendNull();
+        valid = ParseInto(v, &At<double>(row));
         break;
-      case TypeId::kBool:
-        bools_.AppendNull();
+      case TypeId::kBool: {
+        const bool is_true = v == "true" || v == "True";
+        valid = is_true || v == "false" || v == "False";
+        At<uint8_t>(row) = is_true ? 1 : 0;
         break;
+      }
       case TypeId::kCategorical:
-        cats_.AppendNull();
+        At<int32_t>(row) = interner_.FindOrInsert(v);
         break;
       default:
-        strings_.AppendNull();
+        chars_.append(v);
+        At<int64_t>(row + 1) = static_cast<int64_t>(chars_.size());
+    }
+    if (valid) {
+      col::SetBit(validity_.data(), row);
+    } else {
+      ++null_count_;
+    }
+  }
+
+  void SetNull(int64_t row) {
+    ++null_count_;
+    if (type_ == TypeId::kCategorical) {
+      At<int32_t>(row) = -1;
+    } else if (type_ == TypeId::kString) {
+      At<int64_t>(row + 1) = static_cast<int64_t>(chars_.size());
     }
   }
 
   Result<col::ArrayPtr> Finish() {
+    col::BufferPtr validity;
+    if (null_count_ > 0) {
+      BENTO_ASSIGN_OR_RETURN(
+          validity, col::Buffer::CopyOf(validity_.data(), validity_.size()));
+    }
     switch (type_) {
-      case TypeId::kInt64:
-        return ints_.Finish();
-      case TypeId::kFloat64:
-        return doubles_.Finish();
-      case TypeId::kBool:
-        return bools_.Finish();
-      case TypeId::kCategorical: {
-        auto dict =
-            std::make_shared<std::vector<std::string>>(interner_.ToStrings());
-        return cats_.Finish(std::move(dict));
+      case TypeId::kString: {
+        BENTO_ASSIGN_OR_RETURN(
+            auto chars, col::Buffer::CopyOf(chars_.data(), chars_.size()));
+        return col::Array::MakeString(rows_, std::move(data_), std::move(chars),
+                                      std::move(validity), null_count_);
       }
+      case TypeId::kCategorical:
+        return col::Array::MakeCategorical(
+            rows_, std::move(data_),
+            std::make_shared<std::vector<std::string>>(interner_.ToStrings()),
+            std::move(validity), null_count_);
       default:
-        return strings_.Finish();
+        return col::Array::MakeFixed(type_, rows_, std::move(data_),
+                                     std::move(validity), null_count_);
     }
   }
 
  private:
+  ColumnStage(TypeId type, int64_t rows)
+      : type_(type),
+        validity_(static_cast<size_t>(col::BitmapBytes(rows)), 0),
+        rows_(rows) {}
+
+  /// Slot `i` of data_, read through values_: a row touches every column,
+  /// so the fields it uses lead the class.
+  template <typename T>
+  T& At(int64_t i) {
+    return reinterpret_cast<T*>(values_)[i];
+  }
+
+  /// Parses all of `v` into `*out`, leaving zero when it does not parse.
+  template <typename T>
+  static bool ParseInto(std::string_view v, T* out) {
+    const char* const end = v.data() + v.size();
+    auto [p, ec] = std::from_chars(v.data(), end, *out);
+    if (ec == std::errc() && p == end) return true;
+    *out = T{};
+    return false;
+  }
+
   TypeId type_;
-  const CsvReadOptions* options_;
-  col::Int64Builder ints_;
-  col::Float64Builder doubles_;
-  col::BoolBuilder bools_;
-  col::StringBuilder strings_;
-  col::CategoricalBuilder cats_;
+  uint8_t* values_ = nullptr;
+  std::vector<uint8_t> validity_;  // bitmap, set bit = valid
+  int64_t null_count_ = 0;
+  std::string chars_;
+  int64_t rows_;
+  col::BufferPtr data_;
   kern::StringInterner interner_;
 };
 
 /// Parses `body` into `schema`'s columns. When `field_map` is non-null,
 /// `schema` is a projection of the file and `(*field_map)[c]` gives the
-/// record field index backing column `c`; unmapped fields are split but
-/// never decoded (the column-skipping read path).
+/// record field index backing column `c`; unmapped fields are never
+/// decoded (the column-skipping read path).
+///
+/// A record without '"' decodes in one pass: memchr finds each field's end
+/// and the field goes straight into its column's staging, stopping after
+/// the last mapped field. A record holding a quote is split by SplitRecord,
+/// where a quoted field is literal content and never a null literal.
 Result<col::TablePtr> ParseRecords(std::string_view body,
                                    const col::SchemaPtr& schema,
                                    const CsvReadOptions& options,
                                    const std::vector<size_t>* field_map =
                                        nullptr) {
-  std::vector<ColumnDecoder> decoders;
-  decoders.reserve(static_cast<size_t>(schema->num_fields()));
+  int64_t rows = 0;
+  ForEachRecord(body, [&](std::string_view, bool) { ++rows; });
+  const size_t n_cols = static_cast<size_t>(schema->num_fields());
+  std::vector<ColumnStage> stages;
+  stages.reserve(n_cols);
   for (const col::Field& f : schema->fields()) {
-    decoders.emplace_back(f.type, &options);
+    BENTO_ASSIGN_OR_RETURN(auto stage, ColumnStage::Make(f.type, rows));
+    stages.push_back(std::move(stage));
   }
+  const NullLiterals nulls(options.null_literals);
+  const char delimiter = options.delimiter;
+  auto field_of = [&](size_t c) {
+    return field_map != nullptr ? (*field_map)[c] : c;
+  };
+  int64_t row = 0;
+  auto decode = [&](ColumnStage& stage, std::string_view v) {
+    if (nulls.Match(v)) {
+      stage.SetNull(row);
+    } else {
+      stage.Set(row, v);
+    }
+  };
   std::vector<std::string_view> fields;
   std::vector<bool> quoted;
   std::string scratch;
-  scratch.reserve(4096);
-  ForEachRecord(body, [&](std::string_view line) {
-    SplitRecord(line, options.delimiter, &fields, &scratch, &quoted);
-    for (size_t c = 0; c < decoders.size(); ++c) {
-      const size_t f = field_map != nullptr ? (*field_map)[c] : c;
-      if (f < fields.size()) {
-        decoders[c].Append(fields[f], quoted[f]);
-      } else {
-        decoders[c].AppendNull();
+  ForEachRecord(body, [&](std::string_view line, bool has_quote) {
+    if (has_quote) {
+      SplitRecord(line, delimiter, &fields, &scratch, &quoted);
+      for (size_t c = 0; c < n_cols; ++c) {
+        const size_t f = field_of(c);
+        if (f >= fields.size()) {
+          stages[c].SetNull(row);
+        } else if (quoted[f]) {
+          stages[c].Set(row, fields[f]);
+        } else {
+          decode(stages[c], fields[f]);
+        }
       }
+      ++row;
+      return;
     }
+    // `p` starts field `field`, or is null past the record's last field.
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    size_t field = 0;
+    auto next = [&](const char* from) -> const char* {
+      return static_cast<const char*>(
+          std::memchr(from, delimiter, static_cast<size_t>(end - from)));
+    };
+    for (size_t c = 0; c < n_cols; ++c) {
+      for (const size_t f = field_of(c); p != nullptr && field < f; ++field) {
+        const char* d = next(p);
+        p = d != nullptr ? d + 1 : nullptr;
+      }
+      if (p == nullptr) {
+        stages[c].SetNull(row);
+        continue;
+      }
+      const char* d = next(p);
+      const char* field_end = d != nullptr ? d : end;
+      decode(stages[c],
+             std::string_view(p, static_cast<size_t>(field_end - p)));
+      p = d != nullptr ? d + 1 : nullptr;
+      ++field;
+    }
+    ++row;
   });
   std::vector<col::ArrayPtr> columns;
-  for (auto& d : decoders) {
-    BENTO_ASSIGN_OR_RETURN(auto a, d.Finish());
+  columns.reserve(n_cols);
+  for (ColumnStage& stage : stages) {
+    BENTO_ASSIGN_OR_RETURN(auto a, stage.Finish());
     columns.push_back(std::move(a));
   }
   return col::Table::Make(schema, std::move(columns));
@@ -385,23 +444,53 @@ HeaderInfo ReadHeader(std::string_view text, const CsvReadOptions& options) {
   return info;
 }
 
+/// Column-type inference over the first `infer_rows` records of `body`
+/// (int64 -> float64 -> bool -> string, the Pandas-like ladder). Null
+/// literals, quoted or not, take no part.
 col::SchemaPtr InferFromBody(std::string_view body,
                              const std::vector<std::string>& names,
                              const CsvReadOptions& options) {
-  std::vector<std::vector<std::string>> sample;
+  const size_t n_cols = names.size();
+  std::vector<bool> all_int(n_cols, true);
+  std::vector<bool> all_double(n_cols, true);
+  std::vector<bool> all_bool(n_cols, true);
+  std::vector<bool> any_value(n_cols, false);
+  const NullLiterals nulls(options.null_literals);
   std::vector<std::string_view> fields;
   std::string scratch;
-  int64_t taken = 0;
-  ForEachRecord(body, [&](std::string_view line) {
-    if (taken >= options.infer_rows) return;
-    SplitRecord(line, options.delimiter, &fields, &scratch);
-    std::vector<std::string> row;
-    row.reserve(fields.size());
-    for (std::string_view f : fields) row.emplace_back(f);
-    sample.push_back(std::move(row));
-    ++taken;
-  });
-  return InferSchema(names, sample, options);
+  ForEachRecord(
+      body,
+      [&](std::string_view line, bool) {
+        SplitRecord(line, options.delimiter, &fields, &scratch);
+        for (size_t c = 0; c < n_cols && c < fields.size(); ++c) {
+          const std::string_view v = fields[c];
+          if (nulls.Match(v)) continue;
+          any_value[c] = true;
+          if (all_int[c] && !LooksLikeInt(v)) all_int[c] = false;
+          if (all_double[c] && !LooksLikeDouble(v)) all_double[c] = false;
+          if (all_bool[c] && !LooksLikeBool(v)) all_bool[c] = false;
+        }
+      },
+      options.infer_rows);
+
+  std::vector<col::Field> schema;
+  for (size_t c = 0; c < n_cols; ++c) {
+    TypeId t = TypeId::kString;
+    if (any_value[c]) {
+      if (all_int[c]) {
+        t = TypeId::kInt64;
+      } else if (all_double[c]) {
+        t = TypeId::kFloat64;
+      } else if (all_bool[c]) {
+        t = TypeId::kBool;
+      }
+    }
+    if (t == TypeId::kString && options.dictionary_encode_strings) {
+      t = TypeId::kCategorical;
+    }
+    schema.push_back({names[c], t});
+  }
+  return std::make_shared<col::Schema>(std::move(schema));
 }
 
 /// Every CSV reader counts the file bytes it reads here.
@@ -547,21 +636,23 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
   reader->file_ = f;
   reader->options_ = options;
 
-  // Infer from a prefix, which then seeds the buffer past the header.
-  std::string prefix(1 << 20, '\0');
-  const size_t got = std::fread(prefix.data(), 1, prefix.size(), f);
-  CountBytesRead(got);
-  prefix.resize(got);
+  // Infer from a prefix, which stays in the first block past the header.
+  reader->capacity_ = 1 << 20;
+  reader->block_.reset(new char[reader->capacity_]);
+  reader->end_ = std::fread(reader->block_.get(), 1, reader->capacity_, f);
+  CountBytesRead(reader->end_);
+  const std::string_view prefix(reader->block_.get(), reader->end_);
   HeaderInfo header = ReadHeader(prefix, options);
-  std::string_view body = std::string_view(prefix).substr(header.body_offset);
-  col::SchemaPtr full = options.schema != nullptr
-                            ? options.schema
-                            : InferFromBody(body, header.names, options);
+  reader->begin_ = header.body_offset;
+  col::SchemaPtr full =
+      options.schema != nullptr
+          ? options.schema
+          : InferFromBody(prefix.substr(header.body_offset), header.names,
+                          options);
   BENTO_ASSIGN_OR_RETURN(CsvProjection proj,
                          ResolveDropColumns(full, options));
   reader->schema_ = proj.schema;
   if (proj.active) reader->field_map_ = std::move(proj.field_map);
-  reader->buffer_ = body;
   return reader;
 }
 
@@ -578,41 +669,55 @@ Result<CsvChunkReader::Decode> CsvChunkReader::Cut() {
   // with no newline included) is the last chunk.
   const int64_t limit = options_.chunk_rows;
   size_t cut = limit > 0 ? std::string::npos : 0;
-  size_t pos = 0;
+  size_t pos = 0;  // an offset from begin_, which Refill() keeps valid
   int64_t lines = 0;
   int64_t rows = 0;
   while (rows < limit) {
-    const size_t end = RecordEnd(buffer_, pos);
+    const std::string_view uncut(block_.get() + begin_, end_ - begin_);
+    const size_t end = RecordEnd(uncut, pos);
     if (end == std::string::npos) {
       if (eof_) {
-        cut = buffer_.size();
+        cut = uncut.size();
         break;
       }
-      constexpr size_t kReadBytes = 256 * 1024;
-      const size_t size = buffer_.size();
-      buffer_.resize(size + kReadBytes);
-      const size_t got =
-          std::fread(buffer_.data() + size, 1, kReadBytes, file_);
-      CountBytesRead(got);
-      buffer_.resize(size + got);
-      eof_ = got == 0;
+      Refill();
       continue;
     }
     if (end > pos) {
       if (++lines == limit) cut = end + 1;
-      if (end - pos != 1 || buffer_[pos] != '\r') ++rows;
+      if (end - pos != 1 || uncut[pos] != '\r') ++rows;
     }
     pos = end + 1;
   }
   if (cut == 0) return Decode();
-  std::string text = buffer_.substr(0, cut);
-  buffer_.erase(0, cut);
-  return Decode([text = std::move(text), schema = schema_, options = options_,
+  const std::string_view text(block_.get() + begin_, cut);
+  begin_ += cut;
+  return Decode([block = block_, text, schema = schema_, options = options_,
                  field_map = field_map_]() -> Result<col::TablePtr> {
     BENTO_TRACE_SPAN(kIo, "csv.chunk_decode");
     return ParseRecords(text, schema, options,
                         field_map.empty() ? nullptr : &field_map);
   });
+}
+
+void CsvChunkReader::Refill() {
+  constexpr size_t kReadBytes = 256 * 1024;
+  if (capacity_ - end_ < kReadBytes) {
+    // Decodes may still hold this block, so the uncut bytes move to a new
+    // one: twice their size plus a read, and never smaller than this one.
+    const size_t uncut = end_ - begin_;
+    const size_t capacity = std::max(capacity_, 2 * uncut + kReadBytes);
+    std::shared_ptr<char[]> block(new char[capacity]);
+    std::memcpy(block.get(), block_.get() + begin_, uncut);
+    block_ = std::move(block);
+    capacity_ = capacity;
+    begin_ = 0;
+    end_ = uncut;
+  }
+  const size_t got = std::fread(block_.get() + end_, 1, kReadBytes, file_);
+  CountBytesRead(got);
+  end_ += got;
+  eof_ = got == 0;
 }
 
 Result<col::TablePtr> CsvChunkReader::Next() {

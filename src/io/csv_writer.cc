@@ -2,6 +2,7 @@
 #include <charconv>
 #include <cstdio>
 
+#include "columnar/bitmap.h"
 #include "io/csv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,48 +46,77 @@ void AppendString(std::string_view v, char delimiter, std::string* out) {
   AppendField(v, delimiter, out, IsDefaultNullLiteral(v));
 }
 
-void AppendCell(const col::Array& column, int64_t row, char delimiter,
+/// What AppendCell reads of one column, taken out of the Array once per
+/// block of rows: a row of a wide table touches every column, and plain
+/// pointers keep that walk in cache.
+struct CellSource {
+  explicit CellSource(const col::Array& a)
+      : array(&a),
+        validity(a.validity_bits()),
+        data(a.data_buffer() != nullptr ? a.data_buffer()->data() : nullptr) {}
+
+  const col::Array* array;
+  const uint8_t* validity;  // null when every row is valid
+  const uint8_t* data;      // values or codes
+};
+
+void AppendCell(const CellSource& column, int64_t row, char delimiter,
                 std::string* out) {
-  if (column.IsNull(row)) return;  // nulls serialize as empty fields
-  switch (column.type()) {
+  // Nulls serialize as empty fields.
+  if (column.validity != nullptr && !col::BitIsSet(column.validity, row)) {
+    return;
+  }
+  switch (column.array->type()) {
     case col::TypeId::kInt64: {
       char buf[24];
-      char* end = std::to_chars(buf, buf + sizeof(buf),
-                                column.int64_data()[row]).ptr;
+      char* end = std::to_chars(
+          buf, buf + sizeof(buf),
+          reinterpret_cast<const int64_t*>(column.data)[row]).ptr;
       out->append(buf, end);
       break;
     }
     case col::TypeId::kFloat64: {
       char buf[kFormatDoubleBufSize];
-      out->append(buf, FormatDoubleTo(column.float64_data()[row], buf));
+      out->append(buf, FormatDoubleTo(
+                           reinterpret_cast<const double*>(column.data)[row],
+                           buf));
       break;
     }
     case col::TypeId::kBool:
-      out->append(column.bool_data()[row] != 0 ? "true" : "false");
+      out->append(column.data[row] != 0 ? "true" : "false");
       break;
     case col::TypeId::kString:
-      AppendString(column.GetView(row), delimiter, out);
+      AppendString(column.array->GetView(row), delimiter, out);
       break;
-    case col::TypeId::kCategorical:
-      AppendString(column.ValueToString(row), delimiter, out);
+    case col::TypeId::kCategorical: {
+      const int32_t code = reinterpret_cast<const int32_t*>(column.data)[row];
+      const col::Dictionary& dict = column.array->dictionary();
+      if (dict != nullptr && code >= 0 &&
+          static_cast<size_t>(code) < dict->size()) {
+        AppendString((*dict)[static_cast<size_t>(code)], delimiter, out);
+      } else {
+        AppendString(column.array->ValueToString(row), delimiter, out);
+      }
       break;
+    }
     default:
-      AppendField(column.ValueToString(row), delimiter, out);
+      AppendField(column.array->ValueToString(row), delimiter, out);
   }
 }
 
-std::string StringifyRows(const col::Table& table, int64_t begin, int64_t end,
-                          char delimiter) {
-  std::string out;
-  out.reserve(static_cast<size_t>(end - begin) * 32);
+/// Appends rows [begin, end) of `table` to `out`.
+void StringifyRows(const col::Table& table, int64_t begin, int64_t end,
+                   char delimiter, std::string* out) {
+  std::vector<CellSource> columns;
+  columns.reserve(static_cast<size_t>(table.num_columns()));
+  for (const col::ArrayPtr& c : table.columns()) columns.emplace_back(*c);
   for (int64_t r = begin; r < end; ++r) {
-    for (int c = 0; c < table.num_columns(); ++c) {
-      if (c > 0) out.push_back(delimiter);
-      AppendCell(*table.column(c), r, delimiter, &out);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (c > 0) out->push_back(delimiter);
+      AppendCell(columns[c], r, delimiter, out);
     }
-    out.push_back('\n');
+    out->push_back('\n');
   }
-  return out;
 }
 
 std::string HeaderLine(const col::Table& table, char delimiter) {
@@ -124,12 +154,15 @@ Status WriteCsv(const col::TablePtr& table, const std::string& path,
   if (options.header) {
     BENTO_RETURN_NOT_OK(WriteAll(f, HeaderLine(*table, options.delimiter)));
   }
-  // Stringify in modest blocks to bound the staging memory.
-  constexpr int64_t kBlockRows = 64 * 1024;
+  // Stringify in modest blocks to bound the staging memory; one string,
+  // warm after the first block, stages them all.
+  constexpr int64_t kBlockRows = 4096;
+  std::string block;
   for (int64_t begin = 0; begin < table->num_rows(); begin += kBlockRows) {
+    block.clear();
     const int64_t end = std::min(table->num_rows(), begin + kBlockRows);
-    BENTO_RETURN_NOT_OK(
-        WriteAll(f, StringifyRows(*table, begin, end, options.delimiter)));
+    StringifyRows(*table, begin, end, options.delimiter, &block);
+    BENTO_RETURN_NOT_OK(WriteAll(f, block));
   }
   return Status::OK();
 }
@@ -161,8 +194,8 @@ Status WriteCsvParallel(const col::TablePtr& table, const std::string& path,
       static_cast<int64_t>(ranges.size()),
       [&](int64_t i) {
         auto [b, e] = ranges[static_cast<size_t>(i)];
-        blocks[static_cast<size_t>(i)] =
-            StringifyRows(*table, b, e, options.delimiter);
+        StringifyRows(*table, b, e, options.delimiter,
+                      &blocks[static_cast<size_t>(i)]);
         return Status::OK();
       },
       parallel));

@@ -46,18 +46,24 @@ Result<std::vector<ArrayPtr>> CollectAggInputs(const TablePtr& table,
 
 /// Feeds row `i` into its group's AggState block, replicating the serial
 /// GroupBy update exactly: `rows` counts every routed row, non-null non-NaN
-/// cells feed the moment sums (sentinel-null model).
+/// cells feed the moment sums (sentinel-null model). String and
+/// categorical inputs (kCount only) count their valid cells without a
+/// value being read.
 inline void AccumulateRow(const std::vector<ArrayPtr>& agg_inputs,
                           AggState* row_states, int64_t i) {
   const size_t naggs = agg_inputs.size();
   for (size_t a = 0; a < naggs; ++a) {
     row_states[a].rows += 1;
     const Array& input = *agg_inputs[a];
-    if (input.IsValid(i)) {
-      const double v = NumericCell(input, i);
-      // NaN counts as missing (sentinel-null model).
-      if (!std::isnan(v)) row_states[a].Add(v);
+    if (!input.IsValid(i)) continue;
+    if (input.type() == TypeId::kString ||
+        input.type() == TypeId::kCategorical) {
+      row_states[a].count += 1;
+      continue;
     }
+    const double v = NumericCell(input, i);
+    // NaN counts as missing (sentinel-null model).
+    if (!std::isnan(v)) row_states[a].Add(v);
   }
 }
 

@@ -100,12 +100,88 @@ Result<bool> ParseBool(std::string_view s) {
   return Status::Invalid("not a boolean: '", std::string(s), "'");
 }
 
+namespace {
+
+/// The short-decimal path of FormatDoubleTo. For 1e-4 <= |v| < 1e15 it
+/// takes r = round(|v| * 10^k) for the largest k <= 6 that keeps the
+/// product below 2^51, and accepts r / 10^k == |v|. r and 10^k are exact
+/// doubles, so that IEEE quotient is the correctly rounded value of the
+/// decimal r * 10^-k, which is what parsing the decimal returns. As
+/// r < 2^51, a unit in r's last digit outweighs the double's spacing at
+/// |v| (2^-52 of it), so no other decimal with as few digits parses to
+/// |v|: this is the shortest round-trip form, which "%.{p}g" (p its digit
+/// count) prints. This lays its digits out as "%g" does. Returns 0 when
+/// `v` is not such a decimal.
+size_t FormatShortDecimal(double v, char* buf) {
+  static constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6};
+  const double a = std::fabs(v);
+  if (!(a >= 1e-4 && a < 1e15)) return 0;
+  int k = 6;
+  double x = a * kPow10[k];
+  while (x >= 0x1p51) x = a * kPow10[--k];
+  // A decimal of at most k places times 10^k lies within a few ulps of an
+  // integer, so most other values are turned away before the division.
+  // x < 2^51, so x + 0.5 is exact and the cast rounds.
+  int64_t r = static_cast<int64_t>(x + 0.5);
+  if (std::fabs(x - static_cast<double>(r)) > x * 0x1p-50 ||
+      static_cast<double>(r) / kPow10[k] != a) {
+    return 0;
+  }
+  // Strip trailing zeros: the decimal is r * 10^-k, with `n` significant
+  // digits and leading-digit exponent `exp10`.
+  while (r % 10 == 0) {
+    r /= 10;
+    --k;
+  }
+  char digits[16];
+  int n = 0;
+  for (int64_t q = r; q != 0; q /= 10) {
+    digits[15 - n++] = static_cast<char>('0' + q % 10);
+  }
+  const char* d = digits + 16 - n;
+  const int exp10 = n - 1 - k;
+  char* out = buf;
+  if (v < 0) *out++ = '-';
+  if (exp10 >= n) {
+    // "%g" exponent notation: d[.ddd]e+XX (the exponent is 2..14 here).
+    *out++ = d[0];
+    if (n > 1) {
+      *out++ = '.';
+      std::memcpy(out, d + 1, static_cast<size_t>(n - 1));
+      out += n - 1;
+    }
+    *out++ = 'e';
+    *out++ = '+';
+    *out++ = static_cast<char>('0' + exp10 / 10);
+    *out++ = static_cast<char>('0' + exp10 % 10);
+  } else if (exp10 >= 0) {
+    std::memcpy(out, d, static_cast<size_t>(exp10 + 1));
+    out += exp10 + 1;
+    if (n > exp10 + 1) {
+      *out++ = '.';
+      std::memcpy(out, d + exp10 + 1, static_cast<size_t>(n - exp10 - 1));
+      out += n - exp10 - 1;
+    }
+  } else {
+    // exp10 is -1..-4: "0." and -exp10 - 1 zeros before the digits.
+    *out++ = '0';
+    *out++ = '.';
+    for (int z = 0; z < -exp10 - 1; ++z) *out++ = '0';
+    std::memcpy(out, d, static_cast<size_t>(n));
+    out += n;
+  }
+  return static_cast<size_t>(out - buf);
+}
+
+}  // namespace
+
 size_t FormatDoubleTo(double v, char* buf) {
   if (!std::isfinite(v)) {
     const std::string_view s = std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf";
     std::memcpy(buf, s.data(), s.size());
     return s.size();
   }
+  if (const size_t len = FormatShortDecimal(v, buf)) return len;
   char* const limit = buf + kFormatDoubleBufSize;
   // No "%.{p}g" with fewer significant digits than the shortest round-trip
   // form can round-trip, so the search for the smallest p starts there.

@@ -118,9 +118,8 @@ TEST_F(RunnerTest, EnsureCsvGeneratesAndCaches) {
 
 TEST_F(RunnerTest, FullPipelinePerEngine) {
   auto pipeline = PipelineFor("athlete").ValueOrDie();
-  for (const std::string& id :
-       {"pandas", "polars", "spark_sql", "cudf", "vaex", "datatable",
-        "modin_ray"}) {
+  for (const char* id : {"pandas", "polars", "spark_sql", "cudf", "vaex",
+                         "datatable", "modin_ray"}) {
     SCOPED_TRACE(id);
     RunConfig config;
     config.engine_id = id;

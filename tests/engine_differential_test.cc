@@ -42,7 +42,7 @@ struct OpCase {
   std::function<Op(const frame::EnginePtr&, const TablePtr& regions)> build;
   /// Row order is engine-dependent (partitioned emission): compare sorted
   /// by these keys instead of positionally.
-  std::vector<std::string> equivalence_keys;
+  std::vector<std::string> equivalence_keys = {};
   /// Result depends on the approx_quantile policy: restrict the
   /// cross-engine comparison to exact-quantile engines.
   bool quantile_sensitive = false;

@@ -390,8 +390,7 @@ TEST(EngineIoTest, DataTableHasNoBcf) {
 TEST(EngineIoTest, BcfRoundTripForSupportingEngines) {
   std::string path = "/tmp/bento_engine_bcf2_" + std::to_string(getpid()) + ".bcf";
   auto t = SampleTable();
-  for (const std::string& id : {"pandas", "polars", "spark_sql", "vaex",
-                                "cudf"}) {
+  for (const char* id : {"pandas", "polars", "spark_sql", "vaex", "cudf"}) {
     SCOPED_TRACE(id);
     auto engine = frame::CreateEngine(id).ValueOrDie();
     auto frame = engine->FromTable(t).ValueOrDie();

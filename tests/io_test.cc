@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "datagen/datasets.h"
 #include "engines/chunk_stream.h"
 #include "io/bcf.h"
 #include "io/compress.h"
@@ -21,6 +22,7 @@
 #include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace bento::io {
 namespace {
@@ -157,7 +159,9 @@ TEST(EncodingTest, ChooseEncodingHeuristics) {
   EXPECT_EQ(ChooseEncoding(Str(repeated)), Encoding::kDict);
   // High-cardinality strings pick the mmap-ready STRVIEW layout.
   std::vector<std::string> unique(100);
-  for (int i = 0; i < 100; ++i) unique[i] = "s" + std::to_string(i);
+  for (int i = 0; i < 100; ++i) {
+    unique[i] = std::string("s").append(std::to_string(i));
+  }
   EXPECT_EQ(ChooseEncoding(Str(unique)), Encoding::kStrView);
 }
 
@@ -639,6 +643,368 @@ TEST(CsvTest, ParallelWriterMatchesSerial) {
 TEST(CsvTest, MissingFileErrors) {
   EXPECT_TRUE(ReadCsv("/nonexistent/nope.csv").status().IsIOError());
   EXPECT_TRUE(ReadCsvMmap("/nonexistent/nope.csv").status().IsIOError());
+}
+
+// --- CSV byte identity: goldens and the per-field reference ---
+
+std::string WriteCsvBytes(const TablePtr& t) {
+  TempPath path(".csv");
+  EXPECT_OK(WriteCsv(t, path.str()));
+  return ReadFileBytes(path.str());
+}
+
+/// Floats from every formatter path: short decimals at k = 0..7 and 1-17
+/// digits, both edges of the short-decimal range and their neighbours,
+/// random bit patterns (subnormals included), signed zeros, non-finite
+/// values and nulls; beside them int64 extremes, bools, strings with every
+/// quoting hazard, a categorical of null-literal spellings and timestamps.
+TablePtr AdversarialWriteTable() {
+  Rng rng(20261018);
+  std::vector<double> specials = {
+      0.0,    -0.0,   1e-4,   1e-5,  1e14,   1e15,   999999999999999.0,
+      100.0,  120.0,  0.5,    0.1 + 0.2, 1.0 / 3.0, DBL_MAX, DBL_MIN,
+      5e-324, HUGE_VAL, -HUGE_VAL, std::nan(""), 1234567890123456.0,
+      123456789012345.6};
+  for (double v : std::vector<double>(specials)) {
+    specials.push_back(std::nextafter(v, -HUGE_VAL));
+    specials.push_back(std::nextafter(v, HUGE_VAL));
+    specials.push_back(-v);
+  }
+  const int64_t n = static_cast<int64_t>(specials.size()) + 3000;
+  col::Float64Builder f;
+  col::Int64Builder i;
+  col::BoolBuilder b;
+  col::StringBuilder s;
+  col::StringBuilder c;
+  col::Int64Builder t;
+  const std::vector<std::string> hazards = {
+      "", "NA", "null", "NaN", "nan", "a,b", "say \"hi\"", "\"", "line\nbreak",
+      "cr\r\nlf", " padded ", "plain"};
+  for (int64_t r = 0; r < n; ++r) {
+    double v;
+    if (r < static_cast<int64_t>(specials.size())) {
+      v = specials[static_cast<size_t>(r)];
+    } else if (r % 3 == 0) {
+      v = std::bit_cast<double>(rng.Next());
+    } else if (r % 3 == 1) {
+      uint64_t lo = 1;
+      for (int64_t d = rng.UniformInt(1, 17); d > 1; --d) lo *= 10;
+      v = static_cast<double>(lo + rng.Uniform(9 * lo)) /
+          std::pow(10.0, static_cast<double>(rng.UniformInt(0, 7)));
+      if (rng.Bernoulli(0.5)) v = -v;
+    } else {
+      v = std::round(rng.Normal(15000.0, 8500.0) * 100.0) / 100.0;
+    }
+    f.AppendMaybe(v, !rng.Bernoulli(0.05));
+    i.AppendMaybe(r % 50 == 0   ? INT64_MIN
+                  : r % 50 == 1 ? INT64_MAX
+                                : static_cast<int64_t>(rng.Next()),
+                  !rng.Bernoulli(0.05));
+    b.AppendMaybe(rng.Bernoulli(0.5), !rng.Bernoulli(0.05));
+    s.AppendMaybe(rng.Bernoulli(0.5)
+                      ? hazards[rng.Uniform(hazards.size())]
+                      : rng.AsciiString(0, 12),
+                  !rng.Bernoulli(0.05));
+    c.AppendMaybe(hazards[rng.Uniform(5)], !rng.Bernoulli(0.05));
+    t.AppendMaybe(rng.UniformInt(-4'000'000'000'000'000, 4'000'000'000'000'000),
+                  !rng.Bernoulli(0.05));
+  }
+  return MakeTable(
+      {{"f", f.Finish().ValueOrDie()},
+       {"i", i.Finish().ValueOrDie()},
+       {"b", b.Finish().ValueOrDie()},
+       {"s", s.Finish().ValueOrDie()},
+       {"c", kern::Cast(c.Finish().ValueOrDie(), TypeId::kCategorical)
+                 .ValueOrDie()},
+       {"t", kern::Cast(t.Finish().ValueOrDie(), TypeId::kTimestamp)
+                 .ValueOrDie()}});
+}
+
+/// Digests of the WriteCsv bytes of datagen's tables (scale 0.001, seed 1)
+/// and of AdversarialWriteTable, recorded before the short-decimal float
+/// path and the one-pass decoder: the writer's bytes must not move.
+TEST(CsvGoldenTest, WriteCsvBytesMatchGoldens) {
+  const std::vector<std::pair<std::string, uint64_t>> goldens = {
+      {"athlete", 0xdf154f732acdeb61ULL},
+      {"loan", 0x36e1fadc0191add3ULL},
+      {"patrol", 0x4fae5f7958257645ULL},
+      {"taxi", 0x071442610c6dd032ULL},
+  };
+  for (const auto& [name, digest] : goldens) {
+    SCOPED_TRACE(name);
+    const uint64_t got = test::Fnv1a(
+        WriteCsvBytes(gen::GenerateDataset(name, 0.001, 1).ValueOrDie()));
+    EXPECT_EQ(got, digest) << std::hex << "0x" << got;
+  }
+  const TablePtr adversarial = AdversarialWriteTable();
+  const std::string bytes = WriteCsvBytes(adversarial);
+  const uint64_t got = test::Fnv1a(bytes);
+  EXPECT_EQ(got, 0x16e3e886e98e52b5ULL) << std::hex << "0x" << got;
+  TempPath parallel(".csv");
+  sim::ParallelOptions popts;
+  popts.max_workers = 3;
+  ASSERT_OK(WriteCsvParallel(adversarial, parallel.str(), {}, popts));
+  EXPECT_TRUE(ReadFileBytes(parallel.str()) == bytes);
+}
+
+/// A CSV file of the cases the readers must keep byte for byte, over 64
+/// KiB so that the 4-worker mapped read splits it: quoted fields with
+/// doubled quotes, delimiters and LF or CRLF newlines, text after a closing
+/// quote, a bare quote inside a field, CRLF ends, blank and '\r'-only
+/// lines, short and long ragged rows, quoted and bare null literals,
+/// numbers that do not parse (padding, '+', hex, overflow, trailing text),
+/// every bool spelling, and an unterminated quote at the end.
+std::string AdversarialCsvText() {
+  Rng rng(424242);
+  const std::vector<std::string> ints = {
+      "0", "-7", "9223372036854775807", "-9223372036854775808",
+      "9223372036854775808", " 12", "+5", "0x1A", "1e5", "12abc", "1.5",
+      "\"42\"", "\"\"", "NA", "", "null", "NaN", "-"};
+  const std::vector<std::string> floats = {
+      "1.25", "-0", "-0.0", "1e-5", "nan", "inf", "-inf", "NaN", "1e400",
+      "4.9e-324", " 1.5", "1.5.5", "0x1p3", "\"2.5\"", "\"NA\"", "",
+      "12345.67", ".5", "5.", "-"};
+  const std::vector<std::string> bools = {"true", "True", "false", "False",
+                                          "TRUE", "1", "yes", "\"true\"",
+                                          "NA", ""};
+  const std::vector<std::string> strings = {
+      "plain", "\"a,b\"", "\"say \"\"hi\"\"\"", "\"two\nlines\"",
+      "\"crlf\r\nlines\"", "\"\"", "\"NA\"", "NA", "null", "", "\"x\"tail",
+      "a\"b\"c", "  spaced  ", "missing-value-marker-long"};
+  const std::vector<std::string> cats = {"red", "green", "\"blue\"", "NA",
+                                         "", "red"};
+  std::string text = "id,i,f,b,s,c,tail\n";
+  for (int64_t r = 0; text.size() < 80 * 1024; ++r) {
+    std::vector<std::string> fields = {
+        std::to_string(r), ints[rng.Uniform(ints.size())],
+        floats[rng.Uniform(floats.size())], bools[rng.Uniform(bools.size())],
+        strings[rng.Uniform(strings.size())], cats[rng.Uniform(cats.size())],
+        rng.Bernoulli(0.8) ? "" : "t" + std::to_string(r)};
+    if (r % 17 == 3) fields.resize(static_cast<size_t>(rng.UniformInt(1, 6)));
+    if (r % 19 == 5) fields.push_back("extra,\"more\",x");
+    for (size_t k = 0; k < fields.size(); ++k) {
+      if (k > 0) text += ',';
+      text += fields[k];
+    }
+    text += r % 4 == 0 ? "\r\n" : "\n";
+    if (r % 23 == 0) text += "\n";
+    if (r % 29 == 0) text += "\r\n";
+    if (r % 31 == 0) text += "\r";
+  }
+  return text + "9999,1,2.5,true,\"unterminated,x\n";
+}
+
+/// What each reader returns for the AdversarialCsvText file under each
+/// option set, as one digest per (options, reader); recorded with the
+/// per-record split decoder.
+TEST(CsvGoldenTest, ReaderArraysMatchGoldens) {
+  TempPath path(".csv");
+  {
+    std::ofstream out(path.str(), std::ios::binary);
+    out << AdversarialCsvText();
+  }
+  std::vector<std::pair<std::string, CsvReadOptions>> option_sets(5);
+  option_sets[0].first = "default";
+  option_sets[1].first = "dictionary";
+  option_sets[1].second.dictionary_encode_strings = true;
+  option_sets[2].first = "null_literals";
+  option_sets[2].second.null_literals = {"", "-", "missing-value-marker-long",
+                                         "null"};
+  option_sets[3].first = "drop_columns";
+  option_sets[3].second.drop_columns = {"i", "tail"};
+  option_sets[4].first = "schema";
+  option_sets[4].second.schema = std::make_shared<col::Schema>(
+      std::vector<col::Field>{{"id", TypeId::kInt64},
+                              {"i", TypeId::kFloat64},
+                              {"f", TypeId::kFloat64},
+                              {"b", TypeId::kBool},
+                              {"s", TypeId::kString},
+                              {"c", TypeId::kCategorical},
+                              {"tail", TypeId::kString}});
+  const char* kReaders[] = {"read",     "mmap1",    "mmap4",   "chunk1",
+                            "chunk7",   "chunk64",  "chunk_default"};
+  // goldens[options][reader]
+  const uint64_t goldens[5][7] = {
+      // default
+      {0xaf63140a38f4daceULL, 0xaf63140a38f4daceULL, 0xaf63140a38f4daceULL,
+       0x838bd1e770961549ULL, 0xb848f9dd73f2d6c8ULL, 0x23683d335071c372ULL,
+       0xaf63140a38f4daceULL},
+      // dictionary
+      {0x700af095148fa0fdULL, 0x700af095148fa0fdULL, 0x700af095148fa0fdULL,
+       0xfdc976352547ebc9ULL, 0x09a0d14fab1aae17ULL, 0x7d1f6ba79dbe217bULL,
+       0x700af095148fa0fdULL},
+      // null_literals
+      {0xce728568d2c00b1dULL, 0xce728568d2c00b1dULL, 0xce728568d2c00b1dULL,
+       0x959ff656f91a102aULL, 0xf0be5c0329890e9eULL, 0x68c4e4668ab7806eULL,
+       0xce728568d2c00b1dULL},
+      // drop_columns
+      {0x4a6d83fac929e9d8ULL, 0x4a6d83fac929e9d8ULL, 0x4a6d83fac929e9d8ULL,
+       0x652b9907a47b51edULL, 0x787df1dbd1aa916fULL, 0x62f04fbd04dcaac2ULL,
+       0x4a6d83fac929e9d8ULL},
+      // schema
+      {0x9456f32bb695e33aULL, 0x9456f32bb695e33aULL, 0x9456f32bb695e33aULL,
+       0xa254828f35f5117bULL, 0x11c6cc73ea32fcd5ULL, 0x1762f18e66c40f96ULL,
+       0x9456f32bb695e33aULL},
+  };
+  for (size_t o = 0; o < option_sets.size(); ++o) {
+    const CsvReadOptions& options = option_sets[o].second;
+    for (size_t r = 0; r < 7; ++r) {
+      SCOPED_TRACE(option_sets[o].first + "/" + kReaders[r]);
+      uint64_t digest = 0;
+      if (r == 0) {
+        digest = test::TableDigest(ReadCsv(path.str(), options).ValueOrDie());
+      } else if (r <= 2) {
+        sim::ParallelOptions popts;
+        popts.max_workers = r == 1 ? 1 : 4;
+        digest = test::TableDigest(
+            ReadCsvMmap(path.str(), options, popts).ValueOrDie());
+      } else {
+        CsvReadOptions chunked = options;
+        if (r < 6) chunked.chunk_rows = r == 3 ? 1 : r == 4 ? 7 : 64;
+        auto reader = CsvChunkReader::Open(path.str(), chunked).ValueOrDie();
+        for (auto chunk = reader->Next().ValueOrDie(); chunk != nullptr;
+             chunk = reader->Next().ValueOrDie()) {
+          digest = test::TableDigest(chunk, digest);
+        }
+      }
+      EXPECT_EQ(digest, goldens[o][r]) << std::hex << "0x" << digest;
+    }
+  }
+}
+
+/// A random CSV file of `rows` records over columns i, f, b, s, c, x:
+/// valid values, bare and quoted null literals from `null_literals`,
+/// numbers that do not parse, all four bool spellings (and near misses),
+/// quoted fields with doubled quotes, delimiters and (when
+/// `quoted_newlines`) LF and CRLF newlines, LF and CRLF ends, blank lines,
+/// and short and long ragged rows.
+std::string RandomCsvText(Rng* rng, int64_t rows, bool quoted_newlines,
+                          const std::vector<std::string>& null_literals) {
+  auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng->Uniform(from.size())];
+  };
+  auto quote = [](const std::string& v) {
+    std::string out = "\"";
+    for (char ch : v) {
+      if (ch == '"') out += '"';
+      out += ch;
+    }
+    return out + "\"";
+  };
+  auto null_or = [&](std::string value) {
+    const double u = rng->UniformDouble();
+    if (u < 0.08) return pick(null_literals);
+    if (u < 0.11) return quote(pick(null_literals));
+    if (u < 0.16) return quote(value);
+    return value;
+  };
+  std::vector<std::string> hazards = {"a,b", "say \"hi\"", "\"", ",", "x\"y"};
+  if (quoted_newlines) {
+    hazards.insert(hazards.end(), {"two\nlines", "crlf\r\nline", "\n"});
+  }
+  std::string text = "i,f,b,s,c,x\n";
+  for (int64_t r = 0; r < rows; ++r) {
+    if (rng->Bernoulli(0.03)) text += rng->Bernoulli(0.5) ? "\n" : "\r\n";
+    std::vector<std::string> fields = {
+        null_or(rng->Bernoulli(0.05)
+                    ? pick({"12abc", "1.5", " 7", "+3", "0x10", "1e3"})
+                    : std::to_string(rng->UniformInt(-1000000, 1000000))),
+        null_or(rng->Bernoulli(0.05)
+                    ? pick({"1.5.5", "abc", "1e400", "nan", "-inf", " 2"})
+                    : FormatDouble(rng->Bernoulli(0.5)
+                                       ? rng->UniformInt(-99999, 99999) / 100.0
+                                       : rng->Normal(0.0, 1e6))),
+        null_or(pick({"true", "True", "false", "False", "TRUE", "1", "no"})),
+        rng->Bernoulli(0.2) ? quote(pick(hazards))
+                            : null_or(rng->AsciiString(0, 10)),
+        null_or(pick({"red", "green", "blue", "green"})),
+        null_or(rng->AsciiString(0, 4))};
+    if (rng->Bernoulli(0.07)) {
+      fields.resize(static_cast<size_t>(rng->UniformInt(1, 5)));
+    } else if (rng->Bernoulli(0.07)) {
+      for (int64_t k = rng->UniformInt(1, 3); k > 0; --k) {
+        fields.push_back(rng->Bernoulli(0.5) ? quote(pick(hazards)) : "extra");
+      }
+    }
+    for (size_t k = 0; k < fields.size(); ++k) {
+      if (k > 0) text += ',';
+      text += fields[k];
+    }
+    if (r + 1 < rows || rng->Bernoulli(0.5)) {
+      text += rng->Bernoulli(0.3) ? "\r\n" : "\n";
+    }
+  }
+  return text;
+}
+
+/// Every reader returns the per-field builder reference's bytes: ReadCsv,
+/// ReadCsvMmap with 1 and 4 workers (the 4-worker read only over files
+/// without quoted newlines, which its split does not support) and
+/// CsvChunkReader at several chunk sizes, concatenated.
+TEST(CsvPropertyTest, EveryReaderMatchesFieldReference) {
+  const std::vector<std::string> custom_nulls = {
+      "", "-", "NA", "not-recorded-by-the-sensor"};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    CsvReadOptions options;
+    if (seed % 3 == 0) options.null_literals = custom_nulls;
+    options.dictionary_encode_strings = seed % 2 == 0;
+    if (seed % 4 == 1) options.drop_columns = {"b", "x"};
+    const bool quoted_newlines = seed % 3 != 1;
+    const std::string text = RandomCsvText(
+        &rng, quoted_newlines ? 400 : 4000, quoted_newlines,
+        options.null_literals);
+    TempPath path(".csv");
+    {
+      std::ofstream out(path.str(), std::ios::binary);
+      out << text;
+    }
+    CsvReadOptions all_columns = options;
+    all_columns.drop_columns.clear();
+    const col::SchemaPtr schema =
+        ReadCsv(path.str(), all_columns).ValueOrDie()->schema();
+    if (seed % 5 == 0) {
+      // An explicit schema: the categorical and bool columns as typed,
+      // inference off.
+      options.schema = std::make_shared<col::Schema>(std::vector<col::Field>{
+          {"i", TypeId::kInt64},
+          {"f", TypeId::kFloat64},
+          {"b", TypeId::kBool},
+          {"s", TypeId::kString},
+          {"c", TypeId::kCategorical},
+          {"x", TypeId::kString}});
+    }
+    const TablePtr expected = test::ReferenceReadCsv(
+        text, options, options.schema != nullptr ? options.schema : schema);
+    {
+      SCOPED_TRACE("ReadCsv");
+      test::ExpectSameTableBytes(expected,
+                                 ReadCsv(path.str(), options).ValueOrDie());
+    }
+    for (int workers : {1, 4}) {
+      if (workers > 1 && quoted_newlines) continue;
+      SCOPED_TRACE("ReadCsvMmap workers=" + std::to_string(workers));
+      sim::ParallelOptions popts;
+      popts.max_workers = workers;
+      test::ExpectSameTableBytes(
+          expected, ReadCsvMmap(path.str(), options, popts).ValueOrDie());
+    }
+    for (int64_t chunk_rows : {int64_t{1}, int64_t{7}, int64_t{64},
+                               CsvReadOptions().chunk_rows}) {
+      SCOPED_TRACE("CsvChunkReader chunk_rows=" + std::to_string(chunk_rows));
+      CsvReadOptions chunked = options;
+      chunked.chunk_rows = chunk_rows;
+      auto reader = CsvChunkReader::Open(path.str(), chunked).ValueOrDie();
+      std::vector<TablePtr> chunks;
+      for (auto chunk = reader->Next().ValueOrDie(); chunk != nullptr;
+           chunk = reader->Next().ValueOrDie()) {
+        chunks.push_back(chunk);
+      }
+      test::ExpectSameTableBytes(expected,
+                                 col::ConcatTables(chunks).ValueOrDie());
+    }
+  }
 }
 
 // --- BCF ---

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "kernels/cast.h"
 #include "kernels/dedup.h"
 #include "kernels/encode.h"
 #include "kernels/flat_index.h"
@@ -367,6 +368,36 @@ TEST(GroupByTest, RejectsStringAggregation) {
   EXPECT_FALSE(GroupBy(t, {"k"}, {{"s", AggKind::kSum, ""}}).ok());
   EXPECT_TRUE(GroupBy(t, {"k"}, {{"s", AggKind::kCount, "n"}}).ok());
   EXPECT_FALSE(GroupBy(t, {}, {{"k", AggKind::kSum, ""}}).ok());
+
+  // Counts of string and categorical cells, serial and partitioned (past
+  // the partitioned kernel's 8192-row floor): valid cells only, and no
+  // value is read, since 1-byte chars and 4-byte codes hold no 8-byte value.
+  constexpr int64_t kRows = 10000;
+  std::vector<int64_t> keys;
+  std::vector<std::string> values;
+  std::vector<bool> valid;
+  std::vector<int64_t> expected_counts(7, 0);
+  for (int64_t i = 0; i < kRows; ++i) {
+    keys.push_back(i % 7);
+    values.push_back(std::string("v").append(std::to_string(i % 11)));
+    valid.push_back(i % 5 != 0);
+    expected_counts[static_cast<size_t>(i % 7)] += i % 5 != 0 ? 1 : 0;
+  }
+  auto strs = Str(values, valid);
+  auto c = MakeTable(
+      {{"k", I64(keys)},
+       {"s", strs},
+       {"c", kern::Cast(strs, col::TypeId::kCategorical).ValueOrDie()}});
+  const std::vector<AggSpec> counts = {{"s", AggKind::kCount, "ns"},
+                                       {"c", AggKind::kCount, "nc"}};
+  auto expected = MakeTable({{"k", I64({0, 1, 2, 3, 4, 5, 6})},
+                             {"ns", I64(expected_counts)},
+                             {"nc", I64(expected_counts)}});
+  test::ExpectTablesEqual(expected, GroupBy(c, {"k"}, counts).ValueOrDie());
+  sim::ParallelOptions opts;
+  opts.max_workers = 3;
+  test::ExpectTablesEqual(
+      expected, GroupByPartitioned(c, {"k"}, counts, opts).ValueOrDie());
 }
 
 TEST(GroupByTest, PartitionedMatchesSerialProperty) {

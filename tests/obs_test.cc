@@ -51,10 +51,16 @@ void* operator new[](std::size_t size) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would then see the allocator's operator-new pointer
+// reach free() and warn of a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace bento::obs {
 namespace {
@@ -622,7 +628,7 @@ TEST(ResourceSamplerTest, InstallIsCleanNoOpWhenPerfUnavailable) {
     backend = ThreadSamplerBackend();
     // Burn some CPU so the fallback clock registers nonzero time.
     volatile double sink = 0;
-    for (int i = 0; i < 2'000'000; ++i) sink += i * 0.5;
+    for (int i = 0; i < 2'000'000; ++i) sink = sink + i * 0.5;
     usage = ReadThreadUsage();
   });
   probe.join();
@@ -645,7 +651,7 @@ TEST(ResourceSamplerTest, InstallSucceedsWithSomeBackend) {
     EXPECT_NE(ThreadSamplerBackend(), SamplerBackend::kNone);
     ResourceUsage a = ReadThreadUsage();
     volatile double sink = 0;
-    for (int i = 0; i < 2'000'000; ++i) sink += i * 0.5;
+    for (int i = 0; i < 2'000'000; ++i) sink = sink + i * 0.5;
     ResourceUsage b = ReadThreadUsage();
     // Counters are cumulative: monotone within a thread.
     EXPECT_GE(b.task_clock_ns, a.task_clock_ns);
@@ -673,7 +679,7 @@ TEST_F(ResourceReportTest, SpansFeedRollupsAndHistograms) {
     for (int i = 0; i < 10; ++i) {
       TraceSpan span(Category::kKernel, "rollup_target");
       volatile double sink = 0;
-      for (int j = 0; j < 100'000; ++j) sink += j;
+      for (int j = 0; j < 100'000; ++j) sink = sink + j;
     }
   }
   DisableResourceSampling();

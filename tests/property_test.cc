@@ -213,7 +213,7 @@ TEST_P(SeededProperty, JsonDumpParseFixpoint) {
     }
     JsonValue obj = JsonValue::Object();
     for (uint64_t i = 0; i < rng.Uniform(4); ++i) {
-      obj.Set("k" + std::to_string(i), build(depth - 1));
+      obj.Set(std::string("k").append(std::to_string(i)), build(depth - 1));
     }
     return obj;
   };
@@ -302,7 +302,9 @@ TEST_P(SeededProperty, SplitRangeCoversDisjointly) {
     ASSERT_EQ(chunks.back().second, n);
     for (size_t i = 0; i < chunks.size(); ++i) {
       ASSERT_LT(chunks[i].first, chunks[i].second);
-      if (i > 0) ASSERT_EQ(chunks[i].first, chunks[i - 1].second);
+      if (i > 0) {
+        ASSERT_EQ(chunks[i].first, chunks[i - 1].second);
+      }
       // The minimum-chunk contract: inputs of at least min_rows rows never
       // produce an undersized chunk; smaller inputs collapse to one chunk.
       if (n >= min_rows) {

@@ -127,7 +127,7 @@ TEST(ParallelForTest, RunsAllTasksAndCreditsOverlap) {
                 // Busy-wait a deterministic amount so overlap credit > 0.
                 double x = 0;
                 for (int k = 0; k < 20000; ++k) x += k;
-                benchmark_sink += x;
+                benchmark_sink = benchmark_sink + x;
                 return Status::OK();
               }).ok());
   for (int h : hits) EXPECT_EQ(h, 1);
@@ -193,7 +193,7 @@ TEST(DeviceTest, KernelSpeedupCreditsTime) {
   ASSERT_TRUE(DeviceKernel(KernelClass::kVector, []() {
                 double x = 0;
                 for (int k = 0; k < 20000000; ++k) x += k;
-                benchmark_sink += x;
+                benchmark_sink = benchmark_sink + x;
                 return Status::OK();
               }).ok());
   const double wall = NowSeconds() - wall_start;

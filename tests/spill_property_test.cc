@@ -47,8 +47,9 @@ TablePtr RandomChunk(Rng* rng, int64_t rows) {
     a.AppendMaybe(rng->UniformInt(-1000, 1000), !rng->Bernoulli(0.1));
     b.AppendMaybe(static_cast<double>(rng->UniformInt(0, 500)),
                   !rng->Bernoulli(0.2));
-    c.AppendMaybe("s" + std::to_string(rng->UniformInt(0, 9)),
-                  !rng->Bernoulli(0.05));
+    c.AppendMaybe(
+        std::string("s").append(std::to_string(rng->UniformInt(0, 9))),
+        !rng->Bernoulli(0.05));
     d.AppendMaybe(rng->Bernoulli(0.5), !rng->Bernoulli(0.15));
     e.AppendMaybe(1600000000000000 + rng->UniformInt(0, 1 << 20) * 1000,
                   !rng->Bernoulli(0.1));

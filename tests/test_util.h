@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/builder.h"
 #include "columnar/table.h"
+#include "io/csv.h"
 #include "kernels/sort.h"
 #include "util/random.h"
 
@@ -243,7 +248,8 @@ inline col::Dictionary RandomDictionary(Rng* rng) {
   auto dict = std::make_shared<std::vector<std::string>>();
   const int size = static_cast<int>(rng->UniformInt(1, 12));
   while (dict->size() < static_cast<size_t>(size)) {
-    std::string v = "v" + std::to_string(rng->Uniform(20));
+    std::string v = "v";
+    v += std::to_string(rng->Uniform(20));
     if (std::find(dict->begin(), dict->end(), v) == dict->end()) {
       dict->push_back(v);
     }
@@ -297,6 +303,213 @@ inline col::TablePtr BuilderGatherTable(const col::TablePtr& t,
     columns.push_back(BuilderGather(c, rows));
   }
   return col::Table::Make(t->schema(), std::move(columns)).ValueOrDie();
+}
+
+// --- CSV text references ----------------------------------------------------
+
+/// FNV-1a over `bytes`, continuing from `h`: the digest of golden bytes.
+inline uint64_t Fnv1a(std::string_view bytes,
+                      uint64_t h = 0xcbf29ce484222325ULL) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Digest of everything ExpectSameTableBytes compares: field names and
+/// types, row count, and per column the cached null count and the validity,
+/// data and offsets bytes (each marked present or absent) and dictionary.
+inline uint64_t TableDigest(const col::TablePtr& t, uint64_t h = 0) {
+  auto mix = [&](std::string_view bytes) { h = Fnv1a(bytes, h); };
+  auto mix_int = [&](int64_t v) {
+    mix(std::string_view(reinterpret_cast<const char*>(&v), sizeof(v)));
+  };
+  auto mix_buffer = [&](const col::BufferPtr& b) {
+    mix_int(b == nullptr ? -1 : static_cast<int64_t>(b->size()));
+    if (b != nullptr && b->size() > 0) {
+      mix(std::string_view(reinterpret_cast<const char*>(b->data()),
+                           static_cast<size_t>(b->size())));
+    }
+  };
+  mix_int(t->num_rows());
+  for (int c = 0; c < t->num_columns(); ++c) {
+    const col::ArrayPtr& a = t->column(c);
+    mix(t->schema()->field(c).name);
+    mix_int(static_cast<int64_t>(a->type()));
+    mix_int(a->cached_null_count());
+    mix_buffer(a->validity_buffer());
+    mix_buffer(a->data_buffer());
+    mix_buffer(a->offsets_buffer());
+    if (a->type() == col::TypeId::kCategorical) {
+      for (const std::string& v : *a->dictionary()) {
+        mix_int(static_cast<int64_t>(v.size()));
+        mix(v);
+      }
+    }
+  }
+  return h;
+}
+
+/// The CSV readers' text contract, decoded one field at a time through the
+/// column builders: the reference every reader is checked against. `text`
+/// is a whole file and `schema` types all of its columns; the result drops
+/// `options.drop_columns`.
+///
+/// Records end at a newline outside quotes (each '"' toggles), lose one
+/// trailing '\r', and are skipped when left empty. A field opening with
+/// '"' runs to its closing quote, doubled quotes unescaping, and is
+/// literal content; when the closing quote is not followed by the
+/// delimiter, the record ends there. Other fields run to the next
+/// delimiter and are null when they equal a null literal. Missing fields
+/// are null, unparsable numbers and bools are null, categorical codes are
+/// first-seen, and types without a text decoding read as strings.
+inline col::TablePtr ReferenceReadCsv(std::string_view text,
+                                      const io::CsvReadOptions& options,
+                                      const col::SchemaPtr& schema) {
+  if (options.has_header) {
+    const size_t nl = text.find('\n');
+    text = nl == std::string_view::npos ? std::string_view()
+                                        : text.substr(nl + 1);
+  }
+  std::vector<std::string_view> records;
+  size_t start = 0;
+  bool in_quotes = false;
+  for (size_t i = 0; i <= text.size(); ++i) {
+    if (i < text.size() && (text[i] != '\n' || in_quotes)) {
+      if (text[i] == '"') in_quotes = !in_quotes;
+      continue;
+    }
+    std::string_view record = text.substr(start, i - start);
+    if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
+    if (!record.empty()) records.push_back(record);
+    start = i + 1;
+    in_quotes = false;
+  }
+  struct Field {
+    std::string value;
+    bool quoted;
+  };
+  auto split = [&](std::string_view record) {
+    std::vector<Field> fields;
+    size_t pos = 0;
+    while (true) {
+      if (pos < record.size() && record[pos] == '"') {
+        Field f{"", true};
+        for (++pos; pos < record.size(); ++pos) {
+          if (record[pos] != '"') {
+            f.value += record[pos];
+          } else if (pos + 1 < record.size() && record[pos + 1] == '"') {
+            f.value += '"';
+            ++pos;
+          } else {
+            ++pos;
+            break;
+          }
+        }
+        fields.push_back(std::move(f));
+        if (pos < record.size() && record[pos] == options.delimiter) {
+          ++pos;
+          continue;
+        }
+        return fields;
+      }
+      const size_t next = record.find(options.delimiter, pos);
+      fields.push_back({std::string(record.substr(pos, next - pos)), false});
+      if (next == std::string_view::npos) return fields;
+      pos = next + 1;
+    }
+  };
+  std::vector<std::vector<Field>> rows;
+  for (std::string_view record : records) rows.push_back(split(record));
+
+  std::vector<col::Field> out_fields;
+  std::vector<col::ArrayPtr> columns;
+  for (int c = 0; c < schema->num_fields(); ++c) {
+    const col::Field& field = schema->field(c);
+    if (std::find(options.drop_columns.begin(), options.drop_columns.end(),
+                  field.name) != options.drop_columns.end()) {
+      continue;
+    }
+    // The cell of each row, or nullopt when it is missing or a bare null
+    // literal.
+    std::vector<std::optional<std::string>> cells;
+    for (const std::vector<Field>& fields : rows) {
+      const size_t f = static_cast<size_t>(c);
+      if (f >= fields.size() ||
+          (!fields[f].quoted &&
+           std::find(options.null_literals.begin(), options.null_literals.end(),
+                     fields[f].value) != options.null_literals.end())) {
+        cells.emplace_back();
+      } else {
+        cells.emplace_back(fields[f].value);
+      }
+    }
+    auto parse = [](const std::optional<std::string>& cell, auto* out) {
+      if (!cell) return false;
+      const char* end = cell->data() + cell->size();
+      auto [p, ec] = std::from_chars(cell->data(), end, *out);
+      return ec == std::errc() && p == end;
+    };
+    col::ArrayPtr array;
+    switch (field.type) {
+      case col::TypeId::kInt64: {
+        col::Int64Builder b;
+        for (const auto& cell : cells) {
+          int64_t v = 0;
+          const bool valid = parse(cell, &v);
+          b.AppendMaybe(v, valid);
+        }
+        array = b.Finish().ValueOrDie();
+        break;
+      }
+      case col::TypeId::kFloat64: {
+        col::Float64Builder b;
+        for (const auto& cell : cells) {
+          double v = 0.0;
+          const bool valid = parse(cell, &v);
+          b.AppendMaybe(v, valid);
+        }
+        array = b.Finish().ValueOrDie();
+        break;
+      }
+      case col::TypeId::kBool: {
+        col::BoolBuilder b;
+        for (const auto& cell : cells) {
+          const bool is_true = cell && (*cell == "true" || *cell == "True");
+          b.AppendMaybe(is_true, is_true || (cell && (*cell == "false" ||
+                                                      *cell == "False")));
+        }
+        array = b.Finish().ValueOrDie();
+        break;
+      }
+      case col::TypeId::kCategorical: {
+        auto dict = std::make_shared<std::vector<std::string>>();
+        col::CategoricalBuilder b;
+        for (const auto& cell : cells) {
+          if (!cell) {
+            b.AppendNull();
+            continue;
+          }
+          auto it = std::find(dict->begin(), dict->end(), *cell);
+          b.Append(static_cast<int32_t>(it - dict->begin()));
+          if (it == dict->end()) dict->push_back(*cell);
+        }
+        array = b.Finish(dict).ValueOrDie();
+        break;
+      }
+      default: {
+        col::StringBuilder b;
+        for (const auto& cell : cells) b.AppendMaybe(cell.value_or(""), !!cell);
+        array = b.Finish().ValueOrDie();
+      }
+    }
+    out_fields.push_back({field.name, array->type()});
+    columns.push_back(std::move(array));
+  }
+  return col::Table::Make(std::make_shared<col::Schema>(std::move(out_fields)),
+                          std::move(columns))
+      .ValueOrDie();
 }
 
 }  // namespace bento::test

@@ -201,6 +201,24 @@ TEST(StringUtilTest, FormatDoubleMatchesReferenceOnRandomBits) {
   }
 }
 
+TEST(StringUtilTest, FormatDoubleMatchesReferenceOnShortDecimals) {
+  // i / 10^k for random i of 1-17 digits: the values the short-decimal path
+  // takes (two-decimal prices, small counts), the ones just past its reach
+  // (16-17 digits, k = 7, |v| outside [1e-4, 1e15)), and their neighbours,
+  // which must fall back to the ladder.
+  Rng rng(20261018);
+  double pow10 = 1.0;
+  for (int k = 0; k <= 7; ++k, pow10 *= 10.0) {
+    uint64_t lo = 1;  // 10^(digits - 1)
+    for (int digits = 1; digits <= 17; ++digits, lo *= 10) {
+      for (int i = 0; i < 120; ++i) {
+        const uint64_t value = lo + rng.Uniform(9 * lo);
+        ExpectFormatMatchesReference(static_cast<double>(value) / pow10);
+      }
+    }
+  }
+}
+
 TEST(StringUtilTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(1536), "1.50 KiB");
