@@ -14,8 +14,9 @@
 // resource/energy rollup table after the run. `--streaming` switches to the
 // out-of-core shape (laptop RAM model, per-stage collect): with
 // BENTO_EXECUTION=real and BENTO_PIPELINE_WORKERS=4 the trace shows the
-// morsel pipeline's overlapping `pipeline.chunk` / `pipeline.prefetch`
-// spans across worker threads.
+// morsel pipeline's overlapping `pipeline.chunk` spans across worker
+// threads, with the `bcf.read_group` reads of the BCF source on the same
+// workers.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

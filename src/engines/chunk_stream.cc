@@ -41,12 +41,21 @@ Result<std::unique_ptr<BcfChunkStream>> BcfChunkStream::Open(
 }
 
 Result<col::TablePtr> BcfChunkStream::Next() {
-  if (group_ >= reader_->num_row_groups()) return col::TablePtr(nullptr);
+  BENTO_ASSIGN_OR_RETURN(Deferred decode, ClaimDeferred());
+  if (!decode) return col::TablePtr(nullptr);
+  return decode();
+}
+
+Result<ChunkStream::Deferred> BcfChunkStream::ClaimDeferred() {
+  if (group_ >= reader_->num_row_groups()) return Deferred();
   // Streaming consumes groups front to back; tell the kernel the pages
   // behind us are cold so an mmap'ed scan larger than RAM never pins more
   // than ~one group of page cache. No-op for buffered readers.
   if (group_ > 0) reader_->DoneWithGroup(group_ - 1);
-  return reader_->ReadRowGroup(group_++, projection_);
+  return Deferred([reader = reader_, projection = projection_,
+                   group = group_++]() -> Result<col::TablePtr> {
+    return reader->ReadRowGroup(group, projection);
+  });
 }
 
 uint64_t OwnedChunkBytes(const col::TablePtr& t) {

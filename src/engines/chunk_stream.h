@@ -75,7 +75,9 @@ class CsvChunkStream : public ChunkStream {
 /// \brief Streams every row group of a BCF file, one chunk per group,
 /// projected to `projection` (all columns when empty). A file always holds
 /// at least one row group (BcfWriter writes an empty table as one zero-row
-/// group), so the projected schema reaches downstream consumers.
+/// group), so the projected schema reaches downstream consumers. A claim
+/// only takes the next group index; the decode co-owns the reader and
+/// reads the group on whoever runs it (a pipeline worker).
 class BcfChunkStream : public ChunkStream {
  public:
   static Result<std::unique_ptr<BcfChunkStream>> Open(
@@ -83,13 +85,14 @@ class BcfChunkStream : public ChunkStream {
       const io::BcfReadOptions& options = {});
 
   Result<col::TablePtr> Next() override;
+  Result<Deferred> ClaimDeferred() override;
 
  private:
-  BcfChunkStream(std::unique_ptr<io::BcfReader> reader,
+  BcfChunkStream(std::shared_ptr<const io::BcfReader> reader,
                  std::vector<std::string> projection)
       : reader_(std::move(reader)), projection_(std::move(projection)) {}
 
-  std::unique_ptr<io::BcfReader> reader_;
+  std::shared_ptr<const io::BcfReader> reader_;
   std::vector<std::string> projection_;
   int group_ = 0;
 };
@@ -101,7 +104,7 @@ using ChunkMapFn = std::function<Result<col::TablePtr>(col::TablePtr)>;
 /// \brief Bytes a chunk would occupy if copied out. Slices of a larger
 /// table share whole buffers (a string slice keeps the full chars buffer),
 /// so Table::ByteSize() wildly overcounts string-heavy slices — bad when
-/// the count decides spill thresholds or prefetch backpressure.
+/// the count decides when a materialization spills.
 uint64_t OwnedChunkBytes(const col::TablePtr& t);
 
 /// \brief Streams a fixed list of pre-built batches (tests / partials).

@@ -181,17 +181,6 @@ void ChargeChunks(double per_chunk_seconds, int64_t chunks) {
   }
 }
 
-/// Background ingest: with pipeline workers, BCF streams read and
-/// decompress ahead of compute on a dedicated producer thread.
-std::unique_ptr<ChunkStream> WrapPrefetch(const PipelineOptions& pipe,
-                                          std::unique_ptr<ChunkStream> s) {
-  if (pipe.parallel() && pipe.prefetch_depth > 0) {
-    s = std::make_unique<PrefetchChunkStream>(std::move(s),
-                                              pipe.prefetch_depth);
-  }
-  return s;
-}
-
 }  // namespace
 
 namespace {
@@ -295,12 +284,6 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   }
 
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan_drops));
-  // A BCF scan reads ahead on the prefetch thread. A CSV scan needs no
-  // prefetch (its decode runs on the pipeline workers), nor does an
-  // in-memory table (it chunks into zero-copy slices).
-  if (source.kind == LazySource::Kind::kBcf) {
-    stream = WrapPrefetch(pipe, std::move(stream));
-  }
 
   // Under memory pressure a streaming engine materializes results
   // file-backed: anything bigger than a slice of the remaining budget
@@ -418,8 +401,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           spill->path = path;
           spills.push_back(spill);
           stage_table.reset();
-          BENTO_ASSIGN_OR_RETURN(auto bcf_stream, BcfChunkStream::Open(path));
-          stream = WrapPrefetch(pipe, std::move(bcf_stream));
+          BENTO_ASSIGN_OR_RETURN(stream, BcfChunkStream::Open(path));
           i = j + 1;
           continue;
         }
@@ -440,8 +422,15 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           spills.push_back(spill);
           stage_table.reset();
 
-          BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-          auto pass1 = WrapPrefetch(pipe, std::move(pass1_raw));
+          // Pass 1 reads the spill through a driver, so its row groups
+          // decode on the pipeline workers; the fold stays in stream order.
+          BENTO_ASSIGN_OR_RETURN(auto spill_stream, BcfChunkStream::Open(path));
+          auto pass1 = MakeStage(
+              spill_stream.get(),
+              [](col::TablePtr chunk) -> Result<col::TablePtr> {
+                return chunk;
+              },
+              pipe);
           if (breaker.kind == OpKind::kGetDummies) {
             BENTO_ASSIGN_OR_RETURN(
                 auto categories,
@@ -477,8 +466,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           // Pass 2 is a plain scan of the spill; the encode map rides the
           // next stage.
           pass1.reset();
-          BENTO_ASSIGN_OR_RETURN(auto pass2, BcfChunkStream::Open(path));
-          stream = WrapPrefetch(pipe, std::move(pass2));
+          BENTO_ASSIGN_OR_RETURN(stream, BcfChunkStream::Open(path));
           i = j + 1;
           continue;
         }
@@ -526,8 +514,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
             return kern::HashJoin(chunk, right, breaker.left_key,
                                   breaker.right_key, jopts);
           };
-          BENTO_ASSIGN_OR_RETURN(auto pass, BcfChunkStream::Open(path));
-          stream = WrapPrefetch(pipe, std::move(pass));
+          BENTO_ASSIGN_OR_RETURN(stream, BcfChunkStream::Open(path));
           i = j + 1;
           continue;
         }
@@ -586,9 +573,6 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
   ExecPolicy worker_policy = policy;
   if (pipe.parallel()) worker_policy.parallel = false;
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, {}));
-  if (source.kind == LazySource::Kind::kBcf) {
-    stream = WrapPrefetch(pipe, std::move(stream));
-  }
   const auto stage = MakeStage(
       stream.get(), StageMap(ops.data(), ops.size(), worker_policy, nullptr),
       pipe);

@@ -1,7 +1,6 @@
 #include "engines/pipeline_driver.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 
@@ -40,12 +39,7 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy) {
     if (v > 0) workers = static_cast<int>(std::min<long long>(v, 64));
   }
   out.workers = std::max(1, workers);
-  if (real) {
-    if (out.workers > 1) out.prefetch_depth = 2;
-    return out;
-  }
-  // No prefetch thread when modeled: work done off the consumer thread is
-  // invisible to its VirtualTimer.
+  if (real) return out;
   out.simulate = out.workers > 1;
   out.schedule = policy.parallel_options.policy;
   out.per_task_dispatch_s = policy.parallel_options.per_task_dispatch_s;
@@ -63,7 +57,7 @@ ParallelPipelineDriver::ParallelPipelineDriver(ChunkStream* inner, MapFn map,
       options_(options),
       pool_(sim::MemoryPool::Current()) {
   if (!options_.threaded()) return;
-  capacity_ = options_.workers + std::max(options_.readahead, 0);
+  capacity_ = options_.workers + kReadahead;
   active_workers_ = options_.workers;
   threads_.reserve(static_cast<size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
@@ -127,7 +121,8 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
       break;
     }
 
-    // The decode (a CSV parse) runs here, outside the claim lock.
+    // The decode (a CSV parse, a BCF row-group read) runs here, outside
+    // the claim lock.
     Result<col::TablePtr> out =
         claimed.ok() ? claimed.ValueOrDie()() : claimed.status();
     if (out.ok()) {
@@ -155,12 +150,12 @@ void ParallelPipelineDriver::SettleModeledCredit() {
   for (double d : sim_map_seconds_) sum_map += d;
   double sum_io = 0.0;
   for (double d : sim_io_seconds_) sum_io += d;
-  // Two-stage pipeline model matching the real executor's shape: a prefetch
-  // producer pulls chunks sequentially while `workers` map them. Completion
-  // is bounded below by either stage being saturated — all I/O plus the last
-  // map's tail, or the map makespan plus the first chunk's fill — and the
-  // credit is the overlap relative to the fully serial claim+map loop the
-  // driver actually ran.
+  // Two-stage pipeline model: source pulls (claim plus decode) run
+  // sequentially while `workers` map the chunks. Completion is bounded below
+  // by either stage being saturated — all I/O plus the last map's tail, or
+  // the map makespan plus the first chunk's fill — and the credit is the
+  // overlap relative to the fully serial claim+map loop the driver actually
+  // ran.
   const double map_makespan =
       sim::SimulateMakespan(sim_map_seconds_, options_.workers,
                             options_.schedule, options_.per_task_dispatch_s);
@@ -234,93 +229,6 @@ Result<col::TablePtr> ParallelPipelineDriver::Next() {
     if (done_claiming_ && active_workers_ == 0) return col::TablePtr(nullptr);
     cv_ready_.wait(lk);
   }
-}
-
-// ---------------------------------------------------------------------------
-// PrefetchChunkStream
-// ---------------------------------------------------------------------------
-
-PrefetchChunkStream::PrefetchChunkStream(std::unique_ptr<ChunkStream> inner,
-                                         int depth)
-    : inner_(std::move(inner)),
-      depth_(std::max(depth, 1)),
-      pool_(sim::MemoryPool::Current()) {
-  producer_ = std::thread([this] { ProducerLoop(); });
-}
-
-PrefetchChunkStream::~PrefetchChunkStream() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    cancelled_ = true;
-  }
-  cv_consumed_.notify_all();
-  cv_produced_.notify_all();
-  producer_.join();
-}
-
-void PrefetchChunkStream::ProducerLoop() {
-  obs::SetCurrentThreadName("pipeline-prefetch");
-  (void)obs::InstallThreadSampler();
-  sim::MemoryScope scope(pool_);
-
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Sleep while the queue is full, or while budget headroom has shrunk
-      // below two chunks' worth — but never with an empty queue (the
-      // consumer is about to free memory by draining it, so stalling then
-      // would deadlock the pipeline against its own readahead). The wait
-      // re-checks on a short tick too: headroom can grow from releases on
-      // threads that never touch this queue.
-      auto has_room = [&] {
-        if (cancelled_) return true;
-        if (queue_.size() >= static_cast<size_t>(depth_)) return false;
-        if (queue_.empty()) return true;
-        const uint64_t headroom = pool_->HeadroomBytes();
-        return headroom == UINT64_MAX || headroom > 2 * last_chunk_bytes_;
-      };
-      while (!has_room()) {
-        cv_consumed_.wait_for(lk, std::chrono::milliseconds(1));
-      }
-      if (cancelled_) return;
-    }
-
-    Result<col::TablePtr> pulled = col::TablePtr(nullptr);
-    {
-      BENTO_TRACE_SPAN(kIo, "pipeline.prefetch");
-      pulled = inner_->Next();
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!pulled.ok() || pulled.ValueOrDie() == nullptr) {
-      error_ = pulled.status();
-      finished_ = true;
-    } else {
-      last_chunk_bytes_ = OwnedChunkBytes(pulled.ValueOrDie());
-      queue_.push_back(std::move(pulled).ValueOrDie());
-    }
-    cv_produced_.notify_all();
-    if (finished_) return;
-  }
-}
-
-Result<col::TablePtr> PrefetchChunkStream::Next() {
-  static obs::Counter* stalls =
-      obs::MetricsRegistry::Global().counter("pipeline.prefetch.stalls");
-  std::unique_lock<std::mutex> lk(mu_);
-  if (queue_.empty() && !finished_) {
-    // The consumer outran the prefetcher: compute is waiting on I/O.
-    stalls->Increment();
-  }
-  cv_produced_.wait(lk, [&] { return !queue_.empty() || finished_; });
-  if (queue_.empty()) {
-    // Finished and drained: end of stream, or the producer's error.
-    if (!error_.ok()) return error_;
-    return col::TablePtr(nullptr);
-  }
-  col::TablePtr chunk = std::move(queue_.front());
-  queue_.pop_front();
-  cv_consumed_.notify_all();
-  return chunk;
 }
 
 }  // namespace bento::eng

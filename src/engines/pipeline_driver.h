@@ -4,10 +4,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -25,17 +23,10 @@ namespace bento::eng {
 /// `workers <= 1` is the serial mode: the driver runs claim, decode and map
 /// inline on the calling thread with no extra threads, no queues and no
 /// reordering, and it is the executor's only serial streaming loop. With
-/// `workers > 1` the driver runs (or models) concurrent workers, and real
-/// execution also wraps BCF sources in a PrefetchChunkStream.
+/// `workers > 1` the driver runs (or models) concurrent workers.
 struct PipelineOptions {
   /// Compute workers concurrently claiming chunks. <= 1 means inline serial.
   int workers = 1;
-  /// Extra in-flight chunks beyond `workers` the reorder buffer may hold
-  /// (absorbs completion skew so a slow chunk does not idle every worker).
-  int readahead = 2;
-  /// Decoded BCF chunks the background prefetch stage may buffer ahead of
-  /// the consumer; 0 disables the prefetch thread.
-  int prefetch_depth = 0;
   /// Model the schedule instead of running it: chunks execute serially
   /// inline while each map's wall time is measured, and on completion the
   /// active Session is credited the overlap `workers` would achieve
@@ -58,12 +49,12 @@ struct PipelineOptions {
 /// Engages only when the engine asked for chunk-parallel kernels
 /// (`policy.parallel`). With real execution (`sim::WouldUseRealExecution`)
 /// the stage runs on actual worker threads clamped to the physical core
-/// count, plus a background prefetch thread for BCF sources. Inside a
-/// *simulated* session the same pipeline runs in modeled form (`simulate`):
-/// serial execution, measured chunk maps, and a virtual-time credit for the
-/// overlap the session machine's cores would achieve — so pipeline scaling
-/// shows in virtual time host-independently. Without any session the
-/// pipeline stays off in simulated mode (there is no clock to credit).
+/// count. Inside a *simulated* session the same pipeline runs in modeled
+/// form (`simulate`): serial execution, measured chunk maps, and a
+/// virtual-time credit for the overlap the session machine's cores would
+/// achieve — so pipeline scaling shows in virtual time host-independently.
+/// Without any session the pipeline stays off in simulated mode (there is
+/// no clock to credit).
 /// `BENTO_PIPELINE_WORKERS=N` pins the worker count exactly, in real and
 /// simulated sessions alike; N=1 forces the serial loop. It is read per
 /// call, so benches and tests can sweep it without rebuilding engines.
@@ -74,15 +65,17 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 /// run `map` on each; `Next()` reassembles results in claim order.
 ///
 /// Claims are serialized (one worker at a time calls
-/// `inner->ClaimDeferred()`, which for a CSV source only cuts the text, and
-/// takes the next sequence number). Decodes and maps run concurrently
-/// without locks, and finished chunks park in a bounded reorder buffer
-/// until the consumer reaches their sequence number. At most
-/// `workers + readahead` chunks are in flight; a worker that gets ahead
-/// blocks until the consumer drains — which is always possible, because the
-/// chunk the consumer waits for is itself held by some worker
-/// (deadlock-free by construction). Errors are delivered at their position
-/// in the sequence, exactly where the serial loop would have surfaced them.
+/// `inner->ClaimDeferred()`, which for a CSV source only cuts the text and
+/// for a BCF source only takes the next row-group index, and takes the next
+/// sequence number). Decodes and maps run concurrently without locks, and
+/// finished chunks park in a bounded reorder buffer until the consumer
+/// reaches their sequence number. At most `workers + kReadahead` chunks are
+/// in flight (the readahead absorbs completion skew so a slow chunk does not
+/// idle every worker); a worker that gets ahead blocks until the consumer
+/// drains — which is always possible, because the chunk the consumer waits
+/// for is itself held by some worker (deadlock-free by construction).
+/// Errors are delivered at their position in the sequence, exactly where
+/// the serial loop would have surfaced them.
 ///
 /// Output is bit-identical to running `map` serially per chunk in stream
 /// order for ANY worker count: the map itself is pure per-chunk work, and
@@ -123,14 +116,17 @@ class ParallelPipelineDriver : public ChunkStream {
   /// chunk maps, once (end of stream or destruction, whichever is first).
   void SettleModeledCredit();
 
+  /// In-flight chunks beyond `workers` the reorder buffer may hold.
+  static constexpr int kReadahead = 2;
+
   ChunkStream* inner_;
   MapFn map_;
   PipelineOptions options_;
   sim::MemoryPool* pool_;  // consumer-thread pool, installed on workers
   int capacity_ = 0;       // max chunks in flight (claimed, not consumed)
 
-  // Claim serialization (kept apart from mu_ so a long claim — a BCF row
-  // group read — never blocks the consumer from popping ready chunks).
+  // Claim serialization (kept apart from mu_ so a claim never blocks the
+  // consumer from popping ready chunks).
   std::mutex claim_mu_;
   int64_t next_claim_seq_ = 0;  // guarded by claim_mu_
   bool claim_stopped_ = false;  // end-of-stream or claim error; claim_mu_
@@ -156,45 +152,6 @@ class ParallelPipelineDriver : public ChunkStream {
   std::vector<double> sim_map_seconds_;
   std::vector<double> sim_io_seconds_;
   bool sim_credited_ = false;
-};
-
-/// \brief Background I/O prefetch stage for BCF sources: a dedicated
-/// producer thread pulls (reads, decompresses) chunks from `inner` into a
-/// bounded queue so ingest overlaps with compute. CSV sources do not need
-/// it: their decode already runs on the pipeline workers.
-///
-/// The producer installs the constructing thread's MemoryPool, so decoded
-/// buffers charge the session budget the moment they exist — readahead can
-/// never hold more memory than the budget admits. Backpressure is two-fold:
-/// the producer sleeps while the queue is full, and also while pool headroom
-/// has shrunk below twice the last chunk's footprint (unless the queue is
-/// empty, which keeps the pipeline live: the consumer is about to free
-/// memory by taking that chunk). Order is trivially preserved (one producer,
-/// FIFO queue). Emits `pipeline.prefetch` spans around each pull and counts
-/// consumer-side waits in `pipeline.prefetch.stalls`.
-class PrefetchChunkStream : public ChunkStream {
- public:
-  PrefetchChunkStream(std::unique_ptr<ChunkStream> inner, int depth);
-  ~PrefetchChunkStream() override;
-
-  Result<col::TablePtr> Next() override;
-
- private:
-  void ProducerLoop();
-
-  std::unique_ptr<ChunkStream> inner_;
-  int depth_;
-  sim::MemoryPool* pool_;
-
-  std::mutex mu_;
-  std::condition_variable cv_produced_;
-  std::condition_variable cv_consumed_;
-  std::deque<col::TablePtr> queue_;  // guarded by mu_
-  Status error_;                     // producer's terminal error; mu_
-  uint64_t last_chunk_bytes_ = 0;    // guarded by mu_
-  bool finished_ = false;            // guarded by mu_
-  bool cancelled_ = false;           // guarded by mu_
-  std::thread producer_;
 };
 
 }  // namespace bento::eng

@@ -10,6 +10,7 @@
 #include "columnar/builder.h"
 #include "engines/spill_frames.h"
 #include "kernels/apply.h"
+#include "kernels/dedup.h"
 #include "kernels/flat_index.h"
 #include "kernels/groupby.h"
 #include "kernels/join.h"
@@ -227,6 +228,15 @@ Result<std::vector<TablePtr>> HashPartitionTable(
   return out;
 }
 
+/// The input of a fold that kept no row: the first zero-row chunk it saw,
+/// whose schema the kernels turn into their typed empty result, or the
+/// zero-column frame when the stream had no chunk at all.
+Result<TablePtr> EmptyInput(const TablePtr& witness) {
+  if (witness != nullptr) return witness;
+  return col::Table::MakeEmpty(
+      std::make_shared<col::Schema>(std::vector<col::Field>{}));
+}
+
 /// Reorders `table` ascending by the hidden sequence column and drops it.
 Result<TablePtr> RestoreSeqOrder(const TablePtr& table) {
   BENTO_ASSIGN_OR_RETURN(
@@ -320,11 +330,15 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
 
   std::vector<TablePtr> partials;
   int64_t partial_bytes = 0;
+  TablePtr empty_chunk;  // first zero-row mapped chunk
   constexpr size_t kCompactEvery = 16;
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto partial, partial_stream.Next());
     if (partial == nullptr) break;
-    if (partial->num_rows() == 0) continue;
+    if (partial->num_rows() == 0) {
+      if (empty_chunk == nullptr) empty_chunk = std::move(partial);
+      continue;
+    }
     if (store != nullptr) {
       BENTO_RETURN_NOT_OK(spill_partial(partial));
       continue;
@@ -363,6 +377,7 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
     // Per-partition exact merge; a group's partials all share one partition
     // (hash of its key), so merging partitions independently is exact. The
     // hidden min-sequence column then restores global first-seen order.
+    // Spilling starts from a non-empty partial, so some partition is too.
     BENTO_TRACE_SPAN(kEngine, "groupby.spill_merge");
     std::vector<TablePtr> merged_parts;
     for (int p = 0; p < n_partitions; ++p) {
@@ -375,9 +390,6 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
       merged_parts.push_back(std::move(merged));
     }
     store.reset();
-    if (merged_parts.empty()) {
-      return Status::Invalid("streaming group-by over an empty stream");
-    }
     BENTO_ASSIGN_OR_RETURN(auto all, col::ConcatTablesReleasing(&merged_parts));
     BENTO_ASSIGN_OR_RETURN(
         auto indices, kern::ArgSort(all, {kern::SortKey{kSeqColumn, true}}));
@@ -386,7 +398,9 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
   }
 
   if (partials.empty()) {
-    return Status::Invalid("streaming group-by over an empty stream");
+    // Every mapped chunk was empty (a filter kept no row).
+    BENTO_ASSIGN_OR_RETURN(auto empty, EmptyInput(empty_chunk));
+    return kern::GroupBy(empty, keys, aggs);
   }
   BENTO_ASSIGN_OR_RETURN(auto concat, col::ConcatTables(partials));
   BENTO_ASSIGN_OR_RETURN(auto merged, kern::GroupBy(concat, keys, merge_specs));
@@ -639,10 +653,14 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
   kern::FlatGrouper seen;
   std::vector<std::pair<size_t, int64_t>> where;
   std::vector<TablePtr> kept;
+  TablePtr empty_chunk;  // first zero-row mapped chunk
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto chunk, hashed_stream.Next());
     if (chunk == nullptr) break;
-    if (chunk->num_rows() == 0) continue;
+    if (chunk->num_rows() == 0) {
+      if (empty_chunk == nullptr) empty_chunk = std::move(chunk);
+      continue;
+    }
     BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
     const int64_t* hashes = hash_column->int64_data();
     BENTO_ASSIGN_OR_RETURN(chunk, chunk->DropColumns({kHashColumn}));
@@ -690,7 +708,9 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
     *options.chunks_claimed = hashed_stream.chunks_claimed();
   }
   if (kept.empty()) {
-    return Status::Invalid("streaming dedup over an empty stream");
+    // Every mapped chunk was empty (a filter kept no row).
+    BENTO_ASSIGN_OR_RETURN(auto empty, EmptyInput(empty_chunk));
+    return kern::DropDuplicates(empty, subset);
   }
   return col::ConcatTablesReleasing(&kept);
 }

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -391,13 +392,15 @@ Result<std::unique_ptr<BcfReader>> BcfReader::Open(
     BENTO_ASSIGN_OR_RETURN(reader->map_, BcfMmapRegion::Open(path));
     file_size = reader->map_->size;
   } else {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return Status::IOError("cannot open ", path);
-    // The reader's destructor closes file_, so every early return below
+    // The reader's destructor closes fd_, so every early return below
     // (bad magic, corrupt footer, ...) releases the descriptor.
-    reader->file_ = f;
-    if (std::fseek(f, 0, SEEK_END) != 0) return Status::IOError("seek failed");
-    file_size = static_cast<uint64_t>(std::ftell(f));
+    reader->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (reader->fd_ < 0) return Status::IOError("cannot open ", path);
+    struct stat st;
+    if (::fstat(reader->fd_, &st) != 0) {
+      return Status::IOError("cannot stat ", path);
+    }
+    file_size = static_cast<uint64_t>(st.st_size);
   }
   if (file_size < 16) return Status::IOError(path, " is not a BCF file");
 
@@ -481,19 +484,24 @@ Result<std::unique_ptr<BcfReader>> BcfReader::Open(
 }
 
 BcfReader::~BcfReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
-Status BcfReader::ReadAt(uint64_t offset, uint64_t size, void* out) {
+Status BcfReader::ReadAt(uint64_t offset, uint64_t size, void* out) const {
   if (size == 0) return Status::OK();
   if (map_ != nullptr) {
     // Callers have bounds-checked the range against the mapping.
     std::memcpy(out, map_->addr + offset, size);
     return Status::OK();
   }
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
-      std::fread(out, 1, size, file_) != size) {
-    return Status::IOError("BCF read failed at offset ", offset);
+  auto* dst = static_cast<uint8_t*>(out);
+  while (size > 0) {
+    const ssize_t got = ::pread(fd_, dst, size, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return Status::IOError("BCF read failed at offset ", offset);
+    dst += got;
+    offset += static_cast<uint64_t>(got);
+    size -= static_cast<uint64_t>(got);
   }
   return Status::OK();
 }
@@ -515,14 +523,15 @@ std::pair<uint64_t, uint64_t> BcfReader::GroupByteRange(
   return {lo, hi};
 }
 
-void BcfReader::DoneWithGroup(int group) {
+void BcfReader::DoneWithGroup(int group) const {
   if (map_ == nullptr || group < 0 || group >= num_row_groups()) return;
   auto [lo, hi] = GroupByteRange(groups_[static_cast<size_t>(group)]);
   map_->Advise(lo, hi - lo, MADV_DONTNEED);
 }
 
 Result<col::TablePtr> BcfReader::ReadRowGroup(
-    int group, const std::vector<std::string>& columns) {
+    int group, const std::vector<std::string>& columns) const {
+  BENTO_TRACE_SPAN(kIo, "bcf.read_group");
   if (group < 0 || group >= num_row_groups()) {
     return Status::IndexError("row group ", group, " out of range");
   }
@@ -584,7 +593,7 @@ Result<col::TablePtr> BcfReader::ReadRowGroup(
 }
 
 Result<col::TablePtr> BcfReader::ReadAll(
-    const std::vector<std::string>& columns) {
+    const std::vector<std::string>& columns) const {
   BENTO_TRACE_SPAN(kIo, "bcf.read_all");
   std::vector<col::TablePtr> parts;
   for (int g = 0; g < num_row_groups(); ++g) {

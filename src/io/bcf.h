@@ -179,12 +179,14 @@ class BcfReader {
   int64_t num_rows() const { return num_rows_; }
 
   /// Reads one row group, optionally projecting to `columns` (all when
-  /// empty). Projection touches only the selected chunks' bytes.
+  /// empty). Projection touches only the selected chunks' bytes. Safe to
+  /// call from several threads at once on one reader.
   Result<col::TablePtr> ReadRowGroup(
-      int group, const std::vector<std::string>& columns = {});
+      int group, const std::vector<std::string>& columns = {}) const;
 
   /// Concatenation of all row groups.
-  Result<col::TablePtr> ReadAll(const std::vector<std::string>& columns = {});
+  Result<col::TablePtr> ReadAll(
+      const std::vector<std::string>& columns = {}) const;
 
   /// True when the file is served through an mmap region (zero-copy mode).
   bool mmap_active() const { return map_ != nullptr; }
@@ -193,17 +195,18 @@ class BcfReader {
   /// dropped from the page cache (madvise DONTNEED). No-op when buffered or
   /// out of range. Safe even if zero-copy views of the group are still
   /// alive — the kernel faults the pages back in on next access.
-  void DoneWithGroup(int group);
+  void DoneWithGroup(int group) const;
 
  private:
   BcfReader() = default;
 
   /// Copies [offset, offset+size) of the file into `out`, in either mode.
-  Status ReadAt(uint64_t offset, uint64_t size, void* out);
+  /// Positioned reads: no shared file offset, so concurrent calls are safe.
+  Status ReadAt(uint64_t offset, uint64_t size, void* out) const;
   /// [first page byte, last page byte) span of a row group, for madvise.
   std::pair<uint64_t, uint64_t> GroupByteRange(const GroupMeta& g) const;
 
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;  // buffered mode's descriptor
   std::shared_ptr<BcfMmapRegion> map_;
   uint64_t data_end_ = 0;  // pages live in [4, data_end_); footer follows
   BcfReadOptions options_;

@@ -149,16 +149,20 @@ size_t RecordEnd(std::string_view text, size_t pos,
 
 /// Calls `on_record(line, has_quote)` for each record of `text` (quoted
 /// newlines stay inside their record), the last one possibly without a
-/// newline, up to `max_records` of them. A trailing '\r' is stripped;
+/// newline unless `whole_only` (the text is a prefix that may cut its last
+/// record), up to `max_records` of them. A trailing '\r' is stripped;
 /// lines left empty are skipped.
 template <typename Fn>
 void ForEachRecord(std::string_view text, Fn on_record,
-                   int64_t max_records = INT64_MAX) {
+                   int64_t max_records = INT64_MAX, bool whole_only = false) {
   size_t pos = 0;
   for (int64_t records = 0; pos < text.size() && records < max_records;) {
     bool has_quote = false;
     size_t end = RecordEnd(text, pos, &has_quote);
-    if (end == std::string_view::npos) end = text.size();
+    if (end == std::string_view::npos) {
+      if (whole_only) return;
+      end = text.size();
+    }
     std::string_view line = text.substr(pos, end - pos);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (!line.empty()) {
@@ -445,11 +449,13 @@ HeaderInfo ReadHeader(std::string_view text, const CsvReadOptions& options) {
 }
 
 /// Column-type inference over the first `infer_rows` records of `body`
-/// (int64 -> float64 -> bool -> string, the Pandas-like ladder). Null
-/// literals, quoted or not, take no part.
+/// (int64 -> float64 -> bool -> string, the Pandas-like ladder), whole
+/// ones only when `whole_only` (see ForEachRecord). Null literals, quoted
+/// or not, take no part.
 col::SchemaPtr InferFromBody(std::string_view body,
                              const std::vector<std::string>& names,
-                             const CsvReadOptions& options) {
+                             const CsvReadOptions& options,
+                             bool whole_only = false) {
   const size_t n_cols = names.size();
   std::vector<bool> all_int(n_cols, true);
   std::vector<bool> all_double(n_cols, true);
@@ -471,7 +477,7 @@ col::SchemaPtr InferFromBody(std::string_view body,
           if (all_bool[c] && !LooksLikeBool(v)) all_bool[c] = false;
         }
       },
-      options.infer_rows);
+      options.infer_rows, whole_only);
 
   std::vector<col::Field> schema;
   for (size_t c = 0; c < n_cols; ++c) {
@@ -644,11 +650,15 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
   const std::string_view prefix(reader->block_.get(), reader->end_);
   HeaderInfo header = ReadHeader(prefix, options);
   reader->begin_ = header.body_offset;
-  col::SchemaPtr full =
-      options.schema != nullptr
-          ? options.schema
-          : InferFromBody(prefix.substr(header.body_offset), header.names,
-                          options);
+  col::SchemaPtr full = options.schema;
+  if (full == nullptr) {
+    // A prefix that stops short of end of file cuts its last record, which
+    // must not be sampled: ReadCsv samples whole records only.
+    const int next = reader->end_ == reader->capacity_ ? std::fgetc(f) : EOF;
+    if (next != EOF) std::ungetc(next, f);
+    full = InferFromBody(prefix.substr(header.body_offset), header.names,
+                         options, /*whole_only=*/next != EOF);
+  }
   BENTO_ASSIGN_OR_RETURN(CsvProjection proj,
                          ResolveDropColumns(full, options));
   reader->schema_ = proj.schema;

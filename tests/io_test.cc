@@ -373,6 +373,43 @@ TEST(CsvTest, ChunkReaderStreamsAllRows) {
   EXPECT_GT(chunks, 1);
 }
 
+/// The chunk reader infers its schema from a 1 MiB prefix. A prefix that
+/// stops short of end of file cuts its last record, which must not be
+/// sampled: here the cut leaves only the `-` of the float `-1.5`.
+TEST(CsvTest, ChunkReaderInfersFromWholeRecordsOnly) {
+  TempPath path(".csv");
+  {
+    std::ofstream out(path.str(), std::ios::binary);
+    out << "s,f\n";
+    const std::string pad(2042, 'x');  // 2 KiB records
+    for (int i = 0; i < 600; ++i) out << pad << ",-1.5\n";
+  }
+  {
+    std::ifstream in(path.str(), std::ios::binary);
+    std::string prefix(1 << 20, '\0');
+    ASSERT_TRUE(in.read(prefix.data(), static_cast<std::streamsize>(
+                                           prefix.size())));
+    ASSERT_EQ(prefix.substr(prefix.size() - 3), "x,-");
+  }
+  auto expected = ReadCsv(path.str()).ValueOrDie();
+  ASSERT_EQ(expected->schema()->field(1).type, TypeId::kFloat64);
+
+  CsvReadOptions options;
+  options.chunk_rows = 256;
+  auto reader = CsvChunkReader::Open(path.str(), options).ValueOrDie();
+  EXPECT_TRUE(*reader->schema() == *expected->schema());
+  std::vector<TablePtr> chunks;
+  while (true) {
+    auto chunk = reader->Next();
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    if (chunk.ValueOrDie() == nullptr) break;
+    chunks.push_back(chunk.ValueOrDie());
+  }
+  auto got = col::ConcatTables(chunks).ValueOrDie();
+  EXPECT_TRUE(*got->schema() == *expected->schema());
+  test::ExpectTablesEqual(expected, got);
+}
+
 // --- CSV chunk boundaries ---
 
 /// CRLF rows with `\r`-only (blank CRLF) lines, doubled quotes, quoted

@@ -18,11 +18,11 @@
 #include "tests/test_util.h"
 #include "util/random.h"
 
-// Property suite for the morsel-driven pipeline stage and the background
-// prefetch stage: claim-order delivery regardless of completion order,
-// errors surfacing at their stream position, bounded in-flight chunks,
-// clean early destruction, and prefetch buffers charging the MemoryPool so
-// readahead obeys the session budget.
+// Property suite for the morsel-driven pipeline stage: claim-order delivery
+// regardless of completion order, errors surfacing at their stream
+// position, bounded in-flight chunks, clean early destruction, and CSV and
+// BCF sources decoding on the workers, where the decoded buffers charge the
+// MemoryPool so in-flight chunks obey the session budget.
 
 namespace bento::eng {
 namespace {
@@ -201,114 +201,6 @@ TEST(ParallelPipelineDriverTest, ConcurrentMapsNeverExceedWorkerCount) {
   }
 }
 
-/// Inner stream that allocates a fresh table per chunk (so buffer bytes are
-/// charged to whatever pool is installed on the PULLING thread) after an
-/// optional delay — the stand-in for a CSV parse / BCF decode.
-class AllocatingStream : public ChunkStream {
- public:
-  AllocatingStream(int n_chunks, int64_t rows, int delay_us)
-      : n_chunks_(n_chunks), rows_(rows), delay_us_(delay_us) {}
-
-  Result<TablePtr> Next() override {
-    if (produced_ >= n_chunks_) return TablePtr(nullptr);
-    if (delay_us_ > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
-    }
-    const int64_t base = static_cast<int64_t>(produced_) * rows_;
-    col::Int64Builder b;
-    b.Reserve(rows_);
-    for (int64_t i = 0; i < rows_; ++i) b.Append(base + i);
-    BENTO_ASSIGN_OR_RETURN(auto v, b.Finish());
-    ++produced_;
-    return MakeTable({{"v", std::move(v)}});
-  }
-
- private:
-  int n_chunks_;
-  int64_t rows_;
-  int delay_us_;
-  int produced_ = 0;
-};
-
-TEST(PrefetchChunkStreamTest, PreservesContentAndCountsStalls) {
-  static obs::Counter* stalls =
-      obs::MetricsRegistry::Global().counter("pipeline.prefetch.stalls");
-  const uint64_t stalls_before = stalls->value();
-
-  // Producer slower than consumer: every pull should find the queue empty
-  // at least sometimes, exercising the stall path.
-  PrefetchChunkStream stream(
-      std::make_unique<AllocatingStream>(/*n_chunks=*/20, /*rows=*/128,
-                                         /*delay_us=*/300),
-      /*depth=*/2);
-  AllocatingStream reference(/*n_chunks=*/20, /*rows=*/128, /*delay_us=*/0);
-  int chunks = 0;
-  while (true) {
-    auto got = stream.Next();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto want = reference.Next();
-    ASSERT_TRUE(want.ok());
-    ASSERT_EQ(got.ValueOrDie() == nullptr, want.ValueOrDie() == nullptr);
-    if (got.ValueOrDie() == nullptr) break;
-    test::ExpectTablesEqual(want.ValueOrDie(), got.ValueOrDie());
-    ++chunks;
-  }
-  EXPECT_EQ(chunks, 20);
-  EXPECT_GT(stalls->value(), stalls_before);
-}
-
-TEST(PrefetchChunkStreamTest, ChargesPoolAndBackpressureKeepsPeakUnderBudget) {
-  // Each chunk is ~rows * 8 bytes of int64 data. Budget six chunks; a
-  // depth-16 readahead without backpressure would blow straight through it
-  // (Reserve fails hard over budget), so completing cleanly under the
-  // budget proves both that prefetch buffers charge the session pool and
-  // that the headroom rule throttles the producer.
-  constexpr int64_t kRows = 64 * 1024;
-  const uint64_t chunk_bytes = static_cast<uint64_t>(kRows) * 8;
-  sim::MachineSpec tight{"tight", 4, chunk_bytes * 6, std::nullopt};
-  sim::Session session(tight);
-
-  PrefetchChunkStream stream(
-      std::make_unique<AllocatingStream>(/*n_chunks=*/32, kRows,
-                                         /*delay_us=*/0),
-      /*depth=*/16);
-  // Let the producer race ahead before consuming at all: readahead must
-  // accumulate several charged chunks, but never more than the headroom
-  // rule admits. Polling peak_bytes (instead of pacing the consumer with a
-  // fixed sleep) keeps the test deterministic under sanitizers and on
-  // single-core hosts, where the producer may need arbitrarily long per
-  // chunk.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (session.host_pool()->peak_bytes() <= chunk_bytes &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  int64_t total_rows = 0;
-  while (true) {
-    auto chunk = stream.Next();
-    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-    if (chunk.ValueOrDie() == nullptr) break;
-    total_rows += chunk.ValueOrDie()->num_rows();
-  }
-  EXPECT_EQ(total_rows, 32 * kRows);
-  EXPECT_GT(session.host_pool()->peak_bytes(), chunk_bytes)
-      << "readahead must hold multiple charged chunks";
-  EXPECT_LE(session.host_pool()->peak_bytes(), session.host_pool()->budget());
-}
-
-TEST(PrefetchChunkStreamTest, EarlyDestructionStopsProducer) {
-  for (int round = 0; round < 4; ++round) {
-    PrefetchChunkStream stream(
-        std::make_unique<AllocatingStream>(/*n_chunks=*/64, /*rows=*/256,
-                                           /*delay_us=*/100),
-        /*depth=*/4);
-    auto chunk = stream.Next();
-    ASSERT_TRUE(chunk.ok());
-    // Destructor cancels and joins the producer mid-stream.
-  }
-}
-
 TEST(TableChunkStreamTest, AlignedSlicesChargeNoRowData) {
   sim::MachineSpec m{"m", 4, 1ULL << 30, std::nullopt};
   sim::Session session(m);
@@ -393,26 +285,48 @@ TEST(ParallelPipelineDriverTest, StageOverTableSlicesMatchesSerial) {
   }
 }
 
-/// A CSV source under 4 workers: each claim only cuts the text, and the
-/// decodes run concurrently on the workers, outside the claim lock. The
-/// stage must deliver exactly the serial reader's chunks, mapped, in order.
-TEST(ParallelPipelineDriverTest, CsvSourceDecodesOnWorkersMatchesSerial) {
-  Rng rng(78);
+/// An int64 `v`, a string `s` holding quotes, commas and newlines, and a
+/// float `f`; `s` and `f` have nulls.
+TablePtr HazardTable(int64_t rows, uint64_t seed) {
+  Rng rng(seed);
   col::Int64Builder v;
   col::StringBuilder s;
   col::Float64Builder f;
-  for (int64_t i = 0; i < 5000; ++i) {
+  for (int64_t i = 0; i < rows; ++i) {
     v.Append(rng.UniformInt(-1000, 1000));
     s.AppendMaybe(i % 3 == 0 ? "quoted \"x\", with\nnewline"
                              : rng.AsciiString(0, 12),
                   !rng.Bernoulli(0.1));
     f.AppendMaybe(rng.UniformDouble(-1, 1), !rng.Bernoulli(0.2));
   }
-  auto table = MakeTable({{"v", v.Finish().ValueOrDie()},
-                          {"s", s.Finish().ValueOrDie()},
-                          {"f", f.Finish().ValueOrDie()}});
-  const std::string path = testing::TempDir() + "bento_driver_csv_" +
-                           std::to_string(::getpid()) + ".csv";
+  return MakeTable({{"v", v.Finish().ValueOrDie()},
+                    {"s", s.Finish().ValueOrDie()},
+                    {"f", f.Finish().ValueOrDie()}});
+}
+
+/// A scratch file path unique to this process.
+std::string TempFile(const std::string& stem, const std::string& suffix) {
+  return testing::TempDir() + "bento_driver_" + stem + "_" +
+         std::to_string(::getpid()) + suffix;
+}
+
+/// Every chunk of `stream` in order, up to its end or first error.
+std::vector<TablePtr> Drain(ChunkStream* stream) {
+  std::vector<TablePtr> out;
+  while (true) {
+    auto chunk = stream->Next();
+    EXPECT_TRUE(chunk.ok()) << chunk.status().ToString();
+    if (!chunk.ok() || chunk.ValueOrDie() == nullptr) return out;
+    out.push_back(std::move(chunk).ValueOrDie());
+  }
+}
+
+/// A CSV source under 4 workers: each claim only cuts the text, and the
+/// decodes run concurrently on the workers, outside the claim lock. The
+/// stage must deliver exactly the serial reader's chunks, mapped, in order.
+TEST(ParallelPipelineDriverTest, CsvSourceDecodesOnWorkersMatchesSerial) {
+  auto table = HazardTable(5000, /*seed=*/78);
+  const std::string path = TempFile("csv", ".csv");
   ASSERT_TRUE(io::WriteCsv(table, path).ok());
   io::CsvReadOptions read_options;
   read_options.chunk_rows = 97;
@@ -443,6 +357,207 @@ TEST(ParallelPipelineDriverTest, CsvSourceDecodesOnWorkersMatchesSerial) {
   }
   EXPECT_EQ(out, expected.size());
   EXPECT_EQ(driver.chunks_claimed(), static_cast<int64_t>(expected.size()));
+  std::remove(path.c_str());
+}
+
+/// A BCF source under any worker count: each claim only takes the next
+/// row-group index, and the reads and decodes run on the workers. For a
+/// compressed file and a mappable aligned one, read buffered and through
+/// mmap, whole and projected, the stage must deliver exactly the serial
+/// reader's row groups, mapped, in order.
+TEST(ParallelPipelineDriverTest, BcfSourceDecodesOnWorkersMatchesSerial) {
+  auto table = HazardTable(5000, /*seed=*/79);
+  io::BcfWriteOptions compressed;
+  compressed.row_group_rows = 97;
+  io::BcfWriteOptions mappable = compressed;
+  mappable.compression = false;
+  mappable.align_pages = true;
+  mappable.mappable = true;
+  struct File {
+    const char* name;
+    io::BcfWriteOptions options;
+  };
+  for (const File& file :
+       {File{"compressed", compressed}, File{"mappable", mappable}}) {
+    const std::string path = TempFile(file.name, ".bcf");
+    ASSERT_TRUE(io::WriteBcf(table, path, file.options).ok());
+    for (bool use_mmap : {false, true}) {
+      io::BcfReadOptions read_options;
+      read_options.use_mmap = use_mmap;
+      for (const std::vector<std::string>& projection :
+           {std::vector<std::string>{}, std::vector<std::string>{"f", "v"}}) {
+        std::vector<TablePtr> expected;
+        {
+          auto reader = io::BcfReader::Open(path, read_options).ValueOrDie();
+          auto map = ScrambledDouble();
+          for (int g = 0; g < reader->num_row_groups(); ++g) {
+            expected.push_back(
+                map(reader->ReadRowGroup(g, projection).ValueOrDie(), g)
+                    .ValueOrDie());
+          }
+        }
+        ASSERT_EQ(expected.size(), 52u);  // ceil(5000 / 97)
+        for (int workers : {1, 2, 4, 8}) {
+          SCOPED_TRACE(std::string(file.name) + (use_mmap ? " mmap" : "") +
+                       " columns=" + std::to_string(projection.size()) +
+                       " workers=" + std::to_string(workers));
+          auto source =
+              BcfChunkStream::Open(path, projection, read_options).ValueOrDie();
+          PipelineOptions options;
+          options.workers = workers;
+          ParallelPipelineDriver driver(source.get(), ScrambledDouble(),
+                                        options);
+          const std::vector<TablePtr> got = Drain(&driver);
+          ASSERT_EQ(got.size(), expected.size());
+          for (size_t c = 0; c < got.size(); ++c) {
+            test::ExpectTablesEqual(expected[c], got[c]);
+          }
+          EXPECT_EQ(driver.chunks_claimed(),
+                    static_cast<int64_t>(expected.size()));
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+/// Pipeline workers read row groups of one buffered reader at the same
+/// time. Each read must return what a serial read of the group returns.
+TEST(BcfReaderTest, ConcurrentBufferedRowGroupReadsMatchSerial) {
+  const std::string path = TempFile("concurrent", ".bcf");
+  io::BcfWriteOptions write_options;
+  write_options.row_group_rows = 32;
+  ASSERT_TRUE(
+      io::WriteBcf(HazardTable(4000, /*seed=*/80), path, write_options).ok());
+  auto reader = io::BcfReader::Open(path).ValueOrDie();
+  ASSERT_FALSE(reader->mmap_active());
+  const int groups = reader->num_row_groups();
+  std::vector<TablePtr> serial;
+  for (int g = 0; g < groups; ++g) {
+    serial.push_back(reader->ReadRowGroup(g).ValueOrDie());
+  }
+
+  // The threads start together, and each reads every group 16 times,
+  // starting a quarter further along than the thread before it, so reads
+  // interleave.
+  constexpr int kThreads = 4;
+  const int reads = 16 * groups;
+  auto group_of = [&](int t, int k) {
+    return (k + t * groups / kThreads) % groups;
+  };
+  std::vector<std::vector<Result<TablePtr>>> got(kThreads);
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < reads; ++k) {
+        got[t].push_back(reader->ReadRowGroup(group_of(t, k)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < reads; ++k) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " read " +
+                   std::to_string(k));
+      const Result<TablePtr>& read = got[t][static_cast<size_t>(k)];
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      test::ExpectTablesEqual(serial[static_cast<size_t>(group_of(t, k))],
+                              read.ValueOrDie());
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// Row groups decoding on the workers charge the session's pool as they
+/// are read: with the consumer idle, the workers fill their in-flight
+/// slots, so the peak rises above one chunk, and it stays under the budget.
+TEST(ParallelPipelineDriverTest, InFlightBcfDecodesChargeThePool) {
+  constexpr int64_t kRows = 16 * 1024;
+  constexpr int kGroups = 24;
+  Rng rng(81);
+  col::Int64Builder v;
+  for (int64_t i = 0; i < kRows * kGroups; ++i) {
+    v.Append(rng.UniformInt(-1000000, 1000000));
+  }
+  const std::string path = TempFile("charge", ".bcf");
+  io::BcfWriteOptions write_options;
+  write_options.row_group_rows = kRows;
+  ASSERT_TRUE(io::WriteBcf(MakeTable({{"v", v.Finish().ValueOrDie()}}), path,
+                           write_options)
+                  .ok());
+
+  const uint64_t chunk_bytes = static_cast<uint64_t>(kRows) * 8;
+  sim::MachineSpec tight{"tight", 4, chunk_bytes * 16, std::nullopt};
+  sim::Session session(tight);
+  auto source = BcfChunkStream::Open(path).ValueOrDie();
+  PipelineOptions options;
+  options.workers = 4;
+  ParallelPipelineDriver driver(
+      source.get(),
+      [](TablePtr chunk, int64_t) -> Result<TablePtr> { return chunk; },
+      options);
+  // Polling the peak (instead of pacing the consumer with a fixed sleep)
+  // keeps the test deterministic under sanitizers and on one core.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (session.host_pool()->peak_bytes() <= chunk_bytes &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  int64_t rows = 0;
+  while (true) {
+    auto chunk = driver.Next();
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    if (chunk.ValueOrDie() == nullptr) break;
+    rows += chunk.ValueOrDie()->num_rows();
+  }
+  EXPECT_EQ(rows, kRows * kGroups);
+  EXPECT_GT(session.host_pool()->peak_bytes(), chunk_bytes)
+      << "in-flight decodes must hold several charged chunks";
+  EXPECT_LE(session.host_pool()->peak_bytes(), session.host_pool()->budget());
+  std::remove(path.c_str());
+}
+
+/// A claimed decode co-owns the reader, so it runs after its stream is
+/// gone; and a stage and its BCF stream can be destroyed while workers
+/// still read row groups.
+TEST(ParallelPipelineDriverTest, BcfStageDestroyedMidStreamIsClean) {
+  const std::string path = TempFile("teardown", ".bcf");
+  io::BcfWriteOptions write_options;
+  write_options.row_group_rows = 50;
+  ASSERT_TRUE(
+      io::WriteBcf(HazardTable(3000, /*seed=*/82), path, write_options).ok());
+  {
+    auto source = BcfChunkStream::Open(path).ValueOrDie();
+    ChunkStream::Deferred first = source->ClaimDeferred().ValueOrDie();
+    ChunkStream::Deferred second = source->ClaimDeferred().ValueOrDie();
+    source.reset();
+    auto reader = io::BcfReader::Open(path).ValueOrDie();
+    test::ExpectTablesEqual(reader->ReadRowGroup(1).ValueOrDie(),
+                            second().ValueOrDie());
+    test::ExpectTablesEqual(reader->ReadRowGroup(0).ValueOrDie(),
+                            first().ValueOrDie());
+  }
+  for (int round = 0; round < 8; ++round) {
+    io::BcfReadOptions read_options;
+    read_options.use_mmap = round % 2 == 1;
+    auto source = BcfChunkStream::Open(path, {}, read_options).ValueOrDie();
+    PipelineOptions options;
+    options.workers = 4;
+    auto driver = std::make_unique<ParallelPipelineDriver>(
+        source.get(),
+        [](TablePtr chunk, int64_t) -> Result<TablePtr> {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          return chunk;
+        },
+        options);
+    for (int k = 0; k <= round % 3; ++k) ASSERT_TRUE(driver->Next().ok());
+    driver.reset();  // cancels and joins workers mid-stream
+    source.reset();
+  }
   std::remove(path.c_str());
 }
 

@@ -19,6 +19,7 @@
 #include "engines/vaex.h"
 #include "frame/engine.h"
 #include "frame/exec.h"
+#include "io/bcf.h"
 #include "io/csv.h"
 #include "kernels/dedup.h"
 #include "kernels/flat_index.h"
@@ -179,11 +180,12 @@ TEST(StreamingDifferentialTest, TightBudgetMatchesUnboundedAcrossChunkSizes) {
 }
 
 /// Scoped temp file.
-struct TempCsv {
-  explicit TempCsv(const std::string& stem = "nonfinite")
+struct TempFile {
+  explicit TempFile(const std::string& stem = "nonfinite",
+                    const std::string& suffix = ".csv")
       : path(testing::TempDir() + "bento_" + stem + "_" +
-             std::to_string(::getpid()) + ".csv") {}
-  ~TempCsv() { std::remove(path.c_str()); }
+             std::to_string(::getpid()) + suffix) {}
+  ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
 
@@ -194,7 +196,7 @@ struct TempCsv {
 /// a CSV file, whose scan streams through the chunk driver.
 TEST(StreamingDifferentialTest, AllEnginesStableAcrossWorkersAndChunks) {
   auto t = IntValuedTable(3000, /*seed=*/202);
-  TempCsv csv("stable");
+  TempFile csv("stable");
   ASSERT_TRUE(io::WriteCsv(t, csv.path).ok());
   std::vector<Op> plan = {
       Op::Query("k >= 1"),
@@ -608,7 +610,7 @@ void WriteNonFiniteCsv(const std::string& path, int64_t rows, uint64_t seed) {
 /// for themselves: Vaex's converted store, the two-pass and sort spill
 /// files, and the mapped materialization under a tight budget.
 TEST(StreamingDifferentialTest, VaexCsvIngestKeepsNonFiniteFloats) {
-  TempCsv csv;
+  TempFile csv;
   WriteNonFiniteCsv(csv.path, 5000, /*seed=*/909);
   auto pandas = frame::CreateEngine("pandas").ValueOrDie();
   TablePtr expected =
@@ -625,7 +627,7 @@ TEST(StreamingDifferentialTest, VaexCsvIngestKeepsNonFiniteFloats) {
 /// two-pass input and the sorted runs and maps the result back from a BCF
 /// file; all of them carry the non-finite cells.
 TEST(StreamingDifferentialTest, NonFiniteCsvTightBudgetMatchesUnbounded) {
-  TempCsv csv;
+  TempFile csv;
   WriteNonFiniteCsv(csv.path, 20000, /*seed=*/910);
   const std::vector<Op> plan = {
       Op::Query("k >= 2"),
@@ -673,11 +675,10 @@ TEST(StreamingDifferentialTest, NonFiniteCsvTightBudgetMatchesUnbounded) {
   }
 }
 
-/// Writes a CSV with an integer key `k`, an integer-valued float `v` and an
-/// integer `n` (both with empty, null cells), and a string `s` whose cells
-/// hold commas, doubled quotes, LF and CRLF newlines, mixed case, the empty
-/// string and nulls.
-void WriteHazardCsv(const std::string& path, int64_t rows, uint64_t seed) {
+/// An integer key `k`, an integer-valued float `v` and an integer `n` (both
+/// with nulls), and a string `s` whose cells hold commas, doubled quotes, LF
+/// and CRLF newlines, mixed case, the empty string and nulls.
+TablePtr HazardTable(int64_t rows, uint64_t seed) {
   static const char* const kStrings[] = {"plain", "a,b",       "say \"hi\"",
                                          "two\nlines", "cr\r\nlf", "MiXeD",
                                          ""};
@@ -693,11 +694,25 @@ void WriteHazardCsv(const std::string& path, int64_t rows, uint64_t seed) {
     n.AppendMaybe(rng.UniformInt(-50, 50), !rng.Bernoulli(0.05));
     s.AppendMaybe(kStrings[rng.Uniform(7)], !rng.Bernoulli(0.1));
   }
-  auto table = MakeTable({{"k", k.Finish().ValueOrDie()},
-                          {"v", v.Finish().ValueOrDie()},
-                          {"n", n.Finish().ValueOrDie()},
-                          {"s", s.Finish().ValueOrDie()}});
-  ASSERT_TRUE(io::WriteCsv(table, path).ok());
+  return MakeTable({{"k", k.Finish().ValueOrDie()},
+                    {"v", v.Finish().ValueOrDie()},
+                    {"n", n.Finish().ValueOrDie()},
+                    {"s", s.Finish().ValueOrDie()}});
+}
+
+/// A streaming-only plan (the drain concatenates decoded chunks) and one
+/// that ends in breakers (under a tight budget they stream from the raw
+/// source stream).
+std::vector<std::vector<Op>> SourcePlans() {
+  return {
+      {Op::Query("k >= 2"), Op::StrLower("s"), Op::Round("v", 0)},
+      {Op::Query("k >= 2"), Op::StrLower("s"),
+       Op::GroupByAgg({"k", "s"},
+                      {{"n", AggKind::kSum, "n_sum"},
+                       {"v", AggKind::kMax, "v_max"},
+                       {"v", AggKind::kCount, "v_cnt"}}),
+       Op::SortValues({{"n_sum", false}, {"k", true}, {"s", true}})},
+  };
 }
 
 /// A CSV source streams through the cut/decode split: claims cut the text,
@@ -708,18 +723,10 @@ void WriteHazardCsv(const std::string& path, int64_t rows, uint64_t seed) {
 /// (the drain concatenates decoded chunks) and for one that ends in
 /// breakers (under the tight budget they stream from the raw CSV stream).
 TEST(StreamingDifferentialTest, CsvSourceMatchesWholeFileReadAcrossWorkers) {
-  TempCsv csv("hazard");
-  WriteHazardCsv(csv.path, 6000, /*seed=*/707);
+  TempFile csv("hazard");
+  ASSERT_TRUE(io::WriteCsv(HazardTable(6000, /*seed=*/707), csv.path).ok());
   const uint64_t csv_bytes = std::filesystem::file_size(csv.path);
-  const std::vector<std::vector<Op>> plans = {
-      {Op::Query("k >= 2"), Op::StrLower("s"), Op::Round("v", 0)},
-      {Op::Query("k >= 2"), Op::StrLower("s"),
-       Op::GroupByAgg({"k", "s"},
-                      {{"n", AggKind::kSum, "n_sum"},
-                       {"v", AggKind::kMax, "v_max"},
-                       {"v", AggKind::kCount, "v_cnt"}}),
-       Op::SortValues({{"n_sum", false}, {"k", true}, {"s", true}})},
-  };
+  const std::vector<std::vector<Op>> plans = SourcePlans();
 
   for (size_t p = 0; p < plans.size(); ++p) {
     TablePtr expected = io::ReadCsv(csv.path).ValueOrDie();
@@ -761,6 +768,140 @@ TEST(StreamingDifferentialTest, CsvSourceMatchesWholeFileReadAcrossWorkers) {
       }
     }
   }
+}
+
+/// A BCF source streams through claims that only take a row-group index;
+/// the reads and decodes run on the pipeline workers (real, 4 workers) or
+/// inline (serial and modeled). Whatever the engine, worker count,
+/// execution mode and budget, the result must be bit-identical to
+/// io::BcfReader::ReadAll run through the in-memory kernels.
+TEST(StreamingDifferentialTest, BcfSourceMatchesWholeFileReadAcrossWorkers) {
+  TempFile bcf("hazard", ".bcf");
+  io::BcfWriteOptions write_options;
+  write_options.row_group_rows = 500;
+  ASSERT_TRUE(
+      io::WriteBcf(HazardTable(6000, /*seed=*/708), bcf.path, write_options)
+          .ok());
+  const uint64_t bcf_bytes = std::filesystem::file_size(bcf.path);
+  const std::vector<std::vector<Op>> plans = SourcePlans();
+
+  for (size_t p = 0; p < plans.size(); ++p) {
+    TablePtr expected =
+        io::BcfReader::Open(bcf.path).ValueOrDie()->ReadAll().ValueOrDie();
+    for (const Op& op : plans[p]) {
+      expected = frame::ExecTransform(expected, op, {}).ValueOrDie();
+    }
+    for (const char* engine_id : {"polars", "spark_sql", "vaex"}) {
+      auto engine = frame::CreateEngine(engine_id).ValueOrDie();
+      for (int workers : {1, 4}) {
+        PipelineWorkersGuard workers_guard(workers);
+        for (bool real : {false, true}) {
+          for (bool tight : {false, true}) {
+            SCOPED_TRACE(std::string(engine_id) + " plan " +
+                         std::to_string(p) + " workers=" +
+                         std::to_string(workers) +
+                         (real ? " real" : " simulated") +
+                         (tight ? " tight" : " unbounded"));
+            sim::MachineSpec machine{"m", 4, tight ? bcf_bytes * 4 : 0,
+                                     std::nullopt};
+            sim::Session session(machine);
+            if (real) session.set_execution_mode(sim::ExecutionMode::kReal);
+            auto frame = engine->ReadBcf(bcf.path);
+            ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+            auto df = frame.ValueOrDie();
+            for (const Op& op : plans[p]) df = df->Apply(op).ValueOrDie();
+            auto got = df->Collect();
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            EXPECT_TRUE(*expected->schema() == *got.ValueOrDie()->schema());
+            test::ExpectTablesEqual(expected, got.ValueOrDie());
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A filter that keeps no row empties every chunk ahead of a streaming
+/// breaker, so under a tight budget the group-by, pivot and dedup folds
+/// see only zero-row chunks. Each must return the typed empty frame of the
+/// unbounded run, for table, CSV and BCF sources at 1 and 4 workers.
+TEST(StreamingDifferentialTest, EmptiedStreamMatchesUnbounded) {
+  auto t = IntValuedTable(3000, /*seed=*/919);
+  TempFile csv("emptied");
+  TempFile bcf("emptied", ".bcf");
+  ASSERT_TRUE(io::WriteCsv(t, csv.path).ok());
+  io::BcfWriteOptions write_options;
+  write_options.row_group_rows = 512;
+  ASSERT_TRUE(io::WriteBcf(t, bcf.path, write_options).ok());
+  const std::vector<std::vector<Op>> plans = {
+      {Op::Query("k < 0"), Op::GroupByAgg({"k", "s"}, TestAggs())},
+      {Op::Query("k < 0"), Op::Pivot("k", "s", "v", AggKind::kSum)},
+      {Op::Query("k < 0"), Op::DropDuplicates({"k", "s"})},
+  };
+  enum class Source { kTable, kCsv, kBcf };
+  obs::Counter* chunks =
+      obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
+
+  for (const char* engine_id : {"spark_sql", "polars", "vaex"}) {
+    auto engine = frame::CreateEngine(engine_id).ValueOrDie();
+    for (Source source : {Source::kTable, Source::kCsv, Source::kBcf}) {
+      const uint64_t source_bytes =
+          source == Source::kTable ? t->ByteSize()
+          : source == Source::kCsv ? std::filesystem::file_size(csv.path)
+                                   : std::filesystem::file_size(bcf.path);
+      for (size_t p = 0; p < plans.size(); ++p) {
+        auto run = [&]() -> Result<TablePtr> {
+          BENTO_ASSIGN_OR_RETURN(
+              auto frame, source == Source::kTable ? engine->FromTable(t)
+                          : source == Source::kCsv
+                              ? engine->ReadCsv(csv.path)
+                              : engine->ReadBcf(bcf.path));
+          for (const Op& op : plans[p]) {
+            BENTO_ASSIGN_OR_RETURN(frame, frame->Apply(op));
+          }
+          return frame->Collect();
+        };
+        const std::string label = std::string(engine_id) + " source " +
+                                  std::to_string(static_cast<int>(source)) +
+                                  " plan " + std::to_string(p);
+        SCOPED_TRACE(label);
+        auto unbounded = run();
+        ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+        ASSERT_EQ(unbounded.ValueOrDie()->num_rows(), 0);
+        for (int workers : {1, 4}) {
+          for (bool real : {false, true}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         (real ? " real" : " simulated"));
+            PipelineWorkersGuard workers_guard(workers);
+            sim::MachineSpec tight{"tight", 4, source_bytes * 4,
+                                   std::nullopt};
+            sim::Session session(tight);
+            if (real) session.set_execution_mode(sim::ExecutionMode::kReal);
+            const uint64_t before = chunks->value();
+            auto streamed = run();
+            ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+            EXPECT_GT(chunks->value(), before);
+            EXPECT_TRUE(*unbounded.ValueOrDie()->schema() ==
+                        *streamed.ValueOrDie()->schema());
+            test::ExpectTablesEqual(unbounded.ValueOrDie(),
+                                    streamed.ValueOrDie());
+          }
+        }
+      }
+    }
+  }
+
+  // A stream with no chunk at all has no columns: the group-by finds no
+  // column to aggregate, and the dedup returns the zero-column frame.
+  VectorChunkStream no_chunks({});
+  auto grouped =
+      StreamingGroupBy(&no_chunks, {"k"}, TestAggs(), frame::ExecPolicy{});
+  EXPECT_TRUE(grouped.status().IsKeyError()) << grouped.status().ToString();
+  VectorChunkStream no_chunks_again({});
+  auto deduped = StreamingDedup(&no_chunks_again, {});
+  ASSERT_TRUE(deduped.ok()) << deduped.status().ToString();
+  EXPECT_EQ(deduped.ValueOrDie()->num_columns(), 0);
+  EXPECT_EQ(deduped.ValueOrDie()->num_rows(), 0);
 }
 
 /// The paper-scale acceptance claim, shrunk by BENTO_SCALE: the patrol and
