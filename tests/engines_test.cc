@@ -213,13 +213,51 @@ TEST(LazyEngineTest, ProjectionPushdownMovesDrops) {
 }
 
 TEST(LazyEngineTest, IsStreamableClassification) {
-  EXPECT_TRUE(IsStreamable(Op::Query("a > 1")));
-  EXPECT_TRUE(IsStreamable(Op::StrLower("s")));
-  EXPECT_TRUE(IsStreamable(Op::FillNa("v", Scalar::Double(0))));
-  EXPECT_FALSE(IsStreamable(Op::FillNaMean("v")));
-  EXPECT_FALSE(IsStreamable(Op::SortValues({{"k", true}})));
-  EXPECT_FALSE(IsStreamable(Op::GetDummies("s")));
-  EXPECT_FALSE(IsStreamable(Op::DropDuplicates()));
+  // One op per kind in enum order, then the field-dependent edge cases.
+  const kern::RowFn row_fn = [](const col::Table&, int64_t) {
+    return Result<Scalar>(Scalar::Double(1.0));
+  };
+  const std::vector<std::pair<Op, bool>> cases = {
+      {Op::IsNa(), false},
+      {Op::LocateOutliers("v"), false},
+      {Op::SearchPattern("s", "A"), false},
+      {Op::SortValues({{"k", true}}), false},
+      {Op::GetColumns(), false},
+      {Op::GetDtypes(), false},
+      {Op::Describe(), false},
+      {Op::Query("a > 1"), true},
+      {Op::Cast("k", TypeId::kFloat64), true},
+      {Op::DropColumns({"s"}), true},
+      {Op::Rename({{"s", "t"}}), true},
+      {Op::Pivot("k", "s", "v"), false},
+      {Op::ApplyExpr("w", "v * 2"), true},
+      {Op::Merge(nullptr, "k", "k"), false},
+      {Op::GetDummies("s"), false},
+      {Op::CatCodes("s"), false},
+      {Op::GroupByAgg({"k"}, {{"v", kern::AggKind::kSum, "v_sum"}}), false},
+      {Op::ToDatetime("s"), true},
+      {Op::DropNa({"v"}), true},
+      {Op::StrLower("s"), true},
+      {Op::Round("v", 1), true},
+      {Op::DropDuplicates({"k"}), false},
+      {Op::FillNa("v", Scalar::Double(0)), true},
+      {Op::Replace("s", Scalar::Str("Aa"), Scalar::Str("Zz")), true},
+      {Op::ApplyRow("r", row_fn, TypeId::kFloat64), true},
+      // Edge cases: fillna with the mean needs a full pass first; empty
+      // subsets and drop lists change no class; nor does a bad expression.
+      {Op::FillNaMean("v"), false},
+      {Op::DropNa(), true},
+      {Op::DropDuplicates(), false},
+      {Op::DropColumns({}), true},
+      {Op::ApplyExpr("w", "v *"), true},
+      {Op::Query("a >"), true},
+  };
+  for (size_t k = 0; k < 25; ++k) {
+    EXPECT_EQ(static_cast<size_t>(cases[k].first.kind), k);
+  }
+  for (const auto& [op, streamable] : cases) {
+    EXPECT_EQ(IsStreamable(op), streamable) << frame::OpKindName(op.kind);
+  }
 }
 
 // --- streaming operators vs in-memory kernels ---

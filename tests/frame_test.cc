@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "frame/capabilities.h"
 #include "frame/exec.h"
 #include "frame/op.h"
@@ -23,19 +26,55 @@ col::TablePtr SampleTable() {
   });
 }
 
+/// Every kind in enum order; `ExpectEveryKind` checks the list is complete.
+const std::vector<OpKind>& AllKinds() {
+  static const std::vector<OpKind> kinds = {
+      OpKind::kIsNa,       OpKind::kLocateOutliers, OpKind::kSearchPattern,
+      OpKind::kSortValues, OpKind::kGetColumns,     OpKind::kGetDtypes,
+      OpKind::kDescribe,   OpKind::kQuery,          OpKind::kCast,
+      OpKind::kDropColumns, OpKind::kRename,        OpKind::kPivot,
+      OpKind::kApplyExpr,  OpKind::kMerge,          OpKind::kGetDummies,
+      OpKind::kCatCodes,   OpKind::kGroupByAgg,     OpKind::kToDatetime,
+      OpKind::kDropNa,     OpKind::kStrLower,       OpKind::kRound,
+      OpKind::kDropDuplicates, OpKind::kFillNa,     OpKind::kReplace,
+      OpKind::kApplyRow,
+  };
+  return kinds;
+}
+
+template <typename T>
+void ExpectEveryKind(const std::vector<T>& expected) {
+  ASSERT_EQ(expected.size(), 25u);
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(static_cast<size_t>(AllKinds()[k]), k);
+  }
+}
+
 TEST(OpTest, ActionsVsTransforms) {
-  EXPECT_TRUE(IsAction(OpKind::kIsNa));
-  EXPECT_TRUE(IsAction(OpKind::kDescribe));
-  EXPECT_FALSE(IsAction(OpKind::kSortValues));
-  EXPECT_FALSE(IsAction(OpKind::kQuery));
-  EXPECT_FALSE(IsAction(OpKind::kGroupByAgg));
+  // The six EDA inspections are actions; sort and query are EDA transforms.
+  const std::vector<bool> expected = {
+      true,  true,  true,  false, true,  true,  true,  false, false,
+      false, false, false, false, false, false, false, false, false,
+      false, false, false, false, false, false, false,
+  };
+  ExpectEveryKind(expected);
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(IsAction(AllKinds()[k]), expected[k]) << OpKindName(AllKinds()[k]);
+  }
 }
 
 TEST(OpTest, NamesAreStable) {
-  EXPECT_STREQ(OpKindName(OpKind::kIsNa), "isna");
-  EXPECT_STREQ(OpKindName(OpKind::kDropDuplicates), "dedup");
-  EXPECT_STREQ(OpKindName(OpKind::kToDatetime), "chdate");
-  EXPECT_STREQ(OpKindName(OpKind::kApplyRow), "applyrow");
+  const std::vector<std::string> expected = {
+      "isna",    "outlier", "srchptn", "sort",   "gcols",  "dtypes",
+      "stats",   "query",   "astype",  "drop",   "rename", "pivot",
+      "apply",   "merge",   "onehot",  "catenc", "groupby", "chdate",
+      "dropna",  "lower",   "round",   "dedup",  "fillna", "replace",
+      "applyrow",
+  };
+  ExpectEveryKind(expected);
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(OpKindName(AllKinds()[k]), expected[k]);
+  }
 }
 
 TEST(ExecTest, QueryFiltersRows) {

@@ -7,6 +7,8 @@
 // raises).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "columnar/builder.h"
 #include "engines/lazy_engine.h"
 #include "frame/engine.h"
@@ -99,6 +101,142 @@ TEST(QueryCanHopBeforeTest, DropColumnsIntersectionRule) {
   EXPECT_FALSE(
       QueryCanHopBefore(query, Op::DropColumns({"event", "games"}), refs));
   EXPECT_TRUE(QueryCanHopBefore(query, Op::DropColumns({"event"}), refs));
+}
+
+TEST(QueryCanHopBeforeTest, EveryKind) {
+  // A filter over `games` meeting one op per kind in enum order, then the
+  // edge cases: for each column-writing kind, one op that writes `games`
+  // and one that writes another column.
+  const Op query = Op::Query("games > 2000");
+  const std::set<std::string> refs = QueryReferences(query);
+  ASSERT_EQ(refs, std::set<std::string>{"games"});
+  const kern::RowFn row_fn = [](const col::Table&, int64_t) {
+    return Result<col::Scalar>(col::Scalar::Double(1.0));
+  };
+  const std::vector<std::pair<Op, bool>> cases = {
+      {Op::IsNa(), false},
+      {Op::LocateOutliers("games"), false},
+      {Op::SearchPattern("event", "Swim"), false},
+      {Op::SortValues({{"games", true}}), true},
+      {Op::GetColumns(), false},
+      {Op::GetDtypes(), false},
+      {Op::Describe(), false},
+      {Op::Query("height > 1"), false},
+      {Op::Cast("games", TypeId::kFloat64), false},
+      {Op::DropColumns({"games"}), false},
+      {Op::Rename({{"height", "h"}}), false},
+      {Op::Pivot("event", "team", "height"), false},
+      {Op::ApplyExpr("games", "height * 2"), false},
+      {Op::Merge(nullptr, "noc", "noc"), false},
+      {Op::GetDummies("event"), false},
+      {Op::CatCodes("event"), false},
+      {Op::GroupByAgg({"event"}, {{"height", kern::AggKind::kSum, "h"}}),
+       false},
+      {Op::ToDatetime("games"), false},
+      {Op::DropNa(), true},
+      {Op::StrLower("games"), false},
+      {Op::Round("games", 0), false},
+      {Op::DropDuplicates(), false},
+      {Op::FillNa("games", col::Scalar::Int(0)), false},
+      {Op::Replace("games", col::Scalar::Int(1), col::Scalar::Int(2)), false},
+      {Op::ApplyRow("games", row_fn, TypeId::kFloat64), false},
+      // Writes another column than the filter reads.
+      {Op::Cast("height", TypeId::kFloat64), true},
+      {Op::DropColumns({"event"}), true},
+      {Op::DropColumns({}), true},
+      {Op::ApplyExpr("bmi", "games * 2"), true},
+      {Op::ApplyExpr("bmi", "height *"), true},
+      {Op::ToDatetime("date"), true},
+      {Op::StrLower("event"), true},
+      {Op::Round("height", 1), true},
+      {Op::FillNa("height", col::Scalar::Double(0)), true},
+      {Op::Replace("event", col::Scalar::Str("a"), col::Scalar::Str("b")),
+       true},
+      {Op::ApplyRow("score", row_fn, TypeId::kFloat64), true},
+      // Kinds whose answer ignores the columns.
+      {Op::SortValues({{"height", false}}), true},
+      {Op::DropNa({"games"}), true},
+      {Op::DropNa({"height"}), true},
+      {Op::Query("games > 1"), false},
+      {Op::Rename({{"games", "g"}}), false},
+      {Op::GetDummies("games"), false},
+      {Op::CatCodes("games"), false},
+      {Op::DropDuplicates({"event"}), false},
+      {Op::FillNaMean("height"), false},
+      {Op::FillNaMean("games"), false},
+  };
+  for (size_t k = 0; k < 25; ++k) {
+    EXPECT_EQ(static_cast<size_t>(cases[k].first.kind), k);
+  }
+  for (const auto& [prev, hops] : cases) {
+    EXPECT_EQ(QueryCanHopBefore(query, prev, refs), hops) << OpSummary(prev);
+  }
+  // A filter that does not parse references nothing, so it hops every
+  // column map.
+  const Op bad = Op::Query("games >");
+  EXPECT_TRUE(QueryReferences(bad).empty());
+  EXPECT_TRUE(QueryCanHopBefore(bad, Op::Cast("games", TypeId::kFloat64),
+                                QueryReferences(bad)));
+}
+
+TEST(OpColumnFootprintTest, EveryKindButQuery) {
+  // One op per kind in enum order, then edge cases; nullopt is "touches the
+  // whole row". A query's own columns reach the projection rule through
+  // QueryReferences, so its footprint is not pinned here.
+  using Footprint = std::optional<std::set<std::string>>;
+  const kern::RowFn row_fn = [](const col::Table&, int64_t) {
+    return Result<col::Scalar>(col::Scalar::Double(1.0));
+  };
+  const std::vector<std::pair<Op, Footprint>> cases = {
+      {Op::IsNa(), std::nullopt},
+      {Op::LocateOutliers("games"), std::nullopt},
+      {Op::SearchPattern("event", "Swim"), std::nullopt},
+      {Op::SortValues({{"games", true}, {"height", false}}),
+       std::set<std::string>{"games", "height"}},
+      {Op::GetColumns(), std::nullopt},
+      {Op::GetDtypes(), std::nullopt},
+      {Op::Describe(), std::nullopt},
+      {Op::Cast("games", TypeId::kFloat64), std::set<std::string>{"games"}},
+      {Op::DropColumns({"event", "games"}),
+       std::set<std::string>{"event", "games"}},
+      {Op::Rename({{"height", "h"}}), std::nullopt},
+      {Op::Pivot("event", "team", "height"), std::nullopt},
+      {Op::ApplyExpr("bmi", "height / games"),
+       std::set<std::string>{"bmi", "games", "height"}},
+      {Op::Merge(nullptr, "noc", "noc"), std::nullopt},
+      {Op::GetDummies("event"), std::nullopt},
+      {Op::CatCodes("event"), std::set<std::string>{"event"}},
+      {Op::GroupByAgg({"event"}, {{"height", kern::AggKind::kSum, "h"}}),
+       std::nullopt},
+      {Op::ToDatetime("date"), std::set<std::string>{"date"}},
+      {Op::DropNa({"height"}), std::set<std::string>{"height"}},
+      {Op::StrLower("event"), std::set<std::string>{"event"}},
+      {Op::Round("height", 1), std::set<std::string>{"height"}},
+      {Op::DropDuplicates({"event"}), std::nullopt},
+      {Op::FillNa("height", col::Scalar::Double(0)),
+       std::set<std::string>{"height"}},
+      {Op::Replace("event", col::Scalar::Str("a"), col::Scalar::Str("b")),
+       std::set<std::string>{"event"}},
+      {Op::ApplyRow("score", row_fn, TypeId::kFloat64), std::nullopt},
+      // Edge cases.
+      {Op::DropNa(), std::nullopt},
+      {Op::DropDuplicates(), std::nullopt},
+      {Op::DropColumns({}), std::set<std::string>{}},
+      {Op::ApplyExpr("bmi", "height *"), std::nullopt},
+      {Op::FillNaMean("height"), std::set<std::string>{"height"}},
+  };
+  for (size_t k = 0; k < 24; ++k) {
+    const size_t kind = static_cast<size_t>(cases[k].first.kind);
+    EXPECT_EQ(kind, k < 7 ? k : k + 1);  // kQuery (7) is skipped
+  }
+  for (const auto& [op, expected] : cases) {
+    std::set<std::string> touched;
+    const bool known = OpColumnFootprint(op, &touched);
+    EXPECT_EQ(known, expected.has_value()) << OpSummary(op);
+    if (known && expected.has_value()) {
+      EXPECT_EQ(touched, *expected) << OpSummary(op);
+    }
+  }
 }
 
 // End-to-end: the lazy-optimized engine must raise the same KeyError the
