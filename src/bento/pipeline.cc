@@ -466,17 +466,8 @@ JsonValue OpToJson(const Op& op) {
 }
 
 Result<Op> OpFromJson(const JsonValue& v) {
-  const std::string name = v.GetString("op");
   Op op;
-  bool known = false;
-  for (int k = 0; k <= static_cast<int>(OpKind::kApplyRow); ++k) {
-    if (name == frame::OpKindName(static_cast<OpKind>(k))) {
-      op.kind = static_cast<OpKind>(k);
-      known = true;
-      break;
-    }
-  }
-  if (!known) return Status::Invalid("unknown op '", name, "'");
+  BENTO_ASSIGN_OR_RETURN(op.kind, frame::OpKindFromName(v.GetString("op")));
 
   op.column = v.GetString("column");
   op.columns = StringsFromJson(v.Get("columns"));

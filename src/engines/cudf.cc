@@ -2,13 +2,13 @@
 
 #include "engines/chunk_stream.h"
 #include "io/bcf.h"
+#include "sim/device.h"
 
 namespace bento::eng {
 
 using frame::ActionResult;
 using frame::ExecPolicy;
 using frame::Op;
-using frame::OpKind;
 
 namespace {
 
@@ -57,37 +57,13 @@ frame::ExecPolicy CudfEngine::NativePolicy() const {
   return policy;
 }
 
-sim::KernelClass CudfEngine::KernelClassFor(const Op& op) {
-  switch (op.kind) {
-    case OpKind::kSortValues:
-    case OpKind::kDropDuplicates:
-    case OpKind::kGroupByAgg:
-    case OpKind::kMerge:
-    case OpKind::kPivot:
-      return sim::KernelClass::kSort;
-    case OpKind::kSearchPattern:
-    case OpKind::kStrLower:
-    case OpKind::kGetDummies:
-    case OpKind::kCatCodes:
-    case OpKind::kToDatetime:
-    case OpKind::kReplace:
-      return sim::KernelClass::kString;
-    case OpKind::kApplyRow:
-      return sim::KernelClass::kScalar;  // UDF boundary: GPUs do not help
-    case OpKind::kGetColumns:
-    case OpKind::kGetDtypes:
-      return sim::KernelClass::kScalar;
-    default:
-      return sim::KernelClass::kVector;
-  }
-}
-
 Result<col::TablePtr> CudfEngine::RunTransform(const col::TablePtr& table,
                                                const Op& op,
                                                const ExecPolicy& policy) const {
   DeviceMemoryScope device_scope;
   Result<col::TablePtr> result = Status::Invalid("not run");
-  BENTO_RETURN_NOT_OK(sim::DeviceKernel(KernelClassFor(op), [&]() -> Status {
+  const sim::KernelClass device = frame::TraitsOf(op.kind).device;
+  BENTO_RETURN_NOT_OK(sim::DeviceKernel(device, [&]() -> Status {
     result = frame::ExecTransform(table, op, policy);
     return result.ok() ? Status::OK() : result.status();
   }));
@@ -99,7 +75,8 @@ Result<ActionResult> CudfEngine::RunAction(const col::TablePtr& table,
                                            const ExecPolicy& policy) const {
   DeviceMemoryScope device_scope;
   Result<ActionResult> result = Status::Invalid("not run");
-  BENTO_RETURN_NOT_OK(sim::DeviceKernel(KernelClassFor(op), [&]() -> Status {
+  const sim::KernelClass device = frame::TraitsOf(op.kind).device;
+  BENTO_RETURN_NOT_OK(sim::DeviceKernel(device, [&]() -> Status {
     result = frame::ExecAction(table, op, policy);
     return result.ok() ? Status::OK() : result.status();
   }));
@@ -125,10 +102,6 @@ Result<col::TablePtr> CudfEngine::DoReadCsv(
     device_chunks.push_back(std::move(on_device));
   }
   sim::DeviceTransfer(moved);
-  if (device_chunks.empty()) {
-    BENTO_ASSIGN_OR_RETURN(auto empty, col::Table::MakeEmpty(reader->schema()));
-    return empty;
-  }
   DeviceMemoryScope device_scope;
   return col::ConcatTables(device_chunks);
 }

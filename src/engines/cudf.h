@@ -2,7 +2,6 @@
 #define BENTO_ENGINES_CUDF_H_
 
 #include "engines/eager_engine.h"
-#include "sim/device.h"
 
 namespace bento::eng {
 
@@ -34,9 +33,6 @@ class CudfEngine : public EagerEngineBase {
   Result<col::TablePtr> DoReadCsv(const std::string& path,
                                   const io::CsvReadOptions& options) const override;
   Result<col::TablePtr> AfterIngest(col::TablePtr table) const override;
-
- private:
-  static sim::KernelClass KernelClassFor(const frame::Op& op);
 };
 
 }  // namespace bento::eng

@@ -34,24 +34,9 @@ int64_t ScaledBatchRows(int64_t full_scale_rows, int64_t min_rows) {
 }
 
 bool IsStreamable(const Op& op) {
-  switch (op.kind) {
-    case OpKind::kQuery:
-    case OpKind::kCast:
-    case OpKind::kDropColumns:
-    case OpKind::kRename:
-    case OpKind::kApplyExpr:
-    case OpKind::kToDatetime:
-    case OpKind::kDropNa:
-    case OpKind::kStrLower:
-    case OpKind::kRound:
-    case OpKind::kReplace:
-    case OpKind::kApplyRow:
-      return true;
-    case OpKind::kFillNa:
-      return !op.fill_with_mean;  // global mean needs a full pass
-    default:
-      return false;
-  }
+  const frame::StreamClass stream = frame::StreamClassOf(op);
+  return stream == frame::StreamClass::kRowMap ||
+         stream == frame::StreamClass::kRowFilter;
 }
 
 plan::OptimizerPolicy LazyEngineBase::PlanPolicy() const {
@@ -411,9 +396,6 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           // Two-pass streaming: spill the transformed stream, derive the
           // global state (categories / dictionary / mean) from a first pass
           // over the spill, then keep streaming with a per-chunk map.
-          if (breaker.kind == OpKind::kFillNa && !breaker.fill_with_mean) {
-            break;  // plain fillna is already streamable
-          }
           BENTO_ASSIGN_OR_RETURN(std::string path,
                                  SpillStreamToFile(run_stream));
           close_stage();

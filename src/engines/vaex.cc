@@ -83,16 +83,10 @@ Result<LazySource> VaexEngine::PrepareSource(LazySource source) const {
   wopts.align_pages = true;   // 8-byte pages so mapped reads are zero-copy
   wopts.mappable = true;      // plain/strview pages: strings map too
   BENTO_ASSIGN_OR_RETURN(auto writer, io::BcfWriter::Open(store_path, wopts));
-  bool wrote_any = false;
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto chunk, reader->Next());
     if (chunk == nullptr) break;
     BENTO_RETURN_NOT_OK(writer->Append(chunk));
-    wrote_any = true;
-  }
-  if (!wrote_any) {
-    BENTO_ASSIGN_OR_RETURN(auto empty, col::Table::MakeEmpty(reader->schema()));
-    BENTO_RETURN_NOT_OK(writer->Append(empty));
   }
   BENTO_RETURN_NOT_OK(writer->Finish());
 

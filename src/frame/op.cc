@@ -1,75 +1,78 @@
 #include "frame/op.h"
 
+#include <iterator>
+
 namespace bento::frame {
 
-bool IsAction(OpKind kind) {
-  switch (kind) {
-    case OpKind::kIsNa:
-    case OpKind::kLocateOutliers:
-    case OpKind::kSearchPattern:
-    case OpKind::kGetColumns:
-    case OpKind::kGetDtypes:
-    case OpKind::kDescribe:
+namespace {
+
+using enum OpKind;
+using enum StreamClass;
+using enum ColumnSel;
+using enum sim::KernelClass;
+
+// One row per kind, in enum order: kind, name, stream class, the columns it
+// reads and writes, and its device kernel class (a row-wise apply is scalar:
+// at the UDF boundary a GPU does not help).
+constexpr OpTraits kOpTraits[] = {
+    {kIsNa,           "isna",     kAction,    kUnknown,  kNone,    kVector},
+    {kLocateOutliers, "outlier",  kAction,    kColumn,   kNone,    kVector},
+    {kSearchPattern,  "srchptn",  kAction,    kColumn,   kNone,    kString},
+    {kSortValues,     "sort",     kReorder,   kSortKeys, kNone,    kSort},
+    {kGetColumns,     "gcols",    kAction,    kNone,     kNone,    kScalar},
+    {kGetDtypes,      "dtypes",   kAction,    kNone,     kNone,    kScalar},
+    {kDescribe,       "stats",    kAction,    kUnknown,  kNone,    kVector},
+    {kQuery,          "query",    kRowFilter, kExpr,     kNone,    kVector},
+    {kCast,           "astype",   kRowMap,    kColumn,   kColumn,  kVector},
+    {kDropColumns,    "drop",     kRowMap,    kNone,     kColumns, kVector},
+    {kRename,         "rename",   kRowMap,    kUnknown,  kUnknown, kVector},
+    {kPivot,          "pivot",    kBreaker,   kUnknown,  kUnknown, kSort},
+    {kApplyExpr,      "apply",    kRowMap,    kExpr,     kNewName, kVector},
+    {kMerge,          "merge",    kBreaker,   kUnknown,  kUnknown, kSort},
+    {kGetDummies,     "onehot",   kTwoPass,   kColumn,   kUnknown, kString},
+    {kCatCodes,       "catenc",   kTwoPass,   kColumn,   kColumn,  kString},
+    {kGroupByAgg,     "groupby",  kBreaker,   kUnknown,  kUnknown, kSort},
+    {kToDatetime,     "chdate",   kRowMap,    kColumn,   kColumn,  kString},
+    {kDropNa,         "dropna",   kRowFilter, kSubset,   kNone,    kVector},
+    {kStrLower,       "lower",    kRowMap,    kColumn,   kColumn,  kString},
+    {kRound,          "round",    kRowMap,    kColumn,   kColumn,  kVector},
+    {kDropDuplicates, "dedup",    kBreaker,   kSubset,   kNone,    kSort},
+    {kFillNa,         "fillna",   kRowMap,    kColumn,   kColumn,  kVector},
+    {kReplace,        "replace",  kRowMap,    kColumn,   kColumn,  kString},
+    {kApplyRow,       "applyrow", kRowMap,    kUnknown,  kNewName, kScalar},
+};
+
+static_assert(
+    [] {
+      if (std::size(kOpTraits) != kNumOpKinds) return false;
+      for (size_t k = 0; k < kNumOpKinds; ++k) {
+        if (static_cast<size_t>(kOpTraits[k].kind) != k) return false;
+      }
       return true;
-    default:
-      return false;
-  }
+    }(),
+    "kOpTraits needs one row per OpKind, in enum order");
+
+}  // namespace
+
+const OpTraits& TraitsOf(OpKind kind) {
+  return kOpTraits[static_cast<int>(kind)];
 }
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kIsNa:
-      return "isna";
-    case OpKind::kLocateOutliers:
-      return "outlier";
-    case OpKind::kSearchPattern:
-      return "srchptn";
-    case OpKind::kSortValues:
-      return "sort";
-    case OpKind::kGetColumns:
-      return "gcols";
-    case OpKind::kGetDtypes:
-      return "dtypes";
-    case OpKind::kDescribe:
-      return "stats";
-    case OpKind::kQuery:
-      return "query";
-    case OpKind::kCast:
-      return "astype";
-    case OpKind::kDropColumns:
-      return "drop";
-    case OpKind::kRename:
-      return "rename";
-    case OpKind::kPivot:
-      return "pivot";
-    case OpKind::kApplyExpr:
-      return "apply";
-    case OpKind::kMerge:
-      return "merge";
-    case OpKind::kGetDummies:
-      return "onehot";
-    case OpKind::kCatCodes:
-      return "catenc";
-    case OpKind::kGroupByAgg:
-      return "groupby";
-    case OpKind::kToDatetime:
-      return "chdate";
-    case OpKind::kDropNa:
-      return "dropna";
-    case OpKind::kStrLower:
-      return "lower";
-    case OpKind::kRound:
-      return "round";
-    case OpKind::kDropDuplicates:
-      return "dedup";
-    case OpKind::kFillNa:
-      return "fillna";
-    case OpKind::kReplace:
-      return "replace";
-    case OpKind::kApplyRow:
-      return "applyrow";
+bool IsAction(OpKind kind) { return TraitsOf(kind).stream == kAction; }
+
+const char* OpKindName(OpKind kind) { return TraitsOf(kind).name; }
+
+Result<OpKind> OpKindFromName(std::string_view name) {
+  for (const OpTraits& row : kOpTraits) {
+    if (name == row.name) return row.kind;
   }
-  return "?";
+  return Status::Invalid("unknown op '", name, "'");
+}
+
+StreamClass StreamClassOf(const Op& op) {
+  // The column mean is a global fact: the fill waits for a full pass.
+  if (op.kind == OpKind::kFillNa && op.fill_with_mean) return kTwoPass;
+  return TraitsOf(op.kind).stream;
 }
 
 Op Op::IsNa() {

@@ -3,11 +3,14 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/scalar.h"
 #include "kernels/apply.h"
 #include "kernels/common.h"
+#include "sim/device.h"
+#include "util/result.h"
 
 namespace bento::frame {
 
@@ -49,12 +52,53 @@ enum class OpKind {
   kApplyRow,        ///< edit & replace cell data (row-wise apply)
 };
 
+/// Number of kinds; kApplyRow is the last enumerator.
+constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kApplyRow) + 1;
+
+/// \brief How an op meets a stream of row chunks.
+enum class StreamClass {
+  kAction,     ///< EDA inspection: folds the frame into an ActionResult
+  kRowMap,     ///< each chunk maps to one chunk with the same rows
+  kRowFilter,  ///< each chunk maps to a subset of its rows
+  kReorder,    ///< needs every row to order them (sort)
+  kTwoPass,    ///< a global pass, then a per-chunk map (encodings, mean)
+  kBreaker,    ///< needs every row and reshapes the frame
+};
+
+/// \brief The Op field that names a set of columns an op reads or writes.
+enum class ColumnSel {
+  kNone,      ///< no column
+  kColumn,    ///< `column`
+  kColumns,   ///< `columns`
+  kSubset,    ///< `columns`, where empty means every column
+  kNewName,   ///< `new_name`
+  kSortKeys,  ///< the `sort_keys` columns
+  kExpr,      ///< the columns the `text` expression names
+  kUnknown,   ///< not nameable from the op's fields
+};
+
+/// \brief The per-kind facts every engine model needs: one row per kind.
+struct OpTraits {
+  OpKind kind;
+  const char* name;  ///< stable snake_case name, used by JSON and reports
+  StreamClass stream;
+  ColumnSel reads;
+  ColumnSel writes;
+  sim::KernelClass device;  ///< the kernel family it runs as on a GPU
+};
+
+/// \brief The row of `kind` in the op-traits table.
+const OpTraits& TraitsOf(OpKind kind);
+
 /// \brief True for EDA inspections that return data instead of a new frame.
 bool IsAction(OpKind kind);
 
 /// \brief Stable snake_case name ("isna", "sort", ...), used by pipeline
 /// JSON specs and reports.
 const char* OpKindName(OpKind kind);
+
+/// \brief The kind whose stable name is `name`; Invalid for any other name.
+Result<OpKind> OpKindFromName(std::string_view name);
 
 /// \brief One preparator application. A tagged union: each kind reads the
 /// fields its factory sets. Build with the factories below.
@@ -117,6 +161,10 @@ struct Op {
   static Op ApplyRow(std::string new_name, kern::RowFn fn,
                      col::TypeId out_type);
 };
+
+/// \brief The stream class of `op`: its kind's, except that a fillna with
+/// the column mean is two-pass.
+StreamClass StreamClassOf(const Op& op);
 
 /// \brief Output of an action preparator.
 struct ActionResult {

@@ -76,7 +76,8 @@ class CsvChunkReader {
   const col::SchemaPtr& schema() const { return schema_; }
 
   /// Cuts the next batch's records and returns their decode, or an empty
-  /// function at end of file.
+  /// function at end of file. The first cut always yields a decode (a
+  /// header-only file decodes to one zero-row chunk).
   Result<Decode> Cut();
 
   /// Next batch (Cut() and its decode), or nullptr at end of file.
@@ -102,6 +103,7 @@ class CsvChunkReader {
   size_t begin_ = 0;
   size_t end_ = 0;
   bool eof_ = false;
+  bool cut_any_ = false;
 };
 
 /// \brief Writes `table` as CSV; strings quote when they contain the

@@ -699,7 +699,9 @@ Result<CsvChunkReader::Decode> CsvChunkReader::Cut() {
     }
     pos = end + 1;
   }
-  if (cut == 0) return Decode();
+  // The first cut always yields a batch: a header-only file's zero rows.
+  if (cut == 0 && cut_any_) return Decode();
+  cut_any_ = true;
   const std::string_view text(block_.get() + begin_, cut);
   begin_ += cut;
   return Decode([block = block_, text, schema = schema_, options = options_,

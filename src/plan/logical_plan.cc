@@ -132,37 +132,47 @@ std::string Explain(const std::vector<Op>& ops) {
   return out;
 }
 
-bool OpColumnFootprint(const Op& op, std::set<std::string>* touched) {
-  switch (op.kind) {
-    case OpKind::kCast:
-    case OpKind::kStrLower:
-    case OpKind::kRound:
-    case OpKind::kFillNa:
-    case OpKind::kReplace:
-    case OpKind::kToDatetime:
-    case OpKind::kCatCodes:
-      touched->insert(op.column);
+bool SelectColumns(const Op& op, frame::ColumnSel sel,
+                   std::set<std::string>* out) {
+  switch (sel) {
+    case frame::ColumnSel::kNone:
       return true;
-    case OpKind::kApplyExpr: {
+    case frame::ColumnSel::kColumn:
+      out->insert(op.column);
+      return true;
+    case frame::ColumnSel::kSubset:
+      if (op.columns.empty()) return false;  // every column
+      [[fallthrough]];
+    case frame::ColumnSel::kColumns:
+      out->insert(op.columns.begin(), op.columns.end());
+      return true;
+    case frame::ColumnSel::kNewName:
+      out->insert(op.new_name);
+      return true;
+    case frame::ColumnSel::kSortKeys:
+      for (const auto& key : op.sort_keys) out->insert(key.column);
+      return true;
+    case frame::ColumnSel::kExpr: {
       auto parsed = expr::ParseExpr(op.text);
       if (!parsed.ok()) return false;
-      parsed.ValueOrDie()->CollectColumns(touched);
-      touched->insert(op.new_name);
+      parsed.ValueOrDie()->CollectColumns(out);
       return true;
     }
-    case OpKind::kDropColumns:
-      touched->insert(op.columns.begin(), op.columns.end());
-      return true;
-    case OpKind::kSortValues:
-      for (const auto& key : op.sort_keys) touched->insert(key.column);
-      return true;
-    case OpKind::kDropNa:
-      if (op.columns.empty()) return false;  // inspects every column
-      touched->insert(op.columns.begin(), op.columns.end());
-      return true;
-    default:
+    case frame::ColumnSel::kUnknown:
       return false;
   }
+  return false;
+}
+
+bool OpColumnFootprint(const Op& op, std::set<std::string>* touched) {
+  const frame::OpTraits& traits = frame::TraitsOf(op.kind);
+  // Actions never sit in a plan, and no drop moves across a breaker.
+  if (traits.stream == frame::StreamClass::kAction ||
+      traits.stream == frame::StreamClass::kBreaker) {
+    return false;
+  }
+  return SelectColumns(op, traits.reads, touched) &&
+         SelectColumns(op, traits.writes, touched);
 }
 
 std::set<std::string> QueryReferences(const Op& query) {

@@ -24,8 +24,15 @@ std::string Explain(const std::vector<frame::Op>& ops);
 
 // --- column-footprint analysis shared by the rewrite rules -----------------
 
-/// \brief Columns `op` reads or writes. Returns false when the op touches
-/// the whole row (opaque to column analysis); `touched` is then meaningless.
+/// \brief Adds the columns `sel` names on `op` to `out`. Returns false when
+/// they cannot be named (kUnknown, an empty kSubset, or a kExpr that does
+/// not parse); `out` is then meaningless.
+bool SelectColumns(const frame::Op& op, frame::ColumnSel sel,
+                   std::set<std::string>* out);
+
+/// \brief Columns `op` reads or writes, as its op-traits row names them.
+/// Returns false for actions and breakers, and when the op touches the
+/// whole row (opaque to column analysis); `touched` is then meaningless.
 bool OpColumnFootprint(const frame::Op& op, std::set<std::string>* touched);
 
 /// \brief Columns referenced by a kQuery predicate (empty on parse failure).

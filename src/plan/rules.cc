@@ -10,38 +10,30 @@ namespace bento::plan {
 
 using frame::Op;
 using frame::OpKind;
+using frame::StreamClass;
 
 bool QueryCanHopBefore(const Op& query, const Op& prev,
                        const std::set<std::string>& refs) {
   (void)query;
-  switch (prev.kind) {
-    case OpKind::kSortValues:
+  switch (frame::StreamClassOf(prev)) {
+    case StreamClass::kReorder:
       return true;  // content-based filter commutes with reordering
-    case OpKind::kDropNa:
-      return true;  // two row filters commute
-    case OpKind::kCast:
-    case OpKind::kStrLower:
-    case OpKind::kRound:
-    case OpKind::kToDatetime:
-    case OpKind::kReplace:
-      return refs.count(prev.column) == 0;
-    case OpKind::kFillNa:
-      // fillna changes null rows; safe only when the filter ignores the
-      // column entirely (and fillna-with-mean depends on the row set the
-      // filter would change).
-      return !prev.fill_with_mean && refs.count(prev.column) == 0;
-    case OpKind::kApplyExpr:
-      return refs.count(prev.new_name) == 0;
-    case OpKind::kApplyRow:
-      return refs.count(prev.new_name) == 0;
-    case OpKind::kDropColumns: {
-      // Sound only when the filter ignores every dropped column: a filter
+    case StreamClass::kRowFilter:
+      // Two row filters commute; two queries keep their order, so the
+      // rewrite reaches a fixed point.
+      return prev.kind != OpKind::kQuery;
+    case StreamClass::kRowMap: {
+      // Sound only when the filter reads no column the map writes: a filter
       // referencing a dropped column must keep erroring after the drop,
       // not silently succeed ahead of it.
-      std::set<std::string> dropped(prev.columns.begin(), prev.columns.end());
-      return !Intersects(refs, dropped);
+      std::set<std::string> written;
+      return SelectColumns(prev, frame::TraitsOf(prev.kind).writes,
+                           &written) &&
+             !Intersects(refs, written);
     }
     default:
+      // Two-pass ops (fillna with the mean among them) and breakers depend
+      // on the row set the filter would change.
       return false;
   }
 }
@@ -85,13 +77,9 @@ bool PushDownProjections(std::vector<Op>* plan) {
       // Two drops never swap: disjoint drops would trade places on every
       // pass.
       if (prev.kind == OpKind::kDropColumns) break;
-      if (prev.kind == OpKind::kQuery) {
-        if (Intersects(QueryReferences(prev), dropped)) break;
-      } else {
-        std::set<std::string> touched;
-        if (!OpColumnFootprint(prev, &touched)) break;
-        if (Intersects(touched, dropped)) break;
-      }
+      std::set<std::string> touched;
+      if (!OpColumnFootprint(prev, &touched)) break;
+      if (Intersects(touched, dropped)) break;
       std::swap(ops[j], ops[j - 1]);
       --j;
       changed = true;

@@ -8,6 +8,7 @@
 #include "bento/report.h"
 #include "bento/runner.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 
 namespace bento::run {
 namespace {
@@ -62,6 +63,75 @@ TEST(PipelineTest, OutOfRangeIntegersAreInvalid) {
               std::string::npos)
         << parsed.status().ToString();
   }
+}
+
+TEST(PipelineTest, EveryOpNameRoundTripsThroughTheTable) {
+  for (size_t k = 0; k < frame::kNumOpKinds; ++k) {
+    const auto kind = static_cast<frame::OpKind>(k);
+    const std::string name = frame::OpKindName(kind);
+    ASSERT_OK_AND_ASSIGN(frame::OpKind back, frame::OpKindFromName(name));
+    EXPECT_EQ(back, kind) << name;
+    // A bare step of the kind is that kind, or fails on a missing field.
+    auto parsed = PipelineFromJson(ParseJson(R"({"steps": [{"op": ")" + name +
+                                             R"(", "stage": "DT"}]})")
+                                       .ValueOrDie());
+    if (parsed.ok()) {
+      EXPECT_EQ(parsed.ValueOrDie().steps.at(0).op.kind, kind) << name;
+    } else {
+      EXPECT_EQ(parsed.status().message().find("unknown op"),
+                std::string::npos)
+          << parsed.status().ToString();
+    }
+  }
+  for (const char* name : {"", "ISNA", "isna ", "nope"}) {
+    EXPECT_TRUE(frame::OpKindFromName(name).status().IsInvalid()) << name;
+  }
+}
+
+TEST(PipelineTest, MutatedJsonSpecsParseOrFailCleanly) {
+  // Byte flips, inserts, deletes and truncations of each dataset's spec:
+  // every mutant gives a pipeline or a Status from ParseJson and
+  // PipelineFromJson, never a crash.
+  constexpr int kMutantsPerDataset = 2500;
+  constexpr char kAlphabet[] = "{}[]:,\"\\ -+.eE019aflnrstu\x01\xff";
+  Rng rng(20261019);
+  int specs = 0;
+  int pipelines = 0;
+  for (const char* dataset : {"athlete", "loan", "patrol", "taxi"}) {
+    SCOPED_TRACE(dataset);
+    const std::string text =
+        PipelineToJson(PipelineFor(dataset).ValueOrDie()).Dump();
+    for (int m = 0; m < kMutantsPerDataset; ++m) {
+      std::string mutant = text;
+      const uint64_t edits = 1 + rng.Uniform(4);
+      for (uint64_t e = 0; e < edits && !mutant.empty(); ++e) {
+        const size_t at = rng.Uniform(mutant.size());
+        const char byte = kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)];
+        switch (rng.Uniform(4)) {
+          case 0:
+            mutant[at] = byte;
+            break;
+          case 1:
+            mutant.insert(at, 1, byte);
+            break;
+          case 2:
+            mutant.erase(at, 1 + rng.Uniform(16));
+            break;
+          default:
+            mutant.resize(at);
+            break;
+        }
+      }
+      auto json = ParseJson(mutant);
+      if (!json.ok()) continue;
+      ++specs;
+      if (PipelineFromJson(json.ValueOrDie()).ok()) ++pipelines;
+    }
+  }
+  // Both layers saw mutants: some parse as JSON, and some of those still
+  // decode into a pipeline while others fail in the op decoder.
+  EXPECT_GT(specs, pipelines);
+  EXPECT_GT(pipelines, 0);
 }
 
 TEST(PipelineTest, RowFnRegistry) {

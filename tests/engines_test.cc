@@ -417,6 +417,35 @@ TEST(EngineIoTest, CsvRoundTripPerEngine) {
   std::remove(path.c_str());
 }
 
+TEST(EngineIoTest, HeaderOnlyCsvIsATypedEmptyFramePerEngine) {
+  // A CSV holding only its header is io::ReadCsv's typed zero-row frame on
+  // every engine, through a filter and under an action.
+  const std::string path =
+      "/tmp/bento_engine_header_" + std::to_string(getpid()) + ".csv";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("a,b\n", f);
+  std::fclose(f);
+  ASSERT_OK_AND_ASSIGN(auto expected, io::ReadCsv(path));
+  ASSERT_EQ(expected->num_rows(), 0);
+  ASSERT_EQ(expected->num_columns(), 2);
+  for (const std::string& id : frame::EngineIds()) {
+    SCOPED_TRACE(id);
+    auto engine = frame::CreateEngine(id).ValueOrDie();
+    ASSERT_OK_AND_ASSIGN(auto frame, engine->ReadCsv(path, {}));
+    ASSERT_OK_AND_ASSIGN(auto filtered, frame->Apply(Op::Query("a == 'x'")));
+    ASSERT_OK_AND_ASSIGN(auto table, filtered->Collect());
+    test::ExpectTablesEqual(expected, table);
+    for (int c = 0; c < table->num_columns(); ++c) {
+      EXPECT_EQ(table->schema()->field(c).type,
+                expected->schema()->field(c).type);
+    }
+    ASSERT_OK_AND_ASSIGN(auto isna, frame->RunAction(Op::IsNa()));
+    EXPECT_EQ(isna.counts, std::vector<int64_t>({0, 0}));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(EngineIoTest, DataTableHasNoBcf) {
   std::string path = "/tmp/bento_engine_bcf_" + std::to_string(getpid()) + ".bcf";
   auto engine = frame::CreateEngine("datatable").ValueOrDie();

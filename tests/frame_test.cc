@@ -77,6 +77,24 @@ TEST(OpTest, NamesAreStable) {
   }
 }
 
+TEST(OpTest, DeviceClasses) {
+  // The GPU kernel family each kind runs as on CuDF.
+  using K = sim::KernelClass;
+  const std::vector<K> expected = {
+      K::kVector, K::kVector, K::kString, K::kSort,   K::kScalar,
+      K::kScalar, K::kVector, K::kVector, K::kVector, K::kVector,
+      K::kVector, K::kSort,   K::kVector, K::kSort,   K::kString,
+      K::kString, K::kSort,   K::kString, K::kVector, K::kString,
+      K::kVector, K::kSort,   K::kVector, K::kString, K::kScalar,
+  };
+  ExpectEveryKind(expected);
+  ASSERT_EQ(expected.size(), kNumOpKinds);
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(TraitsOf(AllKinds()[k]).device, expected[k])
+        << OpKindName(AllKinds()[k]);
+  }
+}
+
 TEST(ExecTest, QueryFiltersRows) {
   auto out =
       ExecTransform(SampleTable(), Op::Query("id >= 2"), {}).ValueOrDie();

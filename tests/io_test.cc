@@ -630,7 +630,7 @@ TEST(CsvChunkBoundaryTest, MatchesGoldenCountsAcrossChunkSizes) {
       {"blank_body",
        "a,b\n\n\r\n\n",
        {{1, "0x1"}, {7, "0x1"}, {2048, "0x1"}}},
-      {"header_only", "a,b\n", {{1, ""}, {2048, ""}}},
+      {"header_only", "a,b\n", {{1, "0x1"}, {2048, "0x1"}}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

@@ -179,10 +179,9 @@ TEST(QueryCanHopBeforeTest, EveryKind) {
                                 QueryReferences(bad)));
 }
 
-TEST(OpColumnFootprintTest, EveryKindButQuery) {
+TEST(OpColumnFootprintTest, EveryKind) {
   // One op per kind in enum order, then edge cases; nullopt is "touches the
-  // whole row". A query's own columns reach the projection rule through
-  // QueryReferences, so its footprint is not pinned here.
+  // whole row".
   using Footprint = std::optional<std::set<std::string>>;
   const kern::RowFn row_fn = [](const col::Table&, int64_t) {
     return Result<col::Scalar>(col::Scalar::Double(1.0));
@@ -196,6 +195,7 @@ TEST(OpColumnFootprintTest, EveryKindButQuery) {
       {Op::GetColumns(), std::nullopt},
       {Op::GetDtypes(), std::nullopt},
       {Op::Describe(), std::nullopt},
+      {Op::Query("games > height"), std::set<std::string>{"games", "height"}},
       {Op::Cast("games", TypeId::kFloat64), std::set<std::string>{"games"}},
       {Op::DropColumns({"event", "games"}),
        std::set<std::string>{"event", "games"}},
@@ -223,11 +223,11 @@ TEST(OpColumnFootprintTest, EveryKindButQuery) {
       {Op::DropDuplicates(), std::nullopt},
       {Op::DropColumns({}), std::set<std::string>{}},
       {Op::ApplyExpr("bmi", "height *"), std::nullopt},
+      {Op::Query("games >"), std::nullopt},
       {Op::FillNaMean("height"), std::set<std::string>{"height"}},
   };
-  for (size_t k = 0; k < 24; ++k) {
-    const size_t kind = static_cast<size_t>(cases[k].first.kind);
-    EXPECT_EQ(kind, k < 7 ? k : k + 1);  // kQuery (7) is skipped
+  for (size_t k = 0; k < 25; ++k) {
+    EXPECT_EQ(static_cast<size_t>(cases[k].first.kind), k);
   }
   for (const auto& [op, expected] : cases) {
     std::set<std::string> touched;
@@ -272,6 +272,16 @@ TEST(ProjectionPushdownTest, BlockedWhenOpTouchesDroppedColumn) {
                 {Op::Round("height", 1), Op::DropColumns({"height"})}),
             "round[height, 1]\n"
             "drop[height]\n");
+  EXPECT_EQ(OptimizeAndExplain(
+                {Op::Query("height > 1.5"), Op::DropColumns({"height"})}),
+            "query[height > 1.5]\n"
+            "drop[height]\n");
+  // A filter that does not parse names no columns, so a drop stays after
+  // it and the parse error still comes first.
+  EXPECT_EQ(OptimizeAndExplain(
+                {Op::Query("height >"), Op::DropColumns({"team"})}),
+            "query[height >]\n"
+            "drop[team]\n");
 }
 
 // --- breakers block predicate pushdown ---------------------------------------
