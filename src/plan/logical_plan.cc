@@ -177,8 +177,7 @@ bool OpColumnFootprint(const Op& op, std::set<std::string>* touched) {
 
 std::set<std::string> QueryReferences(const Op& query) {
   std::set<std::string> refs;
-  auto parsed = expr::ParseExpr(query.text);
-  if (parsed.ok()) parsed.ValueOrDie()->CollectColumns(&refs);
+  SelectColumns(query, frame::ColumnSel::kExpr, &refs);  // empty on failure
   return refs;
 }
 
