@@ -29,6 +29,7 @@
 #include "kernels/null_ops.h"
 #include "kernels/row_hash.h"
 #include "kernels/sort.h"
+#include "kernels/stats.h"
 #include "kernels/string_ops.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
@@ -567,6 +568,37 @@ col::TablePtr LoanShapedTable(int64_t rows, bool random_bits,
                           std::move(columns))
       .ValueOrDie();
 }
+
+// Pandas-style describe() over loan-shaped float64 columns: two-decimal
+// values around 15 000 (as datagen's loan filler columns) with `null_pct`
+// percent nulls. The exact quartiles dominate. Items are the cells.
+void BM_Describe(benchmark::State& state) {
+  constexpr int kColumns = 16;
+  const int64_t rows = state.range(0);
+  const double null_frac = static_cast<double>(state.range(1)) / 100.0;
+  Rng rng(2020);
+  std::vector<col::Field> fields;
+  std::vector<col::ArrayPtr> columns;
+  for (int c = 0; c < kColumns; ++c) {
+    col::Float64Builder b;
+    for (int64_t i = 0; i < rows; ++i) {
+      b.AppendMaybe(std::round(rng.Normal(15000.0, 8500.0) * 100.0) / 100.0,
+                    !rng.Bernoulli(null_frac));
+    }
+    fields.push_back(
+        {std::string("f").append(std::to_string(c)), col::TypeId::kFloat64});
+    columns.push_back(b.Finish().ValueOrDie());
+  }
+  auto t = col::Table::Make(std::make_shared<col::Schema>(std::move(fields)),
+                            std::move(columns))
+               .ValueOrDie();
+  for (auto _ : state) {
+    auto d = kern::Describe(t);
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetItemsProcessed(state.iterations() * rows * kColumns);
+}
+BENCHMARK(BM_Describe)->Args({20000, 20})->Args({20000, 70});
 
 // Pandas-style single-threaded to_csv of a loan-shaped frame to /dev/null.
 // Items are the non-null float64 cells, whose formatting dominates.

@@ -12,11 +12,17 @@ Buffer::~Buffer() {
 }
 
 Result<std::shared_ptr<Buffer>> Buffer::Allocate(uint64_t size) {
+  return AllocateOwned(size, /*zeroed=*/true);
+}
+
+Result<std::shared_ptr<Buffer>> Buffer::AllocateOwned(uint64_t size,
+                                                      bool zeroed) {
   sim::MemoryPool* pool = sim::MemoryPool::Current();
   BENTO_RETURN_NOT_OK(pool->Reserve(size));
   uint8_t* data = nullptr;
   if (size > 0) {
-    data = static_cast<uint8_t*>(std::calloc(1, size));
+    data = static_cast<uint8_t*>(zeroed ? std::calloc(1, size)
+                                        : std::malloc(size));
     if (data == nullptr) {
       pool->Release(size);
       return Status::OutOfMemory("host allocation of ", size, " bytes failed");
@@ -50,7 +56,8 @@ std::shared_ptr<Buffer> Buffer::Slice(const std::shared_ptr<Buffer>& parent,
 
 Result<std::shared_ptr<Buffer>> Buffer::CopyOf(const void* data,
                                                uint64_t size) {
-  BENTO_ASSIGN_OR_RETURN(auto buf, Allocate(size));
+  // Every byte is overwritten, so the allocation skips the zero fill.
+  BENTO_ASSIGN_OR_RETURN(auto buf, AllocateOwned(size, /*zeroed=*/false));
   if (size > 0) std::memcpy(buf->mutable_data(), data, size);
   return buf;
 }

@@ -63,6 +63,10 @@ class Buffer {
   }
 
  private:
+  /// `size` owned bytes charged to the current pool, zero-filled or not.
+  static Result<std::shared_ptr<Buffer>> AllocateOwned(uint64_t size,
+                                                       bool zeroed);
+
   Buffer(uint8_t* data, uint64_t size, bool owned,
          std::shared_ptr<sim::MemoryPool::State> pool)
       : data_(data), size_(size), owned_(owned), pool_(std::move(pool)) {}

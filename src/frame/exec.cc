@@ -324,10 +324,10 @@ Result<ActionResult> ExecAction(const col::TablePtr& table, const Op& op,
         BENTO_ASSIGN_OR_RETURN(result.upper_bound,
                                kern::QuantileApprox(column, op.upper_q));
       } else {
-        BENTO_ASSIGN_OR_RETURN(result.lower_bound,
-                               kern::Quantile(column, op.lower_q));
-        BENTO_ASSIGN_OR_RETURN(result.upper_bound,
-                               kern::Quantile(column, op.upper_q));
+        BENTO_ASSIGN_OR_RETURN(
+            auto bounds, kern::Quantiles(column, {op.lower_q, op.upper_q}));
+        result.lower_bound = bounds[0];
+        result.upper_bound = bounds[1];
       }
       // Count rows outside the bounds.
       BENTO_ASSIGN_OR_RETURN(

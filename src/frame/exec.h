@@ -29,7 +29,7 @@ struct ExecPolicy {
   /// Pandas `apply(axis=1)` call constructs, plus allocator churn).
   int64_t row_apply_series_bytes = 0;
   /// Percentiles via the single-pass histogram estimate instead of the
-  /// copy-and-sort exact path (the optimized engines' approach).
+  /// copy-and-select exact path (the optimized engines' approach).
   bool approx_quantile = false;
   /// Materialize a defensive copy of the output table after every
   /// transform (the eager Pandas chained-assignment model): doubles the

@@ -99,8 +99,13 @@ void AppendCell(const CellSource& column, int64_t row, char delimiter,
       }
       break;
     }
-    default:
-      AppendField(column.array->ValueToString(row), delimiter, out);
+    case col::TypeId::kTimestamp: {
+      char buf[kFormatTimestampBufSize];
+      const size_t len = FormatTimestampTo(
+          reinterpret_cast<const int64_t*>(column.data)[row], buf);
+      AppendField(std::string_view(buf, len), delimiter, out);
+      break;
+    }
   }
 }
 

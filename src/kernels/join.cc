@@ -37,9 +37,8 @@ Result<TablePtr> AssembleJoin(const TablePtr& left, const TablePtr& right,
   return SpliceJoinColumns(left_out, right_out, right_suffix);
 }
 
-/// Parallel twin of AssembleJoin: the gathers run as sized-output morsel
-/// copies (TakeTableParallel), so the result materializes without builder
-/// growth and without serializing on one thread.
+/// Parallel twin of AssembleJoin: the sized gathers fan out as morsel
+/// copies (TakeTableParallel) instead of running on one thread.
 Result<TablePtr> AssembleJoinParallel(const TablePtr& left,
                                       const TablePtr& right,
                                       const std::string& right_key,

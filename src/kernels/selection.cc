@@ -3,106 +3,10 @@
 #include <cstring>
 #include <type_traits>
 
-#include "columnar/builder.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
 
 namespace bento::kern {
-
-namespace {
-
-using col::BoolBuilder;
-using col::CategoricalBuilder;
-using col::Float64Builder;
-using col::Int64Builder;
-using col::StringBuilder;
-
-template <typename Builder, typename Getter>
-Result<ArrayPtr> TakeFixed(const ArrayPtr& values,
-                           const std::vector<int64_t>& indices,
-                           Builder builder, Getter get) {
-  for (int64_t idx : indices) {
-    if (idx < 0 || values->IsNull(idx)) {
-      builder.AppendNull();
-    } else {
-      builder.Append(get(idx));
-    }
-  }
-  return builder.Finish();
-}
-
-Result<ArrayPtr> RetypeTimestamp(Result<ArrayPtr> r) {
-  if (!r.ok()) return r;
-  ArrayPtr a = r.MoveValueUnsafe();
-  return Array::MakeFixed(TypeId::kTimestamp, a->length(), a->data_buffer(),
-                          a->validity_buffer(), a->cached_null_count());
-}
-
-}  // namespace
-
-Result<ArrayPtr> Take(const ArrayPtr& values,
-                      const std::vector<int64_t>& indices) {
-  for (int64_t idx : indices) {
-    if (idx >= values->length()) {
-      return Status::IndexError("take index ", idx, " out of bounds (length ",
-                                values->length(), ")");
-    }
-  }
-  switch (values->type()) {
-    case TypeId::kInt64:
-      return TakeFixed(values, indices, Int64Builder(),
-                       [&](int64_t i) { return values->int64_data()[i]; });
-    case TypeId::kTimestamp:
-      return RetypeTimestamp(
-          TakeFixed(values, indices, Int64Builder(),
-                    [&](int64_t i) { return values->int64_data()[i]; }));
-    case TypeId::kFloat64:
-      return TakeFixed(values, indices, Float64Builder(),
-                       [&](int64_t i) { return values->float64_data()[i]; });
-    case TypeId::kBool:
-      return TakeFixed(values, indices, BoolBuilder(),
-                       [&](int64_t i) { return values->bool_data()[i] != 0; });
-    case TypeId::kString: {
-      StringBuilder builder;
-      for (int64_t idx : indices) {
-        if (idx < 0 || values->IsNull(idx)) {
-          builder.AppendNull();
-        } else {
-          builder.Append(values->GetView(idx));
-        }
-      }
-      return builder.Finish();
-    }
-    case TypeId::kCategorical: {
-      CategoricalBuilder builder;
-      for (int64_t idx : indices) {
-        if (idx < 0 || values->IsNull(idx)) {
-          builder.AppendNull();
-        } else {
-          builder.Append(values->codes_data()[idx]);
-        }
-      }
-      return builder.Finish(values->dictionary());
-    }
-  }
-  return Status::Invalid("unsupported type in Take");
-}
-
-Result<TablePtr> TakeTable(const TablePtr& table,
-                           const std::vector<int64_t>& indices) {
-  std::vector<ArrayPtr> columns;
-  columns.reserve(static_cast<size_t>(table->num_columns()));
-  for (const ArrayPtr& c : table->columns()) {
-    BENTO_ASSIGN_OR_RETURN(auto taken, Take(c, indices));
-    columns.push_back(std::move(taken));
-  }
-  if (columns.empty()) return table;
-  return Table::Make(table->schema(), std::move(columns));
-}
-
-// ---------------------------------------------------------------------------
-// Sized gather (TakeParallel / TakeTableParallel and the filters)
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -114,9 +18,9 @@ struct GatherPlan {
   bool any_negative = false;
 };
 
-/// Morsel-parallel bounds scan. Reports the same first out-of-bounds index
-/// (and message) the serial Take would: ranges are ordered, so the earliest
-/// offending range's first hit is the global first.
+/// Morsel-parallel bounds scan. Reports the first out-of-bounds index at
+/// any worker count: ranges are ordered, so the earliest offending range's
+/// first hit is the global first.
 Result<GatherPlan> PlanGather(const std::vector<int64_t>& indices,
                               int64_t source_length,
                               const sim::ParallelOptions& options) {
@@ -165,7 +69,7 @@ T Stored(T value) {
 
 /// Gathers rows [b, e) of one fixed-width column into `dst`; returns how
 /// many are valid. A null slot holds `null_value` (-1 for categorical codes,
-/// 0 otherwise): the bytes the serial builders' AppendNull writes.
+/// 0 otherwise): the bytes a column builder's AppendNull writes.
 template <typename T>
 int64_t GatherFixedRange(const T* src, const uint8_t* src_valid, T null_value,
                          const std::vector<int64_t>& indices, int64_t b,
@@ -383,10 +287,6 @@ Result<ArrayPtr> GatherColumn(const ArrayPtr& values,
   return columns[0];
 }
 
-/// Below this row count the sized-gather setup (morsel planning, bitmap
-/// allocation, fan-out) costs more than the serial builder path saves.
-constexpr int64_t kMinParallelTakeRows = 4096;
-
 /// The rows where `mask` is true and valid, checked against `length`.
 Result<std::vector<int64_t>> MaskRows(const ArrayPtr& mask, int64_t length) {
   if (mask->type() != TypeId::kBool) {
@@ -411,6 +311,21 @@ GatherPlan FilterPlan(const std::vector<int64_t>& rows,
   plan.ranges = sim::MorselRanges(static_cast<int64_t>(rows.size()),
                                   sim::ResolveWorkers(options));
   return plan;
+}
+
+/// Below this row count a take's fan-out (morsel tasks, their dispatch)
+/// costs more than it saves, so it gathers on one worker.
+constexpr int64_t kMinParallelTakeRows = 4096;
+
+/// The bounds scan, then the sized gather of every column under `options`;
+/// a table without columns is returned as it is.
+Result<TablePtr> TakeRows(const TablePtr& table,
+                          const std::vector<int64_t>& indices,
+                          const sim::ParallelOptions& options) {
+  if (table->num_columns() == 0) return table;
+  BENTO_ASSIGN_OR_RETURN(auto plan,
+                         PlanGather(indices, table->num_rows(), options));
+  return GatherTable(table, indices, plan, options);
 }
 
 }  // namespace
@@ -440,15 +355,26 @@ Result<TablePtr> FilterTableRows(const TablePtr& table,
   return GatherTable(table, rows, FilterPlan(rows, options), options);
 }
 
+Result<ArrayPtr> Take(const ArrayPtr& values,
+                      const std::vector<int64_t>& indices) {
+  return TakeParallel(values, indices, sim::OneWorker());
+}
+
+Result<TablePtr> TakeTable(const TablePtr& table,
+                           const std::vector<int64_t>& indices) {
+  return TakeRows(table, indices, sim::OneWorker());
+}
+
 Result<ArrayPtr> TakeParallel(const ArrayPtr& values,
                               const std::vector<int64_t>& indices,
                               const sim::ParallelOptions& options) {
-  if (static_cast<int64_t>(indices.size()) < kMinParallelTakeRows) {
-    return Take(values, indices);
-  }
+  const sim::ParallelOptions run =
+      static_cast<int64_t>(indices.size()) < kMinParallelTakeRows
+          ? sim::OneWorker()
+          : options;
   BENTO_ASSIGN_OR_RETURN(auto plan,
-                         PlanGather(indices, values->length(), options));
-  return GatherColumn(values, indices, plan, options);
+                         PlanGather(indices, values->length(), run));
+  return GatherColumn(values, indices, plan, run);
 }
 
 Result<TablePtr> TakeTableParallel(const TablePtr& table,
@@ -458,9 +384,7 @@ Result<TablePtr> TakeTableParallel(const TablePtr& table,
     return TakeTable(table, indices);
   }
   BENTO_TRACE_SPAN(kKernel, "take.parallel");
-  BENTO_ASSIGN_OR_RETURN(auto plan,
-                         PlanGather(indices, table->num_rows(), options));
-  return GatherTable(table, indices, plan, options);
+  return TakeRows(table, indices, options);
 }
 
 }  // namespace bento::kern

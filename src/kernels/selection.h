@@ -26,7 +26,8 @@ Result<TablePtr> FilterTableRows(const TablePtr& table,
                                  const sim::ParallelOptions& options);
 
 /// \brief Gathers rows at `indices`; an index of -1 emits a null row
-/// (used by left joins).
+/// (used by left joins). The one-worker form of TakeParallel: the same
+/// sized gather, its tasks run serially on the caller.
 Result<ArrayPtr> Take(const ArrayPtr& values,
                       const std::vector<int64_t>& indices);
 Result<TablePtr> TakeTable(const TablePtr& table,
@@ -37,8 +38,9 @@ Result<TablePtr> TakeTable(const TablePtr& table,
 /// per (column, morsel range) copies a disjoint output range — no
 /// growth-amortized builder appends, and a table smaller than one morsel
 /// still fans out across its columns.
-/// Bit-identical to Take (including -1 -> null and the null/validity
-/// layout); falls back to the serial builder path for small inputs. Used by
+/// Byte-identical to appending the rows one by one through the column
+/// builders (-1 -> null, a null slot's bytes, a bitmap only when a slot is
+/// null) at any worker count; below 4 096 rows it runs on one worker. Used by
 /// the parallel join/sort/dedup/group-by assembly stages; in kSimulated mode
 /// the copy morsels run serially and earn makespan credit like any other
 /// ParallelFor.

@@ -1,6 +1,7 @@
 #include "kernels/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "columnar/builder.h"
@@ -130,27 +131,43 @@ Result<Scalar> MomentsToScalar(const Moments& m, AggKind kind) {
   return Scalar::Null();
 }
 
-/// The valid, non-NaN values of `values` in ascending order: the input of
-/// every exact quantile.
-std::vector<double> SortedValues(const Array& values) {
-  std::vector<double> data;
-  data.reserve(static_cast<size_t>(values.length()));
-  for (int64_t i = 0; i < values.length(); ++i) {
-    if (!values.IsValid(i)) continue;
-    double v = CellValue(values, i);
-    if (!std::isnan(v)) data.push_back(v);
-  }
-  std::sort(data.begin(), data.end());
-  return data;
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+/// The order-preserving image of a double as an unsigned integer: a strict
+/// total order with -0.0 < +0.0 (NaN never reaches it).
+uint64_t OrderKey(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  return bits >> 63 != 0 ? ~bits : bits | kSignBit;
 }
 
-/// Linearly interpolated quantile of non-empty sorted `data`.
-double QuantileOfSorted(const std::vector<double>& data, double q) {
-  const double pos = q * static_cast<double>(data.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, data.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return data[lo] * (1.0 - frac) + data[hi] * frac;
+double FromOrderKey(uint64_t key) {
+  return std::bit_cast<double>(key >> 63 != 0 ? key & ~kSignBit : ~key);
+}
+
+/// The order keys of the valid, non-NaN values of `values`: the one copy
+/// every exact quantile selects from.
+std::vector<uint64_t> OrderKeys(const Array& values) {
+  std::vector<uint64_t> keys;
+  keys.reserve(static_cast<size_t>(values.length()));
+  for (int64_t i = 0; i < values.length(); ++i) {
+    if (!values.IsValid(i)) continue;
+    const double v = CellValue(values, i);
+    if (!std::isnan(v)) keys.push_back(OrderKey(v));
+  }
+  return keys;
+}
+
+/// Selects the order statistics at `ranks` (ascending, inside [first,
+/// last)) into place: the middle one over the whole range, then each half's
+/// inside that half.
+void SelectRanks(uint64_t* keys, size_t first, size_t last,
+                 const size_t* ranks, size_t nranks) {
+  if (nranks == 0) return;
+  const size_t mid = nranks / 2;
+  const size_t k = ranks[mid];
+  std::nth_element(keys + first, keys + k, keys + last);
+  SelectRanks(keys, first, k, ranks, mid);
+  SelectRanks(keys, k + 1, last, ranks + mid + 1, nranks - mid - 1);
 }
 
 }  // namespace
@@ -186,12 +203,52 @@ Result<Scalar> AggregateParallel(const ArrayPtr& values, AggKind kind,
   return MomentsToScalar(total, kind);
 }
 
-Result<double> Quantile(const ArrayPtr& values, double q) {
+Result<std::vector<double>> Quantiles(const ArrayPtr& values,
+                                      const std::vector<double>& qs) {
   BENTO_RETURN_NOT_OK(CheckAggregatable(values));
-  if (q < 0.0 || q > 1.0) return Status::Invalid("quantile q must be in [0,1]");
-  const std::vector<double> data = SortedValues(*values);
-  if (data.empty()) return Status::Invalid("quantile of empty column");
-  return QuantileOfSorted(data, q);
+  for (double q : qs) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return Status::Invalid("quantile q must be in [0,1]");
+    }
+  }
+  std::vector<uint64_t> keys = OrderKeys(*values);
+  const size_t n = keys.size();
+  if (n == 0) return Status::Invalid("quantile of empty column");
+  // q lies at q * (n - 1), between the order statistics of its floor (the
+  // lower rank) and the next one.
+  std::vector<size_t> ranks;  // distinct lower ranks, ascending
+  for (double q : qs) {
+    const size_t r = static_cast<size_t>(q * static_cast<double>(n - 1));
+    const auto at = std::lower_bound(ranks.begin(), ranks.end(), r);
+    if (at == ranks.end() || *at != r) ranks.insert(at, r);
+  }
+  SelectRanks(keys.data(), 0, n, ranks.data(), ranks.size());
+  std::vector<double> out;
+  for (double q : qs) {
+    const double pos = q * static_cast<double>(n - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    // On an order statistic the result is that statistic: interpolating
+    // would turn a +inf neighbour into inf * 0 = NaN.
+    const double low = FromOrderKey(keys[lo]);
+    if (frac == 0.0) {
+      out.push_back(low);
+      continue;
+    }
+    // The upper neighbour is the minimum of the part above lo, which ends
+    // at the next selected rank. When lo + 1 is that rank the part is empty
+    // and min_element returns its end: the key at lo + 1.
+    const auto next = std::upper_bound(ranks.begin(), ranks.end(), lo);
+    const uint64_t* high = std::min_element(
+        keys.data() + lo + 1, keys.data() + (next == ranks.end() ? n : *next));
+    out.push_back(low * (1.0 - frac) + FromOrderKey(*high) * frac);
+  }
+  return out;
+}
+
+Result<double> Quantile(const ArrayPtr& values, double q) {
+  BENTO_ASSIGN_OR_RETURN(auto out, Quantiles(values, {q}));
+  return out[0];
 }
 
 Result<double> QuantileApprox(const ArrayPtr& values, double q) {
@@ -260,11 +317,10 @@ Result<ColumnStats> DescribeOneColumn(const col::Field& field,
     BENTO_ASSIGN_OR_RETURN(cs.p75, QuantileApprox(values, 0.75));
     return cs;
   }
-  // One sort serves all three exact quantiles (non-empty: m.count > 0).
-  const std::vector<double> sorted = SortedValues(*values);
-  cs.p25 = QuantileOfSorted(sorted, 0.25);
-  cs.p50 = QuantileOfSorted(sorted, 0.50);
-  cs.p75 = QuantileOfSorted(sorted, 0.75);
+  BENTO_ASSIGN_OR_RETURN(auto q, Quantiles(values, {0.25, 0.50, 0.75}));
+  cs.p25 = q[0];
+  cs.p50 = q[1];
+  cs.p75 = q[2];
   return cs;
 }
 

@@ -13,14 +13,20 @@ namespace bento::kern {
 Result<Scalar> Aggregate(const ArrayPtr& values, AggKind kind);
 
 /// \brief q-th quantile (0 <= q <= 1) of a numeric column by linear
-/// interpolation over the sorted non-null values (the NumPy default used by
-/// the outlier-locating preparator).
+/// interpolation between the order statistics of its non-null, non-NaN
+/// values in the total order with -0.0 < +0.0 (the NumPy default used by
+/// the outlier-locating preparator), found by selection as numpy's
+/// partition does; a position on an order statistic returns it.
 Result<double> Quantile(const ArrayPtr& values, double q);
+
+/// \brief Quantile at each of `qs`, selected from one copy of the values.
+Result<std::vector<double>> Quantiles(const ArrayPtr& values,
+                                      const std::vector<double>& qs);
 
 /// \brief Single-pass histogram quantile: min/max scan + 2048-bin counting
 /// pass, interpolated within the hit bin. O(n) time, O(1) extra memory —
 /// the streaming approximation the optimized engines use where the Pandas
-/// model pays a copy + full sort. Error bounded by one bin width.
+/// model pays a copy + selection. Error bounded by one bin width.
 Result<double> QuantileApprox(const ArrayPtr& values, double q);
 
 /// \brief Chunk-parallel streaming aggregate: partial moments per chunk

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -205,6 +206,63 @@ size_t FormatDoubleTo(double v, char* buf) {
 std::string FormatDouble(double v) {
   char buf[kFormatDoubleBufSize];
   return std::string(buf, FormatDoubleTo(v, buf));
+}
+
+namespace {
+
+/// Writes `v` (0-99) as two digits.
+char* TwoDigits(unsigned v, char* out) {
+  out[0] = static_cast<char>('0' + v / 10);
+  out[1] = static_cast<char>('0' + v % 10);
+  return out + 2;
+}
+
+}  // namespace
+
+size_t FormatTimestampTo(int64_t micros, char* buf) {
+  const int64_t secs = micros / 1000000;  // toward zero
+  int64_t days = secs / 86400;
+  int64_t sod = secs % 86400;
+  if (sod < 0) {
+    sod += 86400;
+    --days;
+  }
+  // Days since 1970-01-01 to a proleptic Gregorian date, in 400-year eras
+  // of 146 097 days counted from 0000-03-01 (Hinnant's civil_from_days).
+  const int64_t z = days + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const auto doe = static_cast<unsigned>(z - era * 146097);
+  const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+  const unsigned mp = (5 * doy + 2) / 153;
+  const unsigned day = doy - (153 * mp + 2) / 5 + 1;
+  const unsigned month = mp < 10 ? mp + 3 : mp - 9;
+  const int64_t year = static_cast<int64_t>(yoe) + era * 400 + (month <= 2);
+
+  // "%04d" of the year: zero-padded to four characters, sign included.
+  char* out = buf;
+  if (year < 0) *out++ = '-';
+  const uint64_t abs_year =
+      year < 0 ? 0 - static_cast<uint64_t>(year) : static_cast<uint64_t>(year);
+  char digits[20];
+  const char* end =
+      std::to_chars(digits, digits + sizeof(digits), abs_year).ptr;
+  for (int64_t pad = 4 - (out - buf) - (end - digits); pad > 0; --pad) {
+    *out++ = '0';
+  }
+  out = std::copy(static_cast<const char*>(digits), end, out);
+  *out++ = '-';
+  out = TwoDigits(month, out);
+  *out++ = '-';
+  out = TwoDigits(day, out);
+  *out++ = ' ';
+  const auto s = static_cast<unsigned>(sod);
+  out = TwoDigits(s / 3600, out);
+  *out++ = ':';
+  out = TwoDigits(s / 60 % 60, out);
+  *out++ = ':';
+  out = TwoDigits(s % 60, out);
+  return static_cast<size_t>(out - buf);
 }
 
 std::string HumanBytes(uint64_t bytes) {

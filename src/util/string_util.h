@@ -49,6 +49,16 @@ size_t FormatDoubleTo(double v, char* buf);
 /// \brief FormatDoubleTo as a string; the CSV writer's float text.
 std::string FormatDouble(double v);
 
+/// \brief Buffer size FormatTimestampTo needs (any int64 of microseconds).
+inline constexpr size_t kFormatTimestampBufSize = 32;
+
+/// \brief Writes the UTC time `micros` microseconds after the epoch into
+/// `buf` (kFormatTimestampBufSize chars, not NUL-terminated) and returns the
+/// length: "%04d-%02d-%02d %02d:%02d:%02d" of the proleptic Gregorian date
+/// and time of `micros / 1000000` seconds (truncated toward zero), the
+/// bytes Array::ValueToString writes through gmtime_r.
+size_t FormatTimestampTo(int64_t micros, char* buf);
+
 /// \brief "1.5 GiB"-style human-readable byte count for reports.
 std::string HumanBytes(uint64_t bytes);
 

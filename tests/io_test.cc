@@ -784,6 +784,50 @@ TEST(CsvGoldenTest, WriteCsvBytesMatchGoldens) {
   EXPECT_TRUE(ReadFileBytes(parallel.str()) == bytes);
 }
 
+/// FormatTimestampTo writes the bytes of Array::ValueToString (gmtime_r
+/// and snprintf): the epoch, values around it down to a microsecond either
+/// side (the sub-second part truncates toward zero), every day boundary,
+/// leap day and year end of the years 1678-2262 with random times inside
+/// them, the int64 extremes and random values across the whole range
+/// (years of 1-6 digits, negative ones included). The CSV writer's cells
+/// are those bytes.
+TEST(CsvWriterTest, TimestampCellsMatchValueToString) {
+  constexpr int64_t kDay = 86'400'000'000;
+  std::vector<int64_t> micros = {0, INT64_MIN, INT64_MAX, INT64_MIN + 1,
+                                 INT64_MAX - 1};
+  for (int64_t base : {int64_t{0}, -kDay, kDay, int64_t{-1'000'000},
+                       int64_t{1'000'000}}) {
+    for (int64_t d : {-1'000'001, -1'000'000, -999'999, -1, 0, 1, 999'999,
+                      1'000'000, 1'000'001}) {
+      micros.push_back(base + d);
+    }
+  }
+  Rng rng(1678);
+  const int64_t first = -9'214'560'000'000'000;  // 1678-01-01 00:00:00
+  const int64_t last = 9'214'646'400'000'000;    // 2262-01-01 00:00:00
+  for (int64_t day = first; day <= last + 365 * kDay; day += kDay) {
+    micros.push_back(day);
+    micros.push_back(day - 1);
+    micros.push_back(day + static_cast<int64_t>(rng.Uniform(kDay)));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    micros.push_back(static_cast<int64_t>(rng.Next()));
+    micros.push_back(-static_cast<int64_t>(rng.Next() >> 1));
+  }
+  col::TimestampBuilder b;
+  for (int64_t v : micros) b.Append(v);
+  const col::ArrayPtr ts = b.Finish().ValueOrDie();
+  std::string expected = "t\n";
+  for (int64_t i = 0; i < ts->length(); ++i) {
+    char buf[kFormatTimestampBufSize];
+    const std::string_view got(buf,
+                               FormatTimestampTo(ts->int64_data()[i], buf));
+    ASSERT_EQ(got, ts->ValueToString(i)) << ts->int64_data()[i];
+    expected += ts->ValueToString(i) + "\n";
+  }
+  EXPECT_TRUE(WriteCsvBytes(MakeTable({{"t", ts}})) == expected);
+}
+
 /// A CSV file of the cases the readers must keep byte for byte, over 64
 /// KiB so that the 4-worker mapped read splits it: quoted fields with
 /// doubled quotes, delimiters and LF or CRLF newlines, text after a closing

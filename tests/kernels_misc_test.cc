@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 
+#include "frame/exec.h"
 #include "kernels/apply.h"
 #include "kernels/arithmetic.h"
 #include "kernels/cast.h"
@@ -270,6 +273,183 @@ TEST(StatsTest, DescribeQuantilesMatchPerQuantileReference) {
       }
     }
   }
+}
+
+/// q = 0, 0.25, 0.5, 0.75 and 1 over columns holding ±inf, through
+/// Quantile, Describe and DescribeParallel. A position on an order
+/// statistic returns it: [1, 2, +inf] has median 2 and maximum +inf, not
+/// the NaN of 2 * 1 + inf * 0. Between -inf and +inf the interpolation is
+/// NaN.
+TEST(StatsTest, QuantileNextToInfinityIsTheOrderStatistic) {
+  const double inf = HUGE_VAL;
+  const double nan = std::nan("");
+  struct Case {
+    std::vector<double> values;
+    double expected[5];  // q = 0, 0.25, 0.5, 0.75, 1
+  };
+  const Case cases[] = {
+      {{1, 2, inf}, {1, 1.5, 2, inf, inf}},
+      {{2, inf, 1}, {1, 1.5, 2, inf, inf}},
+      {{-inf, 1, 2}, {-inf, -inf, 1, 1.5, 2}},
+      {{inf, -inf, 5, 0, inf}, {-inf, 0, 5, inf, inf}},
+      {{-inf, 7, -inf}, {-inf, -inf, -inf, -inf, 7}},
+      {{inf}, {inf, inf, inf, inf, inf}},
+      {{-inf, inf}, {-inf, nan, nan, nan, inf}},
+  };
+  const double qs[] = {0.0, 0.25, 0.5, 0.75, 1.0};
+  sim::ParallelOptions opts;
+  opts.max_workers = 2;
+  auto same = [](double expected, double got) {
+    return std::isnan(expected) ? std::isnan(got) : expected == got;
+  };
+  for (const Case& c : cases) {
+    const col::ArrayPtr v = F64(c.values);
+    for (int i = 0; i < 5; ++i) {
+      SCOPED_TRACE("case " + std::to_string(c.values.size()) + " values, q=" +
+                   std::to_string(qs[i]));
+      EXPECT_TRUE(same(c.expected[i], Quantile(v, qs[i]).ValueOrDie()));
+    }
+    const auto t = MakeTable({{"x", v}});
+    const auto serial = Describe(t).ValueOrDie();
+    const auto parallel = DescribeParallel(t, false, opts).ValueOrDie();
+    for (const col::TablePtr& d : {serial, parallel}) {
+      EXPECT_TRUE(same(c.expected[1],
+                       d->GetColumn("25%").ValueOrDie()->float64_data()[0]));
+      EXPECT_TRUE(same(c.expected[2],
+                       d->GetColumn("50%").ValueOrDie()->float64_data()[0]));
+      EXPECT_TRUE(same(c.expected[3],
+                       d->GetColumn("75%").ValueOrDie()->float64_data()[0]));
+    }
+  }
+}
+
+/// The exact-quantile reference: the valid, non-NaN values as doubles,
+/// ordered by std::sort with -0.0 below +0.0, then linear interpolation
+/// between neighbours (the lower one itself when the position falls on it).
+struct SortedReference {
+  explicit SortedReference(const col::Array& a) {
+    for (int64_t i = 0; i < a.length(); ++i) {
+      if (!a.IsValid(i)) continue;
+      const double v = a.type() == TypeId::kFloat64 ? a.float64_data()[i]
+                       : a.type() == TypeId::kBool
+                           ? (a.bool_data()[i] != 0 ? 1.0 : 0.0)
+                           : static_cast<double>(a.int64_data()[i]);
+      if (!std::isnan(v)) sorted.push_back(v);
+    }
+    std::sort(sorted.begin(), sorted.end(), [](double x, double y) {
+      return x < y || (x == y && std::signbit(x) && !std::signbit(y));
+    });
+  }
+
+  double At(double q) const {
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    if (frac == 0.0) return sorted[lo];
+    return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+  }
+
+  std::vector<double> sorted;
+};
+
+/// Columns for the reference check: every n from 1 to 5 drawn from special
+/// values (±inf, ±DBL_MAX, subnormals, ±0.0, NaN, nulls), random columns up
+/// to 10^5 rows with and without duplicates, all-equal and signed-zero
+/// columns, int64 values beyond 2^53, and bool columns (bytes other than
+/// 0/1 among them).
+std::vector<col::ArrayPtr> QuantileReferenceInputs() {
+  const double inf = HUGE_VAL;
+  const double specials[] = {-inf,    -DBL_MAX, -1.5, -DBL_TRUE_MIN, -0.0,
+                             0.0,     DBL_TRUE_MIN, DBL_MIN, 2.0, 2.0,
+                             DBL_MAX, inf,      std::nan("")};
+  Rng rng(5309);
+  std::vector<col::ArrayPtr> inputs;
+  for (int n = 1; n <= 5; ++n) {
+    for (int rep = 0; rep < 300; ++rep) {
+      col::Float64Builder b;
+      for (int i = 0; i < n; ++i) {
+        b.AppendMaybe(specials[rng.Uniform(std::size(specials))],
+                      !rng.Bernoulli(0.1));
+      }
+      inputs.push_back(b.Finish().ValueOrDie());
+    }
+  }
+  for (int64_t n : {int64_t{6}, int64_t{97}, int64_t{1000}, int64_t{12345},
+                    int64_t{100000}}) {
+    col::Float64Builder spread, dups, zeros, equal;
+    col::Int64Builder big;
+    for (int64_t i = 0; i < n; ++i) {
+      const bool valid = !rng.Bernoulli(0.1);
+      spread.AppendMaybe(
+          rng.Bernoulli(0.02) ? std::nan("") : rng.Normal(0, 1e6), valid);
+      dups.AppendMaybe(rng.Bernoulli(0.01)
+                           ? specials[rng.Uniform(std::size(specials))]
+                           : static_cast<double>(rng.UniformInt(-8, 8)) / 4.0,
+                       valid);
+      zeros.AppendMaybe(rng.Bernoulli(0.5) ? 0.0 : -0.0, valid);
+      equal.Append(3.25);
+      big.AppendMaybe(
+          (int64_t{1} << 53) + rng.UniformInt(-1000, 1000) *
+                                   (rng.Bernoulli(0.5) ? 1 : (int64_t{1} << 9)),
+          valid);
+    }
+    for (col::Float64Builder* b : {&spread, &dups, &zeros, &equal}) {
+      inputs.push_back(b->Finish().ValueOrDie());
+    }
+    inputs.push_back(big.Finish().ValueOrDie());
+    inputs.push_back(test::RawArray(TypeId::kBool, n, 0.2, /*hostile=*/true,
+                                    nullptr, &rng));
+    inputs.push_back(test::RawArray(TypeId::kInt64, n, 0.2, /*hostile=*/false,
+                                    nullptr, &rng));
+  }
+  inputs.push_back(I64({INT64_MIN, INT64_MAX, -(int64_t{1} << 62), 0,
+                        (int64_t{1} << 53) + 1, (int64_t{1} << 53)}));
+  return inputs;
+}
+
+/// Quantile, Describe, DescribeParallel and the exact LocateOutliers bounds
+/// (numeric columns) equal the sorted reference bit for bit.
+TEST(StatsTest, ExactQuantilesMatchTotalOrderSortReference) {
+  const double qs[] = {0.0,  0.01, 0.1,       0.25, 1.0 / 3.0, 0.5,
+                       0.6,  0.75, 2.0 / 3.0, 0.9,  0.99,      1.0};
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  sim::ParallelOptions opts;
+  opts.max_workers = 3;
+  int checked = 0;
+  for (const col::ArrayPtr& v : QuantileReferenceInputs()) {
+    const SortedReference ref(*v);
+    SCOPED_TRACE(col::TypeName(v->type()) + std::string(" length ") +
+                 std::to_string(v->length()));
+    const auto t = MakeTable({{"x", v}});
+    if (ref.sorted.empty()) {
+      EXPECT_FALSE(Quantile(v, 0.5).ok());
+      continue;
+    }
+    ++checked;
+    for (double q : qs) {
+      ASSERT_EQ(bits(ref.At(q)), bits(Quantile(v, q).ValueOrDie())) << q;
+    }
+    const auto serial = Describe(t).ValueOrDie();
+    const auto parallel = DescribeParallel(t, false, opts).ValueOrDie();
+    for (const col::TablePtr& d : {serial, parallel}) {
+      EXPECT_EQ(bits(ref.At(0.25)),
+                bits(d->GetColumn("25%").ValueOrDie()->float64_data()[0]));
+      EXPECT_EQ(bits(ref.At(0.5)),
+                bits(d->GetColumn("50%").ValueOrDie()->float64_data()[0]));
+      EXPECT_EQ(bits(ref.At(0.75)),
+                bits(d->GetColumn("75%").ValueOrDie()->float64_data()[0]));
+    }
+    if (v->type() == TypeId::kBool) continue;  // no bool compare to a bound
+    for (auto [lo, hi] : {std::pair{0.01, 0.99}, std::pair{0.25, 0.75},
+                          std::pair{0.0, 1.0}, std::pair{0.6, 0.1}}) {
+      const auto bounds =
+          frame::ExecAction(t, frame::Op::LocateOutliers("x", lo, hi), {})
+              .ValueOrDie();
+      EXPECT_EQ(bits(ref.At(lo)), bits(bounds.lower_bound));
+      EXPECT_EQ(bits(ref.At(hi)), bits(bounds.upper_bound));
+    }
+  }
+  EXPECT_GT(checked, 1400);  // the inputs that are not all null or NaN
 }
 
 // --- encode ---

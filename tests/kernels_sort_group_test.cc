@@ -170,7 +170,7 @@ TEST(TakeTest, ParallelMatchesSerial) {
 }
 
 /// A categorical null slot holds code -1 on every path that writes one: the
-/// builder, Take, TakeParallel below its builder cutoff (100 rows) and on
+/// builder, Take, TakeParallel below its one-worker cutoff (100 rows) and on
 /// its sized gather (5 000 rows), FilterTable and ConcatTables.
 TEST(TakeTest, NullCategoricalCodeIsMinusOneOnEveryPath) {
   auto dict = std::make_shared<std::vector<std::string>>(
@@ -283,6 +283,80 @@ TEST(FilterTest, ByteIdenticalToBuilderAcrossWorkersAndModes) {
       }
     }
   }
+}
+
+/// Serial Take and TakeTable are byte-identical to appending the rows one
+/// by one through the builders (test::BuilderGather), and so are
+/// TakeParallel and TakeTableParallel below their one-worker cutoff: every
+/// type at null fractions 0, 0.3 and 1 with garbage under the nulls (bool
+/// bytes other than 0/1 included), whole and sliced at an odd offset, at
+/// 100 and 5 000 rows, under indices with repeats and -1; then zero rows
+/// (an empty take, and -1 rows taken from an empty table), zero columns,
+/// and the out-of-bounds message.
+TEST(TakeTest, SerialByteIdenticalToBuilderReference) {
+  Rng rng(4096);
+  sim::ParallelOptions four;
+  four.max_workers = 4;
+  auto check = [&](const TablePtr& t, const std::vector<int64_t>& rows) {
+    const TablePtr expected = test::BuilderGatherTable(t, rows);
+    test::ExpectSameTableBytes(expected, TakeTable(t, rows).ValueOrDie());
+    for (int c = 0; c < t->num_columns(); ++c) {
+      SCOPED_TRACE("Take column " + t->schema()->field(c).name);
+      test::ExpectSameBytes(expected->column(c),
+                            Take(t->column(c), rows).ValueOrDie());
+    }
+    if (rows.size() < 4096) {
+      test::ExpectSameTableBytes(expected,
+                                 TakeTableParallel(t, rows, four).ValueOrDie());
+      for (int c = 0; c < t->num_columns(); ++c) {
+        test::ExpectSameBytes(
+            expected->column(c),
+            TakeParallel(t->column(c), rows, four).ValueOrDie());
+      }
+    }
+  };
+  for (int64_t n : {100, 5000}) {
+    for (double null_frac : {0.0, 0.3, 1.0}) {
+      const TablePtr whole =
+          SixTypeTable(n, null_frac, static_cast<uint64_t>(n) + 17);
+      for (bool sliced : {false, true}) {
+        const TablePtr t =
+            sliced ? whole->Slice(3, n - 10).ValueOrDie() : whole;
+        const int64_t rows = t->num_rows();
+        std::vector<int64_t> with_missing;
+        std::vector<int64_t> permuted(static_cast<size_t>(rows));
+        std::iota(permuted.begin(), permuted.end(), 0);
+        std::reverse(permuted.begin(), permuted.end());
+        for (int64_t i = 0; i < rows + rows / 2; ++i) {
+          with_missing.push_back(
+              rng.Bernoulli(0.1) ? -1 : rng.UniformInt(0, rows - 1));
+        }
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " null_frac=" + std::to_string(null_frac) +
+                     (sliced ? " sliced" : ""));
+        check(t, with_missing);
+        check(t, permuted);
+        check(t, {});
+        check(t, std::vector<int64_t>(7, -1));
+      }
+    }
+  }
+  const TablePtr empty = SixTypeTable(0, 0.3, 5);
+  check(empty, {});
+  check(empty, {-1, -1, -1});
+  const TablePtr no_columns =
+      col::Table::Make(std::make_shared<col::Schema>(std::vector<col::Field>{}),
+                       {})
+          .ValueOrDie();
+  check(no_columns, {});
+  check(no_columns, {0, -1});
+
+  const TablePtr t = SixTypeTable(100, 0.3, 3);
+  const std::string message =
+      "IndexError: take index 100 out of bounds (length 100)";
+  EXPECT_EQ(TakeTable(t, {0, -1, 100, 200}).status().ToString(), message);
+  EXPECT_EQ(Take(t->column(3), {100, 0}).status().ToString(), message);
+  EXPECT_EQ(TakeTableParallel(t, {5, 100}, four).status().ToString(), message);
 }
 
 TEST(SortTest, UnknownKeyFails) {

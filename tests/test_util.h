@@ -258,11 +258,19 @@ inline col::Dictionary RandomDictionary(Rng* rng) {
 }
 
 /// The rows of `a` at `rows` appended one by one through the builders, null
-/// slots as builder nulls: the bytes every gather must reproduce.
+/// slots and rows of -1 as builder nulls: the bytes every gather must
+/// reproduce.
 inline col::ArrayPtr BuilderGather(const col::ArrayPtr& a,
                                    const std::vector<int64_t>& rows) {
+  auto valid = [&](int64_t r) { return r >= 0 && a->IsValid(r); };
   auto append_each = [&](auto builder, auto get) {
-    for (int64_t r : rows) builder.AppendMaybe(get(r), a->IsValid(r));
+    for (int64_t r : rows) {
+      if (valid(r)) {
+        builder.Append(get(r));
+      } else {
+        builder.AppendNull();
+      }
+    }
     return builder.Finish().ValueOrDie();
   };
   auto ints = [&](int64_t r) { return a->int64_data()[r]; };
@@ -283,7 +291,7 @@ inline col::ArrayPtr BuilderGather(const col::ArrayPtr& a,
     case col::TypeId::kCategorical: {
       col::CategoricalBuilder b;
       for (int64_t r : rows) {
-        if (a->IsValid(r)) {
+        if (valid(r)) {
           b.Append(a->codes_data()[r]);
         } else {
           b.AppendNull();
