@@ -778,10 +778,18 @@ BENCHMARK(BM_FilterReal)
 
 namespace {
 
-// Console reporter that additionally captures per-iteration runs so the
-// binary can emit BENCH_kernels.json-style output via `--json <path>`.
-class JsonCapturingReporter : public benchmark::ConsoleReporter {
+// Captures per-iteration runs so the binary can emit BENCH_kernels.json-style
+// output via `--json <path>`, and forwards every report to the display
+// reporter the `--benchmark_format` and `--benchmark_color` flags select.
+class JsonCapturingReporter : public benchmark::BenchmarkReporter {
  public:
+  JsonCapturingReporter()
+      : display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
@@ -799,8 +807,10 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
       wall_ns_[run.benchmark_name()] = ns_per_op;
       rows_per_s_[run.benchmark_name()] = rows_per_second;
     }
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
   const bento::bench::BenchJsonWriter& writer() const { return writer_; }
 
@@ -816,6 +826,8 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
   bento::bench::BenchJsonWriter writer_;
   std::map<std::string, double> wall_ns_;
   std::map<std::string, double> rows_per_s_;
+  // The library keeps the display reporter for the process lifetime.
+  benchmark::BenchmarkReporter* display_;
 };
 
 /// Strips a bare `--check-scaling` flag from argv; returns whether present.

@@ -1,6 +1,6 @@
 // The paper's scalability headline, reproduced in one file: under a memory
 // budget that the eager Pandas model cannot survive, the SparkSQL model's
-// streaming execution (partial aggregation, external sort, spilled runs)
+// streaming execution (streaming aggregation, external sort, spilled runs)
 // finishes the same pipeline.
 //
 //   $ ./build/examples/out_of_core
@@ -58,7 +58,8 @@ int main() {
 
   std::printf(
       "\nwhy: the SparkSQL model streams chunks through the whole plan and\n"
-      "uses partial aggregation / external sort at pipeline breakers, so its\n"
-      "peak memory is O(chunk + output) instead of O(k copies of the data).\n");
+      "uses streaming aggregation / external sort at pipeline breakers, so\n"
+      "its peak memory is O(chunk + output) instead of O(k copies of the\n"
+      "data).\n");
   return 0;
 }

@@ -309,7 +309,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
                                           std::exchange(pending_map, nullptr));
 
     // A breaker with its own pipelined fold takes the raw stream plus the
-    // run as a fused pre-map: transforms and partial aggregation ride ONE
+    // run as a fused pre-map: transforms and the key hash ride ONE
     // stage instead of nesting two drivers (whose workers would otherwise
     // steal chunks from each other). Every other stage is a driver here.
     const bool fuse_into_breaker =

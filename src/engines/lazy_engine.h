@@ -111,8 +111,8 @@ class LazyEngineBase : public frame::Engine {
   /// dispatch overheads; Vaex sets this).
   virtual double PerChunkOverheadSeconds() const { return 0.0; }
   /// When true, pipeline breakers use the bounded-memory streaming
-  /// implementations (partial aggregation with spill, external sort, grace
-  /// join) instead of materialize-then-execute. The SparkSQL model, also
+  /// implementations (streaming aggregation with spill, external sort,
+  /// grace join) instead of materialize-then-execute. The SparkSQL model, also
   /// adopted by the Vaex and Polars streaming paths.
   virtual bool StreamsBreakers() const { return false; }
 

@@ -88,8 +88,7 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 /// streaming loop.
 class ParallelPipelineDriver : public ChunkStream {
  public:
-  /// Pure per-chunk transform; `seq` is the chunk's 0-based claim index
-  /// (breaker sinks fold it into their hidden first-seen-order column).
+  /// Pure per-chunk transform; `seq` is the chunk's 0-based claim index.
   using MapFn =
       std::function<Result<col::TablePtr>(col::TablePtr chunk, int64_t seq)>;
 

@@ -7,7 +7,7 @@ namespace bento::eng {
 
 /// \brief Model of Spark SQL in standalone mode: Catalyst-like rule
 /// optimization, whole-stage chunked execution, and bounded-memory breakers
-/// (partial aggregation, external merge sort, streaming dedup) — the
+/// (streaming aggregation, external merge sort, streaming dedup) — the
 /// combination that makes it the only engine finishing the largest dataset
 /// on the laptop configuration (Table V). A fixed per-plan overhead models
 /// JVM/Catalyst dispatch, which the paper observes erasing the lazy gains

@@ -11,7 +11,7 @@
 namespace bento::eng {
 
 /// \brief Partitioned table-frame store over one sim::SpillFile: the shared
-/// spill layer of the out-of-core breakers (group-by partial-state spill,
+/// spill layer of the out-of-core breakers (group-by rows of spilled keys,
 /// grace-join build/probe partitions, external-sort runs).
 ///
 /// Each Append writes a table chunk's columns through BCF's chunk codec

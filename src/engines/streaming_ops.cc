@@ -1,9 +1,8 @@
 #include "engines/streaming_ops.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -14,11 +13,11 @@
 #include "kernels/flat_index.h"
 #include "kernels/groupby.h"
 #include "kernels/join.h"
+#include "kernels/null_ops.h"
 #include "kernels/pivot.h"
 #include "kernels/row_hash.h"
 #include "kernels/selection.h"
 #include "kernels/sort.h"
-#include "kernels/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -31,175 +30,18 @@ using kern::AggSpec;
 
 namespace {
 
-/// Decomposed partial-aggregation plan for one requested aggregation.
-struct DecomposedAgg {
-  AggSpec request;                // what the caller asked for
-  std::vector<AggSpec> partials;  // partial columns computed per chunk
-  std::vector<AggSpec> merges;    // how partial columns merge
-};
-
-std::vector<DecomposedAgg> DecomposeAggs(const std::vector<AggSpec>& aggs) {
-  std::vector<DecomposedAgg> out;
-  int tag = 0;
-  for (const AggSpec& spec : aggs) {
-    DecomposedAgg d{spec, {}, {}};
-    auto add = [&](AggKind kind, const char* suffix,
-                   AggKind merge_kind) {
-      std::string name =
-          "__p" + std::to_string(tag) + "_" + suffix;
-      d.partials.push_back(AggSpec{spec.column, kind, name});
-      d.merges.push_back(AggSpec{name, merge_kind, name});
-    };
-    switch (spec.kind) {
-      case AggKind::kSum:
-        add(AggKind::kSum, "sum", AggKind::kSum);
-        break;
-      case AggKind::kCount:
-        add(AggKind::kCount, "cnt", AggKind::kSum);
-        break;
-      case AggKind::kMin:
-        add(AggKind::kMin, "min", AggKind::kMin);
-        break;
-      case AggKind::kMax:
-        add(AggKind::kMax, "max", AggKind::kMax);
-        break;
-      case AggKind::kMean:
-        add(AggKind::kSum, "sum", AggKind::kSum);
-        add(AggKind::kCount, "cnt", AggKind::kSum);
-        break;
-      case AggKind::kStd:
-      case AggKind::kSumSq:
-        add(AggKind::kSum, "sum", AggKind::kSum);
-        add(AggKind::kCount, "cnt", AggKind::kSum);
-        add(AggKind::kSumSq, "sumsq", AggKind::kSum);
-        break;
-    }
-    ++tag;
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
-double NumericCell(const col::Array& a, int64_t i) {
-  switch (a.type()) {
-    case col::TypeId::kFloat64:
-      return a.float64_data()[i];
-    case col::TypeId::kBool:
-      return a.bool_data()[i] != 0 ? 1.0 : 0.0;
-    default:
-      return static_cast<double>(a.int64_data()[i]);
-  }
-}
-
-/// Finalizes the merged decomposed columns into the requested outputs.
-Result<TablePtr> FinalizeAggs(const TablePtr& merged,
-                              const std::vector<std::string>& keys,
-                              const std::vector<DecomposedAgg>& decomposed) {
-  BENTO_ASSIGN_OR_RETURN(auto out, merged->SelectColumns(keys));
-  const int64_t n = merged->num_rows();
-  for (const DecomposedAgg& d : decomposed) {
-    const std::string out_name = kern::DefaultAggName(d.request);
-    if (d.request.kind == AggKind::kCount) {
-      BENTO_ASSIGN_OR_RETURN(auto cnt, merged->GetColumn(d.partials[0].output_name));
-      col::Int64Builder b;
-      b.Reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        b.AppendMaybe(cnt->IsValid(i)
-                          ? static_cast<int64_t>(NumericCell(*cnt, i))
-                          : 0,
-                      cnt->IsValid(i));
-      }
-      BENTO_ASSIGN_OR_RETURN(auto arr, b.Finish());
-      BENTO_ASSIGN_OR_RETURN(out, out->SetColumn(out_name, arr));
-      continue;
-    }
-
-    col::Float64Builder b;
-    b.Reserve(n);
-    switch (d.request.kind) {
-      case AggKind::kSum:
-      case AggKind::kMin:
-      case AggKind::kMax:
-      case AggKind::kSumSq: {
-        BENTO_ASSIGN_OR_RETURN(auto v,
-                               merged->GetColumn(d.partials[0].output_name));
-        // SumSq merges via three partials; its value is the third.
-        if (d.request.kind == AggKind::kSumSq) {
-          BENTO_ASSIGN_OR_RETURN(v, merged->GetColumn(d.partials[2].output_name));
-        }
-        for (int64_t i = 0; i < n; ++i) {
-          b.AppendMaybe(v->IsValid(i) ? NumericCell(*v, i) : 0.0, v->IsValid(i));
-        }
-        break;
-      }
-      case AggKind::kMean: {
-        BENTO_ASSIGN_OR_RETURN(auto sum,
-                               merged->GetColumn(d.partials[0].output_name));
-        BENTO_ASSIGN_OR_RETURN(auto cnt,
-                               merged->GetColumn(d.partials[1].output_name));
-        for (int64_t i = 0; i < n; ++i) {
-          const double c = cnt->IsValid(i) ? NumericCell(*cnt, i) : 0.0;
-          if (c <= 0.0 || !sum->IsValid(i)) {
-            b.AppendNull();
-          } else {
-            b.Append(NumericCell(*sum, i) / c);
-          }
-        }
-        break;
-      }
-      case AggKind::kStd: {
-        BENTO_ASSIGN_OR_RETURN(auto sum,
-                               merged->GetColumn(d.partials[0].output_name));
-        BENTO_ASSIGN_OR_RETURN(auto cnt,
-                               merged->GetColumn(d.partials[1].output_name));
-        BENTO_ASSIGN_OR_RETURN(auto sumsq,
-                               merged->GetColumn(d.partials[2].output_name));
-        for (int64_t i = 0; i < n; ++i) {
-          const double c = cnt->IsValid(i) ? NumericCell(*cnt, i) : 0.0;
-          if (c < 2.0 || !sum->IsValid(i) || !sumsq->IsValid(i)) {
-            b.AppendNull();
-          } else {
-            const double s = NumericCell(*sum, i);
-            const double ss = NumericCell(*sumsq, i);
-            double var = (ss - s * s / c) / (c - 1.0);
-            b.Append(var > 0.0 ? std::sqrt(var) : 0.0);
-          }
-        }
-        break;
-      }
-      case AggKind::kCount:
-        break;  // handled above
-    }
-    BENTO_ASSIGN_OR_RETURN(auto arr, b.Finish());
-    BENTO_ASSIGN_OR_RETURN(out, out->SetColumn(out_name, arr));
-  }
-  return out;
-}
-
-/// Hidden column carrying each row's stream position. Aggregated with min
+/// Hidden column holding each row's stream position. Aggregated with min
 /// it names a group's first-seen position, which is exactly the order
 /// kern::GroupBy emits groups in — so spilled partitions can be stitched
 /// back into the order the in-memory path would have produced.
 constexpr const char* kSeqColumn = "__seq";
 
-/// Sequence values are (chunk_seq << 32) + row_in_chunk: strictly
-/// increasing in (chunk, row) stream order for any chunking, which is all
-/// the consumers need (min-per-group, stable ArgSort — only the ORDER of
-/// the values matters, never their magnitudes). Unlike a global row
-/// counter, a chunk can compute its values knowing nothing about earlier
-/// chunks' post-filter row counts — the property that lets pipeline workers
-/// attach the column concurrently yet bit-identically to the serial pass.
-constexpr int kSeqChunkShift = 32;
-
-Result<TablePtr> AttachSeqColumn(const TablePtr& chunk, int64_t chunk_seq) {
-  if (chunk->num_rows() >= (int64_t{1} << kSeqChunkShift)) {
-    return Status::Invalid("chunk too large for the sequence column (",
-                           chunk->num_rows(), " rows)");
-  }
-  const int64_t base = chunk_seq << kSeqChunkShift;
+/// `chunk` with kSeqColumn appended: `first` for its first row, counting
+/// up by one per row.
+Result<TablePtr> AttachSeqColumn(const TablePtr& chunk, int64_t first) {
   col::Int64Builder b;
   b.Reserve(chunk->num_rows());
-  for (int64_t i = 0; i < chunk->num_rows(); ++i) b.Append(base + i);
+  for (int64_t i = 0; i < chunk->num_rows(); ++i) b.Append(first + i);
   BENTO_ASSIGN_OR_RETURN(auto seq, b.Finish());
   return chunk->SetColumn(kSeqColumn, std::move(seq));
 }
@@ -245,6 +87,118 @@ Result<TablePtr> RestoreSeqOrder(const TablePtr& table) {
   return sorted->DropColumns({kSeqColumn});
 }
 
+/// Hidden column the workers of the group-by and dedup folds attach: the
+/// hash of each row's key columns.
+constexpr const char* kHashColumn = "__key_hash";
+
+/// The workers' half of the group-by and dedup folds: the fused upstream
+/// transforms, then each row's hash over `keys` (every column when empty)
+/// as kHashColumn. A chunk left with no row passes through unhashed.
+Result<TablePtr> HashKeys(TablePtr chunk, const std::vector<std::string>& keys,
+                          const ChunkMapFn& pre_map) {
+  if (pre_map) {
+    BENTO_ASSIGN_OR_RETURN(chunk, pre_map(std::move(chunk)));
+  }
+  if (chunk->num_rows() == 0) return chunk;
+  BENTO_ASSIGN_OR_RETURN(auto hashes, kern::HashRows(chunk, keys));
+  col::Int64Builder b;
+  b.Reserve(chunk->num_rows());
+  for (uint64_t h : hashes) b.Append(static_cast<int64_t>(h));
+  BENTO_ASSIGN_OR_RETURN(auto column, b.Finish());
+  return chunk->SetColumn(kHashColumn, std::move(column));
+}
+
+/// The cross-chunk grouper of the group-by and dedup folds: numbers the
+/// distinct values of `columns` (every column when empty) across a
+/// stream's chunks in first-seen order, as kern::GroupBy and
+/// kern::DropDuplicates number them over the whole table. A hash hit is the
+/// same group only when the rows compare equal. The first row of each group
+/// is kept; its group id doubles as its FlatGrouper representative, and
+/// `where_[group]` locates it as (index into `kept_`, row).
+class StreamGrouper {
+ public:
+  explicit StreamGrouper(std::vector<std::string> columns)
+      : columns_(std::move(columns)) {}
+
+  /// Sets `(*groups)[i]` to the group of row i of `rows`, whose key hash is
+  /// `hashes[i]`. A row with an unseen key opens a group and is kept when
+  /// `insert` is set, and gets FlatGrouper::kNone otherwise.
+  Status Assign(const TablePtr& rows, const int64_t* hashes, bool insert,
+                std::vector<int64_t>* groups);
+
+  int64_t num_groups() const { return seen_.num_groups(); }
+
+  /// Bytes the grouper, the row locations and the kept rows hold.
+  int64_t ByteSize() const {
+    return seen_.ByteSize() + kept_bytes_ +
+           static_cast<int64_t>(where_.capacity() * sizeof(where_[0]));
+  }
+
+  /// The kept rows, one per group in group order; needs a group.
+  Result<TablePtr> TakeKept() { return col::ConcatTablesReleasing(&kept_); }
+
+ private:
+  std::vector<std::string> columns_;
+  kern::FlatGrouper seen_;
+  std::vector<std::pair<size_t, int64_t>> where_;
+  std::vector<TablePtr> kept_;
+  int64_t kept_bytes_ = 0;
+};
+
+Status StreamGrouper::Assign(const TablePtr& rows, const int64_t* hashes,
+                             bool insert, std::vector<int64_t>* groups) {
+  const std::vector<std::string> columns =
+      columns_.empty() ? rows->schema()->names() : columns_;
+  // One equality per table the rows are compared with, made on first use.
+  // Groups first seen in `rows` point into it (index kept_.size()) until
+  // their first rows are appended to `kept_`.
+  std::unordered_map<size_t, kern::RowEquality> equalities;
+  Status status;
+  auto equal = [&](int64_t group, int64_t row) {
+    const auto [table, rep_row] = where_[static_cast<size_t>(group)];
+    auto it = equalities.find(table);
+    if (it == equalities.end()) {
+      auto made = kern::RowEquality::Make(
+          table < kept_.size() ? kept_[table] : rows, columns, rows, columns);
+      if (!made.ok()) {
+        status = made.status();
+        return false;
+      }
+      it = equalities.emplace(table, std::move(made).ValueOrDie()).first;
+    }
+    return it->second.Equal(rep_row, row);
+  };
+  const int64_t n = rows->num_rows();
+  const int64_t first_new = seen_.num_groups();
+  std::vector<int64_t> new_rows;
+  groups->resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t h = static_cast<uint64_t>(hashes[i]);
+    auto same = [&](int64_t group, int64_t) { return equal(group, i); };
+    int64_t group = kern::FlatGrouper::kNone;
+    if (insert) {
+      const int64_t fresh = seen_.num_groups();
+      group = seen_.FindOrInsert(h, fresh, same);
+      if (group == fresh) {
+        where_.emplace_back(kept_.size(), i);
+        new_rows.push_back(i);
+      }
+    } else {
+      group = seen_.Find(h, i, same);
+    }
+    BENTO_RETURN_NOT_OK(status);
+    (*groups)[static_cast<size_t>(i)] = group;
+  }
+  if (new_rows.empty()) return Status::OK();
+  for (int64_t g = first_new; g < seen_.num_groups(); ++g) {
+    where_[static_cast<size_t>(g)].second = g - first_new;  // kept position
+  }
+  BENTO_ASSIGN_OR_RETURN(auto firsts, kern::TakeTable(rows, new_rows));
+  kept_bytes_ += static_cast<int64_t>(firsts->ByteSize());
+  kept_.push_back(std::move(firsts));
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<TablePtr> StreamingGroupBy(ChunkStream* input,
@@ -252,41 +206,7 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
                                   const std::vector<AggSpec>& aggs,
                                   const ExecPolicy& policy,
                                   const StreamingGroupByOptions& options) {
-  auto decomposed = DecomposeAggs(aggs);
-  std::vector<AggSpec> partial_specs;
-  std::vector<AggSpec> merge_specs;
-  for (const DecomposedAgg& d : decomposed) {
-    partial_specs.insert(partial_specs.end(), d.partials.begin(),
-                         d.partials.end());
-    merge_specs.insert(merge_specs.end(), d.merges.begin(), d.merges.end());
-  }
-
-  // Partial count columns decode as int64 but merge through kSum (float64);
-  // normalize them to float64 so compacted and fresh partials share a schema.
-  auto normalize = [&](TablePtr partial) -> Result<TablePtr> {
-    for (const kern::AggSpec& spec : partial_specs) {
-      if (spec.kind != AggKind::kCount) continue;
-      BENTO_ASSIGN_OR_RETURN(auto column, partial->GetColumn(spec.output_name));
-      if (column->type() == col::TypeId::kInt64) {
-        col::Float64Builder b;
-        b.Reserve(column->length());
-        for (int64_t i = 0; i < column->length(); ++i) {
-          b.AppendMaybe(static_cast<double>(column->int64_data()[i]),
-                        column->IsValid(i));
-        }
-        BENTO_ASSIGN_OR_RETURN(auto as_float, b.Finish());
-        BENTO_ASSIGN_OR_RETURN(partial,
-                               partial->SetColumn(spec.output_name, as_float));
-      }
-    }
-    return partial;
-  };
-
-  // The first-seen-order column rides along in every mode so spill can
-  // engage mid-stream; FinalizeAggs drops it (it only selects keys+outputs).
-  partial_specs.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
-  merge_specs.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
-
+  if (keys.empty()) return Status::Invalid("GroupBy requires at least one key");
   int64_t spill_threshold = options.spill_threshold_bytes;
   if (spill_threshold < 0) {
     spill_threshold = std::numeric_limits<int64_t>::max();
@@ -298,113 +218,122 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
   }
   const int n_partitions = std::max(options.spill_partitions, 1);
 
+  // The workers run the fused transforms and hash the keys. The fold runs
+  // here, in stream order, so each group is folded over its rows in stream
+  // order — the order kern::GroupBy folds them in — for any chunking and
+  // worker count.
+  ParallelPipelineDriver hashed_stream(
+      input,
+      [&keys, pre_map = options.pre_map](TablePtr chunk, int64_t) {
+        return HashKeys(std::move(chunk), keys, pre_map);
+      },
+      options.pipeline);
+
+  // Until the fold's own bytes reach the threshold, every row folds in
+  // memory. From then on only rows whose key already has a group do; a row
+  // with an unseen key goes, with its stream position, to the hash
+  // partition of its key on disk, so all rows of such a key end up in one
+  // partition in stream order.
+  StreamGrouper grouper(keys);
+  kern::AggFold fold;
+  std::vector<std::string> spill_columns = keys;
+  for (const AggSpec& spec : aggs) {
+    if (std::find(spill_columns.begin(), spill_columns.end(), spec.column) ==
+        spill_columns.end()) {
+      spill_columns.push_back(spec.column);
+    }
+  }
   std::unique_ptr<SpillFrameStore> store;  // non-null once spilling
-  auto spill_partial = [&](const TablePtr& partial) -> Status {
-    BENTO_ASSIGN_OR_RETURN(auto parts,
-                           HashPartitionTable(partial, keys, n_partitions));
-    for (int p = 0; p < n_partitions; ++p) {
-      BENTO_RETURN_NOT_OK(store->Append(p, parts[static_cast<size_t>(p)]));
-    }
-    return Status::OK();
-  };
-
-  // Per-chunk partial aggregation as a pure map: the fused upstream
-  // transforms (parallel mode), the hidden first-seen-order column, the
-  // local GroupBy and the count normalization. With pipeline workers the
-  // map runs concurrently across chunks; the fold below consumes partials
-  // strictly in stream order through the same serial merge code either
-  // way, so the result is bit-identical for any worker count.
-  auto partial_map = [&keys, &partial_specs, &normalize,
-                      pre_map = options.pre_map](
-                         TablePtr chunk, int64_t seq) -> Result<TablePtr> {
-    if (pre_map) {
-      BENTO_ASSIGN_OR_RETURN(chunk, pre_map(std::move(chunk)));
-    }
-    if (chunk->num_rows() == 0) return chunk;  // fold skips empty partials
-    BENTO_ASSIGN_OR_RETURN(chunk, AttachSeqColumn(chunk, seq));
-    BENTO_ASSIGN_OR_RETURN(auto partial,
-                           kern::GroupBy(chunk, keys, partial_specs));
-    return normalize(std::move(partial));
-  };
-  ParallelPipelineDriver partial_stream(input, partial_map, options.pipeline);
-
-  std::vector<TablePtr> partials;
-  int64_t partial_bytes = 0;
-  TablePtr empty_chunk;  // first zero-row mapped chunk
-  constexpr size_t kCompactEvery = 16;
+  std::vector<int64_t> groups;
+  int64_t stream_rows = 0;  // rows before the current chunk
+  TablePtr empty_chunk;     // first zero-row mapped chunk
   while (true) {
-    BENTO_ASSIGN_OR_RETURN(auto partial, partial_stream.Next());
-    if (partial == nullptr) break;
-    if (partial->num_rows() == 0) {
-      if (empty_chunk == nullptr) empty_chunk = std::move(partial);
+    BENTO_ASSIGN_OR_RETURN(auto chunk, hashed_stream.Next());
+    if (chunk == nullptr) break;
+    const int64_t n = chunk->num_rows();
+    if (n == 0) {
+      if (empty_chunk == nullptr) empty_chunk = std::move(chunk);
       continue;
     }
-    if (store != nullptr) {
-      BENTO_RETURN_NOT_OK(spill_partial(partial));
-      continue;
-    }
-    partial_bytes += static_cast<int64_t>(partial->ByteSize());
-    partials.push_back(std::move(partial));
-    if (partial_bytes >= spill_threshold) {
-      // The group state itself no longer fits: compact what we hold, fan it
-      // out to hash partitions on disk, and spill every later partial.
+    BENTO_TRACE_SPAN(kEngine, "groupby.fold");
+    if (store == nullptr &&
+        grouper.ByteSize() + fold.ByteSize() >= spill_threshold) {
       static obs::Counter* spilled =
           obs::MetricsRegistry::Global().counter("groupby.spill_engaged");
       spilled->Increment();
-      BENTO_ASSIGN_OR_RETURN(auto concat, col::ConcatTablesReleasing(&partials));
-      BENTO_ASSIGN_OR_RETURN(auto compacted,
-                             kern::GroupBy(concat, keys, merge_specs));
-      concat.reset();
       BENTO_ASSIGN_OR_RETURN(store, SpillFrameStore::Create(n_partitions));
-      BENTO_RETURN_NOT_OK(spill_partial(compacted));
-      partial_bytes = 0;
-      continue;
     }
-    if (partials.size() >= kCompactEvery) {
-      BENTO_ASSIGN_OR_RETURN(auto concat, col::ConcatTables(partials));
-      BENTO_ASSIGN_OR_RETURN(auto compacted,
-                             kern::GroupBy(concat, keys, merge_specs));
-      partials.clear();
-      partial_bytes = static_cast<int64_t>(compacted->ByteSize());
-      partials.push_back(std::move(compacted));
+    BENTO_RETURN_NOT_OK(fold.Bind(chunk, aggs));
+    BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
+    const int64_t* hashes = hash_column->int64_data();
+    BENTO_ASSIGN_OR_RETURN(auto key_rows, chunk->SelectColumns(keys));
+    BENTO_RETURN_NOT_OK(
+        grouper.Assign(key_rows, hashes, store == nullptr, &groups));
+    std::vector<std::vector<int64_t>> spill_rows(
+        store != nullptr ? static_cast<size_t>(n_partitions) : 0);
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t group = groups[static_cast<size_t>(i)];
+      if (group != kern::FlatGrouper::kNone) {
+        fold.Add(group, i);
+      } else {
+        spill_rows[static_cast<uint64_t>(hashes[i]) %
+                   static_cast<uint64_t>(n_partitions)]
+            .push_back(i);
+      }
     }
+    if (store != nullptr) {
+      BENTO_ASSIGN_OR_RETURN(auto spill_input,
+                             chunk->SelectColumns(spill_columns));
+      BENTO_ASSIGN_OR_RETURN(spill_input,
+                             AttachSeqColumn(spill_input, stream_rows));
+      for (int p = 0; p < n_partitions; ++p) {
+        const auto& rows = spill_rows[static_cast<size_t>(p)];
+        if (rows.empty()) continue;
+        BENTO_ASSIGN_OR_RETURN(auto part, kern::TakeTable(spill_input, rows));
+        BENTO_RETURN_NOT_OK(store->Append(p, part));
+      }
+    }
+    stream_rows += n;
   }
   if (options.chunks_claimed != nullptr) {
-    *options.chunks_claimed = partial_stream.chunks_claimed();
+    *options.chunks_claimed = hashed_stream.chunks_claimed();
   }
 
+  // In-memory groups were all seen before any spilled one, so they come
+  // first, in group id order.
+  std::vector<TablePtr> parts;
+  if (fold.num_groups() > 0) {
+    BENTO_ASSIGN_OR_RETURN(auto firsts, grouper.TakeKept());
+    BENTO_ASSIGN_OR_RETURN(auto folded, fold.Finish(firsts, aggs));
+    parts.push_back(std::move(folded));
+  }
   if (store != nullptr) {
-    // Per-partition exact merge; a group's partials all share one partition
-    // (hash of its key), so merging partitions independently is exact. The
-    // hidden min-sequence column then restores global first-seen order.
-    // Spilling starts from a non-empty partial, so some partition is too.
-    BENTO_TRACE_SPAN(kEngine, "groupby.spill_merge");
-    std::vector<TablePtr> merged_parts;
+    // kern::GroupBy folds each spilled key over all its rows in stream
+    // order, and the min stream position orders those groups as first seen.
+    BENTO_TRACE_SPAN(kEngine, "groupby.spill_fold");
+    std::vector<AggSpec> with_seq = aggs;
+    with_seq.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
+    std::vector<TablePtr> folded;
     for (int p = 0; p < n_partitions; ++p) {
-      BENTO_ASSIGN_OR_RETURN(auto chunks, store->ReadPartition(p));
-      if (chunks.empty()) continue;
-      BENTO_ASSIGN_OR_RETURN(auto concat, col::ConcatTablesReleasing(&chunks));
-      if (concat->num_rows() == 0) continue;
-      BENTO_ASSIGN_OR_RETURN(auto merged,
-                             kern::GroupBy(concat, keys, merge_specs));
-      merged_parts.push_back(std::move(merged));
+      BENTO_ASSIGN_OR_RETURN(auto frames, store->ReadPartition(p));
+      if (frames.empty()) continue;
+      BENTO_ASSIGN_OR_RETURN(auto rows, col::ConcatTablesReleasing(&frames));
+      BENTO_ASSIGN_OR_RETURN(auto part, kern::GroupBy(rows, keys, with_seq));
+      folded.push_back(std::move(part));
     }
     store.reset();
-    BENTO_ASSIGN_OR_RETURN(auto all, col::ConcatTablesReleasing(&merged_parts));
-    BENTO_ASSIGN_OR_RETURN(
-        auto indices, kern::ArgSort(all, {kern::SortKey{kSeqColumn, true}}));
-    BENTO_ASSIGN_OR_RETURN(auto ordered, kern::TakeTable(all, indices));
-    return FinalizeAggs(ordered, keys, decomposed);
+    if (!folded.empty()) {
+      BENTO_ASSIGN_OR_RETURN(auto all, col::ConcatTablesReleasing(&folded));
+      BENTO_ASSIGN_OR_RETURN(auto ordered, RestoreSeqOrder(all));
+      parts.push_back(std::move(ordered));
+    }
   }
-
-  if (partials.empty()) {
+  if (parts.empty()) {
     // Every mapped chunk was empty (a filter kept no row).
     BENTO_ASSIGN_OR_RETURN(auto empty, EmptyInput(empty_chunk));
     return kern::GroupBy(empty, keys, aggs);
   }
-  BENTO_ASSIGN_OR_RETURN(auto concat, col::ConcatTables(partials));
-  BENTO_ASSIGN_OR_RETURN(auto merged, kern::GroupBy(concat, keys, merge_specs));
-  return FinalizeAggs(merged, keys, decomposed);
+  return col::ConcatTablesReleasing(&parts);
 }
 
 namespace {
@@ -623,36 +552,17 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
 Result<TablePtr> StreamingDedup(ChunkStream* input,
                                 const std::vector<std::string>& subset,
                                 const StreamingDedupOptions& options) {
-  // Hidden per-row hash column attached by the (parallelizable) map stage;
-  // the serial fold below pops it and applies the first-seen filter in
+  // The workers hash; the fold keeps each row whose key is first seen, in
   // strict stream order, so the kept rows are identical for any worker
-  // count.
-  constexpr const char* kHashColumn = "__dedup_hash";
-  auto hash_map = [&subset, pre_map = options.pre_map](
-                      TablePtr chunk, int64_t) -> Result<TablePtr> {
-    if (pre_map) {
-      BENTO_ASSIGN_OR_RETURN(chunk, pre_map(std::move(chunk)));
-    }
-    if (chunk->num_rows() == 0) return chunk;
-    BENTO_ASSIGN_OR_RETURN(auto hashes, kern::HashRows(chunk, subset));
-    col::Int64Builder b;
-    b.Reserve(chunk->num_rows());
-    for (int64_t i = 0; i < chunk->num_rows(); ++i) {
-      b.Append(static_cast<int64_t>(hashes[static_cast<size_t>(i)]));
-    }
-    BENTO_ASSIGN_OR_RETURN(auto column, b.Finish());
-    return chunk->SetColumn(kHashColumn, std::move(column));
-  };
-  ParallelPipelineDriver hashed_stream(input, hash_map, options.pipeline);
-
-  // The filter kern::DropDuplicates runs, across chunks: a hash hit is a
-  // duplicate only when the rows compare equal. Each distinct row's group id
-  // doubles as its FlatGrouper representative, and `where[group]` locates the
-  // row as (index into `kept`, row). Rows first seen in the chunk being
-  // filtered point into that chunk (index kept.size()) until it is appended.
-  kern::FlatGrouper seen;
-  std::vector<std::pair<size_t, int64_t>> where;
-  std::vector<TablePtr> kept;
+  // count: the filter kern::DropDuplicates runs, across chunks.
+  ParallelPipelineDriver hashed_stream(
+      input,
+      [&subset, pre_map = options.pre_map](TablePtr chunk, int64_t) {
+        return HashKeys(std::move(chunk), subset, pre_map);
+      },
+      options.pipeline);
+  StreamGrouper grouper(subset);
+  std::vector<int64_t> groups;
   TablePtr empty_chunk;  // first zero-row mapped chunk
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto chunk, hashed_stream.Next());
@@ -662,57 +572,19 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
       continue;
     }
     BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
-    const int64_t* hashes = hash_column->int64_data();
     BENTO_ASSIGN_OR_RETURN(chunk, chunk->DropColumns({kHashColumn}));
-    const std::vector<std::string> columns =
-        subset.empty() ? chunk->schema()->names() : subset;
-
-    // One equality per table this chunk is compared with, made on first use.
-    std::unordered_map<size_t, kern::RowEquality> equalities;
-    Status status;
-    auto equal = [&](int64_t group, int64_t row) {
-      const auto [table, rep_row] = where[static_cast<size_t>(group)];
-      auto it = equalities.find(table);
-      if (it == equalities.end()) {
-        auto made = kern::RowEquality::Make(
-            table < kept.size() ? kept[table] : chunk, columns, chunk, columns);
-        if (!made.ok()) {
-          status = made.status();
-          return false;
-        }
-        it = equalities.emplace(table, std::move(made).ValueOrDie()).first;
-      }
-      return it->second.Equal(rep_row, row);
-    };
-    const int64_t first_new = seen.num_groups();
-    std::vector<int64_t> keep_rows;
-    for (int64_t i = 0; i < chunk->num_rows(); ++i) {
-      const int64_t fresh = seen.num_groups();
-      const int64_t group = seen.FindOrInsert(
-          static_cast<uint64_t>(hashes[i]), fresh,
-          [&](int64_t rep, int64_t) { return equal(rep, i); });
-      BENTO_RETURN_NOT_OK(status);
-      if (group == fresh) {
-        where.emplace_back(kept.size(), i);
-        keep_rows.push_back(i);
-      }
-    }
-    if (keep_rows.empty()) continue;
-    for (int64_t g = first_new; g < seen.num_groups(); ++g) {
-      where[static_cast<size_t>(g)].second = g - first_new;  // kept position
-    }
-    BENTO_ASSIGN_OR_RETURN(auto filtered, kern::TakeTable(chunk, keep_rows));
-    kept.push_back(std::move(filtered));
+    BENTO_RETURN_NOT_OK(
+        grouper.Assign(chunk, hash_column->int64_data(), true, &groups));
   }
   if (options.chunks_claimed != nullptr) {
     *options.chunks_claimed = hashed_stream.chunks_claimed();
   }
-  if (kept.empty()) {
+  if (grouper.num_groups() == 0) {
     // Every mapped chunk was empty (a filter kept no row).
     BENTO_ASSIGN_OR_RETURN(auto empty, EmptyInput(empty_chunk));
     return kern::DropDuplicates(empty, subset);
   }
-  return col::ConcatTablesReleasing(&kept);
+  return grouper.TakeKept();
 }
 
 Result<TablePtr> StreamingPivot(ChunkStream* input, const frame::Op& op,
@@ -720,19 +592,38 @@ Result<TablePtr> StreamingPivot(ChunkStream* input, const frame::Op& op,
                                 const StreamingGroupByOptions& options) {
   // Aggregate down to one row per (index, columns) pair, then pivot the
   // small result in memory.
-  std::vector<AggSpec> aggs = {
-      AggSpec{op.pivot_values, op.pivot_agg, "__pivot_value"}};
+  constexpr const char* kCell = "__pivot_value";
+  std::vector<AggSpec> aggs = {AggSpec{op.pivot_values, op.pivot_agg, kCell}};
   BENTO_ASSIGN_OR_RETURN(
       auto grouped,
       StreamingGroupBy(input, {op.pivot_index, op.pivot_columns}, aggs,
                        policy, options));
-  // Cell groups are unique, so any decomposable agg of the single value
-  // reproduces it; the output column names match the kernel's convention.
-  return kern::PivotTable(grouped, op.pivot_index, op.pivot_columns,
-                          "__pivot_value",
-                          op.pivot_agg == kern::AggKind::kCount
-                              ? kern::AggKind::kSum
-                              : kern::AggKind::kMean);
+  if (op.pivot_agg == AggKind::kCount) {
+    // The kernel leaves a cell with no counted value null, not 0.
+    BENTO_ASSIGN_OR_RETURN(auto counts, grouped->GetColumn(kCell));
+    col::Int64Builder b;
+    b.Reserve(counts->length());
+    for (int64_t i = 0; i < counts->length(); ++i) {
+      b.AppendMaybe(counts->int64_data()[i], counts->int64_data()[i] > 0);
+    }
+    BENTO_ASSIGN_OR_RETURN(auto nonzero, b.Finish());
+    BENTO_ASSIGN_OR_RETURN(grouped, grouped->SetColumn(kCell, nonzero));
+  }
+  // Cell groups are unique, and the max of one value is that value, bit
+  // for bit.
+  BENTO_ASSIGN_OR_RETURN(
+      auto pivoted, kern::PivotTable(grouped, op.pivot_index,
+                                     op.pivot_columns, kCell, AggKind::kMax));
+  // Cells are named as the kernel names them: "<values>_<label>".
+  const std::string prefix = std::string(kCell) + "_";
+  std::vector<std::pair<std::string, std::string>> renames;
+  for (const std::string& name : pivoted->schema()->names()) {
+    if (name.rfind(prefix, 0) == 0) {
+      renames.emplace_back(name,
+                           op.pivot_values + "_" + name.substr(prefix.size()));
+    }
+  }
+  return pivoted->RenameColumns(renames);
 }
 
 Result<TablePtr> GraceHashJoin(ChunkStream* probe, const TablePtr& build,
@@ -758,12 +649,13 @@ Result<TablePtr> GraceHashJoin(ChunkStream* probe, const TablePtr& build,
     }
   }
 
-  int64_t chunk_seq = 0;
+  int64_t probe_rows = 0;       // rows before the current chunk
   TablePtr typed_empty_probe;  // zero-row probe chunk, for schema fallbacks
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto chunk, probe->Next());
     if (chunk == nullptr) break;
-    BENTO_ASSIGN_OR_RETURN(auto with_seq, AttachSeqColumn(chunk, chunk_seq++));
+    BENTO_ASSIGN_OR_RETURN(auto with_seq, AttachSeqColumn(chunk, probe_rows));
+    probe_rows += chunk->num_rows();
     if (typed_empty_probe == nullptr) {
       BENTO_ASSIGN_OR_RETURN(typed_empty_probe, with_seq->Slice(0, 0));
     }
@@ -977,18 +869,14 @@ Result<std::vector<std::string>> StreamDistinctValues(
 }
 
 Result<double> StreamColumnMean(ChunkStream* input, const std::string& column) {
-  double sum = 0.0;
-  int64_t count = 0;
+  kern::MeanFold fold;
   while (true) {
     BENTO_ASSIGN_OR_RETURN(auto chunk, input->Next());
     if (chunk == nullptr) break;
     BENTO_ASSIGN_OR_RETURN(auto c, chunk->GetColumn(column));
-    BENTO_ASSIGN_OR_RETURN(auto s, kern::Aggregate(c, AggKind::kSum));
-    BENTO_ASSIGN_OR_RETURN(auto n, kern::Aggregate(c, AggKind::kCount));
-    if (!s.is_null()) sum += s.double_value();
-    count += n.int_value();
+    BENTO_RETURN_NOT_OK(fold.Add(c));
   }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  return fold.Mean();
 }
 
 }  // namespace bento::eng

@@ -20,20 +20,20 @@ namespace bento::eng {
 
 /// \brief Spill controls for the bounded-memory group-by.
 struct StreamingGroupByOptions {
-  /// Hash partitions the spilled partial state fans out to.
+  /// Hash partitions the rows of spilled keys fan out to.
   int spill_partitions = 16;
-  /// Spill once the in-memory partial state exceeds this many bytes.
+  /// Spill once the in-memory group state reaches this many bytes.
   /// Negative (default) derives the threshold from the session budget
   /// (budget/8); 0 forces spill from the first chunk (tests); a huge value
   /// keeps everything in memory.
   int64_t spill_threshold_bytes = -1;
-  /// Parallel-pipeline shape for the per-chunk partial aggregation (the
-  /// fused transforms + local GroupBy map). The serial fold that merges
-  /// partials, compacts and spills always runs on the calling thread in
-  /// stream order, so the result is bit-identical for any worker count.
+  /// Parallel-pipeline shape for the per-chunk map (the fused transforms and
+  /// the key hash). The fold that groups, aggregates and spills always runs
+  /// on the calling thread in stream order, so the result is bit-identical
+  /// for any worker count.
   PipelineOptions pipeline;
-  /// Fused upstream transform run applied to every chunk before the partial
-  /// aggregation (set by the executor so transforms and aggregation ride one
+  /// Fused upstream transform run applied to every chunk before the key
+  /// hash (set by the executor so transforms and aggregation ride one
   /// pipeline stage instead of nesting two).
   ChunkMapFn pre_map;
   /// When set, receives the number of chunks claimed from the input (for
@@ -50,13 +50,17 @@ struct StreamingDedupOptions {
   int64_t* chunks_claimed = nullptr;
 };
 
-/// \brief Partial-aggregation group-by: per-chunk local aggregation into
-/// decomposed partials (sum/count/min/max/sumsq), periodic compaction, exact
-/// final merge. Peak memory O(#groups) — and when even the group state
-/// outgrows the budget, partials hash-partition to a SpillFrameStore and
-/// merge per partition, restoring the stream's first-seen group order
-/// through a hidden min-row-index column. Bit-identical to the in-memory
-/// path in both modes.
+/// \brief Streaming group-by as one fold in stream order: pipeline workers
+/// hash the keys, and the calling thread assigns every row to its group
+/// across chunks and feeds it into the group's kern::AggFold state. Peak
+/// memory O(#groups). Once the group state reaches the spill threshold,
+/// rows of keys already grouped keep folding in memory and rows of unseen
+/// keys hash-partition to a SpillFrameStore; kern::GroupBy folds each
+/// partition at the end, and a hidden min-stream-position column puts
+/// those groups after the in-memory ones in first-seen order. Every group
+/// is folded once, over its rows in stream order, so the result equals
+/// kern::GroupBy bit for bit — floats included — for any chunking, worker
+/// count and spill.
 Result<col::TablePtr> StreamingGroupBy(
     ChunkStream* input, const std::vector<std::string>& keys,
     const std::vector<kern::AggSpec>& aggs, const frame::ExecPolicy& policy,
@@ -81,8 +85,8 @@ Result<col::TablePtr> StreamingDedup(ChunkStream* input,
                                      const std::vector<std::string>& subset,
                                      const StreamingDedupOptions& options = {});
 
-/// \brief Streaming pivot: decomposed group-by on (index, columns) followed
-/// by a small in-memory pivot of the aggregated result.
+/// \brief Streaming pivot: the streaming group-by on (index, columns)
+/// followed by a small in-memory pivot of the aggregated result.
 Result<col::TablePtr> StreamingPivot(ChunkStream* input,
                                      const frame::Op& op,
                                      const frame::ExecPolicy& policy,
@@ -125,7 +129,9 @@ Result<std::string> SpillStreamToFile(ChunkStream* input);
 Result<std::vector<std::string>> StreamDistinctValues(ChunkStream* input,
                                                       const std::string& column);
 
-/// \brief Streaming mean of a numeric column (fillna-with-mean pass 1).
+/// \brief Streaming mean of a numeric column (fillna-with-mean pass 1):
+/// the chunks' cells in stream order through one kern::MeanFold, so the
+/// mean equals kern::FillNullWithMean's bit for bit.
 Result<double> StreamColumnMean(ChunkStream* input, const std::string& column);
 
 }  // namespace bento::eng

@@ -18,8 +18,7 @@ using col::TablePtr;
 using col::TypeId;
 
 /// \brief Aggregations supported by group-by, describe, and pivot.
-/// kSumSq (sum of squares) exists for decomposable partial aggregation in
-/// the streaming engines (mean/std merge from sum/count/sumsq partials).
+/// kSumSq is the sum of squares, the moment kStd is finalized from.
 enum class AggKind { kSum, kMean, kMin, kMax, kCount, kStd, kSumSq };
 
 const char* AggName(AggKind kind);

@@ -335,6 +335,12 @@ class FlatGrouper {
 
   int64_t num_groups() const { return num_groups_; }
 
+  /// Bytes the slot array and the representatives hold.
+  int64_t ByteSize() const {
+    return static_cast<int64_t>(slots_.size() * sizeof(Slot) +
+                                representatives_.capacity() * sizeof(int64_t));
+  }
+
   /// First row of each group, in group-id (= first-seen) order.
   const std::vector<int64_t>& representatives() const {
     return representatives_;

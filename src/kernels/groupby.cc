@@ -25,48 +25,6 @@ double NumericCell(const Array& a, int64_t i) {
   }
 }
 
-/// Validates the agg specs and collects their input columns. Shared by the
-/// serial and morsel-parallel paths so both reject bad specs with identical
-/// errors.
-Result<std::vector<ArrayPtr>> CollectAggInputs(const TablePtr& table,
-                                               const std::vector<AggSpec>& aggs) {
-  std::vector<ArrayPtr> agg_inputs;
-  for (const AggSpec& spec : aggs) {
-    BENTO_ASSIGN_OR_RETURN(auto c, table->GetColumn(spec.column));
-    if (spec.kind != AggKind::kCount && !col::IsNumeric(c->type()) &&
-        c->type() != TypeId::kBool && c->type() != TypeId::kTimestamp) {
-      return Status::TypeError("cannot aggregate ", col::TypeName(c->type()),
-                               " column '", spec.column, "' with ",
-                               AggName(spec.kind));
-    }
-    agg_inputs.push_back(std::move(c));
-  }
-  return agg_inputs;
-}
-
-/// Feeds row `i` into its group's AggState block, replicating the serial
-/// GroupBy update exactly: `rows` counts every routed row, non-null non-NaN
-/// cells feed the moment sums (sentinel-null model). String and
-/// categorical inputs (kCount only) count their valid cells without a
-/// value being read.
-inline void AccumulateRow(const std::vector<ArrayPtr>& agg_inputs,
-                          AggState* row_states, int64_t i) {
-  const size_t naggs = agg_inputs.size();
-  for (size_t a = 0; a < naggs; ++a) {
-    row_states[a].rows += 1;
-    const Array& input = *agg_inputs[a];
-    if (!input.IsValid(i)) continue;
-    if (input.type() == TypeId::kString ||
-        input.type() == TypeId::kCategorical) {
-      row_states[a].count += 1;
-      continue;
-    }
-    const double v = NumericCell(input, i);
-    // NaN counts as missing (sentinel-null model).
-    if (!std::isnan(v)) row_states[a].Add(v);
-  }
-}
-
 }  // namespace
 
 double AggState::Result(AggKind kind, bool* is_null) const {
@@ -122,13 +80,90 @@ const char* AggName(AggKind kind) {
   return "?";
 }
 
+Status AggFold::Bind(const TablePtr& table, const std::vector<AggSpec>& aggs) {
+  num_aggs_ = aggs.size();
+  inputs_.clear();
+  for (const AggSpec& spec : aggs) {
+    BENTO_ASSIGN_OR_RETURN(auto c, table->GetColumn(spec.column));
+    if (spec.kind != AggKind::kCount && !col::IsNumeric(c->type()) &&
+        c->type() != TypeId::kBool && c->type() != TypeId::kTimestamp) {
+      return Status::TypeError("cannot aggregate ", col::TypeName(c->type()),
+                               " column '", spec.column, "' with ",
+                               AggName(spec.kind));
+    }
+    inputs_.push_back(std::move(c));
+  }
+  return Status::OK();
+}
+
+void AggFold::Add(int64_t group, int64_t row) {
+  if (group == num_groups_) {
+    states_.resize(states_.size() + num_aggs_);
+    ++num_groups_;
+  }
+  AggState* block = states_.data() + static_cast<size_t>(group) * num_aggs_;
+  for (size_t a = 0; a < num_aggs_; ++a) {
+    block[a].rows += 1;
+    const Array& input = *inputs_[a];
+    if (!input.IsValid(row)) continue;
+    if (input.type() == TypeId::kString ||
+        input.type() == TypeId::kCategorical) {
+      block[a].count += 1;
+      continue;
+    }
+    const double v = NumericCell(input, row);
+    // NaN counts as missing (sentinel-null model).
+    if (!std::isnan(v)) block[a].Add(v);
+  }
+}
+
+Result<TablePtr> AggFold::Finish(const TablePtr& keys,
+                                 const std::vector<AggSpec>& aggs) const {
+  std::vector<const AggState*> groups(static_cast<size_t>(num_groups_));
+  for (int64_t g = 0; g < num_groups_; ++g) {
+    groups[static_cast<size_t>(g)] = states(g);
+  }
+  return Finish(keys, aggs, groups);
+}
+
+Result<TablePtr> AggFold::Finish(const TablePtr& keys,
+                                 const std::vector<AggSpec>& aggs,
+                                 const std::vector<const AggState*>& groups) {
+  std::vector<col::Field> fields = keys->schema()->fields();
+  std::vector<ArrayPtr> columns = keys->columns();
+  const int64_t n = static_cast<int64_t>(groups.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    ArrayPtr arr;
+    if (aggs[a].kind == AggKind::kCount) {
+      col::Int64Builder b;
+      b.Reserve(n);
+      for (const AggState* block : groups) b.Append(block[a].count);
+      BENTO_ASSIGN_OR_RETURN(arr, b.Finish());
+    } else {
+      col::Float64Builder b;
+      b.Reserve(n);
+      for (const AggState* block : groups) {
+        bool is_null = false;
+        const double v = block[a].Result(aggs[a].kind, &is_null);
+        b.AppendMaybe(v, !is_null);
+      }
+      BENTO_ASSIGN_OR_RETURN(arr, b.Finish());
+    }
+    fields.push_back({DefaultAggName(aggs[a]), arr->type()});
+    columns.push_back(std::move(arr));
+  }
+  return Table::Make(std::make_shared<col::Schema>(std::move(fields)),
+                     std::move(columns));
+}
+
 Result<TablePtr> GroupBy(const TablePtr& table,
                          const std::vector<std::string>& keys,
                          const std::vector<AggSpec>& aggs) {
   BENTO_TRACE_SPAN(kKernel, "groupby");
   if (keys.empty()) return Status::Invalid("GroupBy requires at least one key");
 
-  BENTO_ASSIGN_OR_RETURN(auto agg_inputs, CollectAggInputs(table, aggs));
+  AggFold fold;
+  BENTO_RETURN_NOT_OK(fold.Bind(table, aggs));
 
   BENTO_ASSIGN_OR_RETURN(auto hashes, HashRows(table, keys));
   BENTO_ASSIGN_OR_RETURN(auto equal, RowEquality::Make(table, keys, table, keys));
@@ -137,50 +172,18 @@ Result<TablePtr> GroupBy(const TablePtr& table,
   // full-hash ties resolved against each group's representative row.
   const int64_t n = table->num_rows();
   FlatGrouper grouper(n / 8 + 16);
-  std::vector<std::vector<AggState>> states;  // [group][agg]
-
   for (int64_t i = 0; i < n; ++i) {
     const int64_t group = grouper.FindOrInsert(
         hashes[static_cast<size_t>(i)], i,
         [&](int64_t a, int64_t b) { return equal.Equal(a, b); });
-    if (group == static_cast<int64_t>(states.size())) {
-      states.emplace_back(aggs.size());
-    }
-    AccumulateRow(agg_inputs, states[static_cast<size_t>(group)].data(), i);
+    fold.Add(group, i);
   }
 
-  // Assemble output: key columns via Take on representatives, then aggs.
+  // Key columns via Take on representatives, then the aggregations.
   BENTO_ASSIGN_OR_RETURN(auto key_table, table->SelectColumns(keys));
   BENTO_ASSIGN_OR_RETURN(auto key_out,
                          TakeTable(key_table, grouper.representatives()));
-
-  std::vector<col::Field> fields = key_out->schema()->fields();
-  std::vector<ArrayPtr> columns = key_out->columns();
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].kind == AggKind::kCount) {
-      col::Int64Builder b;
-      b.Reserve(static_cast<int64_t>(states.size()));
-      for (const auto& row_states : states) {
-        b.Append(row_states[a].count);
-      }
-      BENTO_ASSIGN_OR_RETURN(auto arr, b.Finish());
-      fields.push_back({DefaultAggName(aggs[a]), TypeId::kInt64});
-      columns.push_back(std::move(arr));
-    } else {
-      col::Float64Builder b;
-      b.Reserve(static_cast<int64_t>(states.size()));
-      for (const auto& row_states : states) {
-        bool is_null = false;
-        double v = row_states[a].Result(aggs[a].kind, &is_null);
-        b.AppendMaybe(v, !is_null);
-      }
-      BENTO_ASSIGN_OR_RETURN(auto arr, b.Finish());
-      fields.push_back({DefaultAggName(aggs[a]), TypeId::kFloat64});
-      columns.push_back(std::move(arr));
-    }
-  }
-  return Table::Make(std::make_shared<col::Schema>(std::move(fields)),
-                     std::move(columns));
+  return fold.Finish(key_out, aggs);
 }
 
 Result<TablePtr> GroupByPartitioned(const TablePtr& table,
@@ -193,8 +196,8 @@ Result<TablePtr> GroupByPartitioned(const TablePtr& table,
   const int workers = sim::ResolveWorkers(options);
   if (workers <= 1 || n < 8192) return GroupBy(table, keys, aggs);
 
-  BENTO_ASSIGN_OR_RETURN(auto agg_inputs, CollectAggInputs(table, aggs));
-  const size_t naggs = aggs.size();
+  AggFold bound;
+  BENTO_RETURN_NOT_OK(bound.Bind(table, aggs));
 
   BENTO_ASSIGN_OR_RETURN(auto hashes, HashRowsParallel(table, keys, options));
   BENTO_ASSIGN_OR_RETURN(auto equal, RowEquality::Make(table, keys, table, keys));
@@ -202,8 +205,8 @@ Result<TablePtr> GroupByPartitioned(const TablePtr& table,
   // Radix fan-out on the TOP hash bits — the low bits address hash-table
   // slots, so reusing them for partitioning correlates partition id with
   // slot id and skews partitions on structured keys. Top-bit partitioning
-  // also guarantees each key lands in exactly one partition, which is what
-  // makes the per-partition states disjoint and the merge exact.
+  // also guarantees each key lands in exactly one partition, so each group
+  // is folded by exactly one partition's AggFold.
   const int parts = FlatIndex::PlanPartitions(n, options);
   int part_bits = 0;
   while ((1 << part_bits) < parts) ++part_bits;
@@ -235,15 +238,17 @@ Result<TablePtr> GroupByPartitioned(const TablePtr& table,
         options));
   }
 
-  // Per-partition aggregation into a thread-local FlatGrouper plus one flat
-  // AggState block per group — no partition tables are materialized and no
-  // rows are re-hashed (the seed's TakeTable + recursive GroupBy per
-  // partition did ~4.6x the serial work).
+  // Per-partition aggregation into a thread-local FlatGrouper and AggFold —
+  // no partition tables are materialized and no rows are re-hashed (the
+  // seed's TakeTable + recursive GroupBy per partition did ~4.6x the serial
+  // work).
   struct PartStates {
     std::unique_ptr<FlatGrouper> grouper;
-    std::vector<AggState> states;  // [group * naggs + agg]
+    AggFold fold;
   };
-  std::vector<PartStates> part_out(static_cast<size_t>(parts));
+  std::vector<PartStates> part_out;
+  part_out.reserve(static_cast<size_t>(parts));
+  for (int p = 0; p < parts; ++p) part_out.push_back({nullptr, bound});
   BENTO_RETURN_NOT_OK(sim::ParallelFor(
       parts,
       [&](int64_t p) -> Status {
@@ -254,16 +259,12 @@ Result<TablePtr> GroupByPartitioned(const TablePtr& table,
         // and growth rehashes cost O(final size) amortized.
         auto grouper = std::make_unique<FlatGrouper>(
             std::min<int64_t>(n / (8 * parts) + 16, 1 << 14));
-        std::vector<AggState> states;
+        AggFold& fold = part_out[static_cast<size_t>(p)].fold;
         auto consume = [&](int64_t i) {
-          const int64_t group = grouper->FindOrInsert(
-              hashes[static_cast<size_t>(i)], i,
-              [&](int64_t a, int64_t b) { return equal.Equal(a, b); });
-          if (static_cast<size_t>(group) * naggs == states.size()) {
-            states.resize(states.size() + naggs);
-          }
-          AccumulateRow(agg_inputs, &states[static_cast<size_t>(group) * naggs],
-                        i);
+          fold.Add(grouper->FindOrInsert(
+                       hashes[static_cast<size_t>(i)], i,
+                       [&](int64_t a, int64_t b) { return equal.Equal(a, b); }),
+                   i);
         };
         if (parts == 1) {
           for (int64_t i = 0; i < n; ++i) consume(i);
@@ -275,32 +276,27 @@ Result<TablePtr> GroupByPartitioned(const TablePtr& table,
             }
           }
         }
-        part_out[static_cast<size_t>(p)] = {std::move(grouper),
-                                            std::move(states)};
+        part_out[static_cast<size_t>(p)].grouper = std::move(grouper);
         return Status::OK();
       },
       options));
 
-  // Merge: partitions hold disjoint key sets, so global first-seen group
-  // order is exactly ascending representative-row order. Each merged group
-  // has a single contributing partition state; AggState::Merge composes it
-  // into the zero state, so the finalized values are bit-identical to the
-  // serial accumulation (which visited the same rows in the same order).
+  // Partitions hold disjoint key sets, so global first-seen group order is
+  // exactly ascending representative-row order. Each group was folded by
+  // one partition over the same rows in the same order as the serial path,
+  // so its state finalizes to the serial bits.
   struct GroupRef {
     int64_t rep;
-    int32_t part;
-    int64_t local;
+    const AggState* states;
   };
   int64_t num_groups = 0;
-  for (const auto& po : part_out) {
-    if (po.grouper != nullptr) num_groups += po.grouper->num_groups();
-  }
+  for (const auto& po : part_out) num_groups += po.fold.num_groups();
   std::vector<GroupRef> refs;
   refs.reserve(static_cast<size_t>(num_groups));
-  for (int p = 0; p < parts; ++p) {
-    const auto& reps = part_out[static_cast<size_t>(p)].grouper->representatives();
+  for (const PartStates& po : part_out) {
+    const auto& reps = po.grouper->representatives();
     for (size_t g = 0; g < reps.size(); ++g) {
-      refs.push_back({reps[g], p, static_cast<int64_t>(g)});
+      refs.push_back({reps[g], po.fold.states(static_cast<int64_t>(g))});
     }
   }
   std::sort(refs.begin(), refs.end(),
@@ -314,44 +310,15 @@ Result<TablePtr> GroupByPartitioned(const TablePtr& table,
   c_groups->Add(static_cast<uint64_t>(num_groups));
 
   std::vector<int64_t> rep_rows(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) rep_rows[i] = refs[i].rep;
+  std::vector<const AggState*> groups(refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    rep_rows[i] = refs[i].rep;
+    groups[i] = refs[i].states;
+  }
   BENTO_ASSIGN_OR_RETURN(auto key_table, table->SelectColumns(keys));
   BENTO_ASSIGN_OR_RETURN(auto key_out,
                          TakeTableParallel(key_table, rep_rows, options));
-
-  std::vector<col::Field> fields = key_out->schema()->fields();
-  std::vector<ArrayPtr> columns = key_out->columns();
-  for (size_t a = 0; a < naggs; ++a) {
-    if (aggs[a].kind == AggKind::kCount) {
-      col::Int64Builder b;
-      b.Reserve(static_cast<int64_t>(refs.size()));
-      for (const GroupRef& ref : refs) {
-        AggState merged;
-        merged.Merge(part_out[static_cast<size_t>(ref.part)]
-                         .states[static_cast<size_t>(ref.local) * naggs + a]);
-        b.Append(merged.count);
-      }
-      BENTO_ASSIGN_OR_RETURN(auto arr, b.Finish());
-      fields.push_back({DefaultAggName(aggs[a]), TypeId::kInt64});
-      columns.push_back(std::move(arr));
-    } else {
-      col::Float64Builder b;
-      b.Reserve(static_cast<int64_t>(refs.size()));
-      for (const GroupRef& ref : refs) {
-        AggState merged;
-        merged.Merge(part_out[static_cast<size_t>(ref.part)]
-                         .states[static_cast<size_t>(ref.local) * naggs + a]);
-        bool is_null = false;
-        double v = merged.Result(aggs[a].kind, &is_null);
-        b.AppendMaybe(v, !is_null);
-      }
-      BENTO_ASSIGN_OR_RETURN(auto arr, b.Finish());
-      fields.push_back({DefaultAggName(aggs[a]), TypeId::kFloat64});
-      columns.push_back(std::move(arr));
-    }
-  }
-  return Table::Make(std::make_shared<col::Schema>(std::move(fields)),
-                     std::move(columns));
+  return AggFold::Finish(key_out, aggs, groups);
 }
 
 }  // namespace bento::kern

@@ -13,9 +13,6 @@ namespace bento::kern {
 /// sums plus min/max/count so every AggKind can be finalized from one
 /// struct; `rows` counts all rows routed to the group (kCount semantics
 /// track non-null inputs through `count` instead).
-///
-/// Public so the morsel-parallel group-by's merge step and its property
-/// tests can compose partial states directly.
 struct AggState {
   double sum = 0.0;
   double sum_sq = 0.0;
@@ -37,33 +34,59 @@ struct AggState {
     ++count;
   }
 
-  /// \brief Folds `other` into this state, where `other` accumulated rows
-  /// that all come after this state's rows. min/max/count/rows compose
-  /// exactly; sum and sum_sq compose by addition, which is bit-identical to
-  /// serial accumulation whenever the operands are exactly representable
-  /// (integer-valued inputs) and within 1 ulp per merge otherwise — the
-  /// production group-by only merges states of disjoint key partitions
-  /// (exactly one contributor per group), so its output never depends on
-  /// this rounding.
-  void Merge(const AggState& other) {
-    if (other.count > 0) {
-      if (count == 0) {
-        min = other.min;
-        max = other.max;
-      } else {
-        if (other.min < min) min = other.min;
-        if (other.max > max) max = other.max;
-      }
-    }
-    sum += other.sum;
-    sum_sq += other.sum_sq;
-    count += other.count;
-    rows += other.rows;
-  }
-
   /// \brief Finalized value for `kind`; sets *is_null for empty groups
   /// (kStd additionally needs count >= 2).
   double Result(AggKind kind, bool* is_null) const;
+};
+
+/// \brief The per-group fold of every hash group-by: one AggState per
+/// (group, aggregation) in a flat block, fed one row at a time and
+/// finalized into the output columns. GroupBy, GroupByPartitioned and the
+/// streaming group-by all aggregate through it, so a group fed the same
+/// rows in the same order finalizes to the same bits on every path.
+class AggFold {
+ public:
+  /// \brief Points the fold at `aggs`' input columns in `table`, whose rows
+  /// Add reads until the next Bind; every Bind of one fold passes the same
+  /// `aggs`. Rejects a column that cannot be aggregated with the same error
+  /// on every path.
+  Status Bind(const TablePtr& table, const std::vector<AggSpec>& aggs);
+
+  /// \brief Feeds row `row` of the bound table into `group`; a group id
+  /// equal to num_groups() opens a new group. Every row counts toward
+  /// `rows`; valid non-NaN cells feed the moment sums (sentinel-null
+  /// model), and valid string or categorical cells only `count`.
+  void Add(int64_t group, int64_t row);
+
+  int64_t num_groups() const { return num_groups_; }
+
+  /// \brief Bytes the group states hold.
+  int64_t ByteSize() const {
+    return static_cast<int64_t>(states_.size() * sizeof(AggState));
+  }
+
+  /// \brief Group `group`'s block of one state per aggregation.
+  const AggState* states(int64_t group) const {
+    return states_.data() + static_cast<size_t>(group) * num_aggs_;
+  }
+
+  /// \brief `keys` (one row per group, in group id order) followed by one
+  /// column per aggregation.
+  Result<TablePtr> Finish(const TablePtr& keys,
+                          const std::vector<AggSpec>& aggs) const;
+
+  /// \brief `keys` followed by one column per aggregation, where
+  /// `groups[g]` is the state block of output row g: kCount as int64, the
+  /// rest as float64, null where the group has no value.
+  static Result<TablePtr> Finish(const TablePtr& keys,
+                                 const std::vector<AggSpec>& aggs,
+                                 const std::vector<const AggState*>& groups);
+
+ private:
+  size_t num_aggs_ = 0;
+  int64_t num_groups_ = 0;
+  std::vector<ArrayPtr> inputs_;
+  std::vector<AggState> states_;  // [group * num_aggs + agg]
 };
 
 /// \brief Hash group-by: groups `table` on `keys` and computes `aggs`.
@@ -78,9 +101,9 @@ Result<TablePtr> GroupBy(const TablePtr& table,
 
 /// \brief Morsel-driven parallel group-by: rows are radix-partitioned on
 /// the top key-hash bits (disjoint keys per partition), every partition
-/// aggregates into a thread-local FlatGrouper + flat AggState table over
-/// sim::ParallelFor, and a single-threaded merge restores dense first-seen
-/// group ids. No partition tables are materialized. Output is row-for-row
+/// aggregates into a thread-local FlatGrouper + AggFold over
+/// sim::ParallelFor, and a single-threaded pass orders the groups by their
+/// first row. No partition tables are materialized. Output is row-for-row
 /// bit-identical to GroupBy for any worker count and in both execution
 /// modes: per-group accumulation follows global row order and groups are
 /// emitted in global first-seen order. The shape used by the multithreaded

@@ -155,24 +155,29 @@ Result<ArrayPtr> FillNull(const ArrayPtr& values, const Scalar& fill) {
   return Status::Invalid("unsupported type in FillNull");
 }
 
-Result<ArrayPtr> FillNullWithMean(const ArrayPtr& values) {
+Status MeanFold::Add(const ArrayPtr& values) {
   if (values->type() != TypeId::kFloat64 && values->type() != TypeId::kInt64) {
     return Status::TypeError("mean fill requires a numeric column");
   }
-  double sum = 0.0;
-  int64_t count = 0;
   for (int64_t i = 0; i < values->length(); ++i) {
     if (!values->IsValid(i)) continue;
-    sum += values->type() == TypeId::kFloat64
-               ? values->float64_data()[i]
-               : static_cast<double>(values->int64_data()[i]);
-    ++count;
+    const double v = values->type() == TypeId::kFloat64
+                         ? values->float64_data()[i]
+                         : static_cast<double>(values->int64_data()[i]);
+    if (std::isnan(v)) continue;
+    sum_ += v;
+    ++count_;
   }
-  const double mean = count > 0 ? sum / static_cast<double>(count) : 0.0;
+  return Status::OK();
+}
+
+Result<ArrayPtr> FillNullWithMean(const ArrayPtr& values) {
+  MeanFold fold;
+  BENTO_RETURN_NOT_OK(fold.Add(values));
   if (values->type() == TypeId::kInt64) {
-    return FillNull(values, Scalar::Int(static_cast<int64_t>(mean)));
+    return FillNull(values, Scalar::Int(static_cast<int64_t>(fold.Mean())));
   }
-  return FillNull(values, Scalar::Double(mean));
+  return FillNull(values, Scalar::Double(fold.Mean()));
 }
 
 Result<TablePtr> DropNullRows(const TablePtr& table,

@@ -29,8 +29,28 @@ Result<std::vector<int64_t>> NullCounts(const TablePtr& table, NullProbe probe);
 /// \brief Replaces nulls with `fill` (type-checked against the column).
 Result<ArrayPtr> FillNull(const ArrayPtr& values, const Scalar& fill);
 
-/// \brief Replaces nulls in a float column with the column mean (the
-/// `fillna(df.mean())` idiom used by the Kaggle pipelines).
+/// \brief The mean FillNullWithMean fills with: the valid non-NaN cells of
+/// a float64 or int64 column added one by one in row order (the
+/// sentinel-null rule of GroupBy and Aggregate). Adding a column's chunks
+/// in order gives the whole column's mean bit for bit.
+class MeanFold {
+ public:
+  /// Fails on a column that is neither float64 nor int64.
+  Status Add(const ArrayPtr& values);
+
+  /// The mean of the cells added so far; 0 when there is none.
+  double Mean() const {
+    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
+  }
+
+ private:
+  double sum_ = 0.0;
+  int64_t count_ = 0;
+};
+
+/// \brief Replaces nulls in a numeric column with its MeanFold mean (the
+/// `fillna(df.mean())` idiom used by the Kaggle pipelines); an int64
+/// column takes the mean truncated toward zero.
 Result<ArrayPtr> FillNullWithMean(const ArrayPtr& values);
 
 /// \brief Drops rows that contain a null in any of `subset` columns

@@ -46,7 +46,10 @@ bool PushDownPredicates(std::vector<Op>* plan) {
   bool changed = false;
   for (size_t i = 1; i < ops.size(); ++i) {
     if (ops[i].kind != OpKind::kQuery) continue;
-    std::set<std::string> refs = QueryReferences(ops[i]);
+    // A filter that does not parse keeps its place, so an earlier op's
+    // error still comes first.
+    std::set<std::string> refs;
+    if (!SelectColumns(ops[i], frame::ColumnSel::kExpr, &refs)) continue;
     size_t j = i;
     // Filters never hop column drops even when sound: drops stay
     // outermost so the executor can bind them into the scan, and

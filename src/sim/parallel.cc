@@ -81,6 +81,14 @@ Status ParallelFor(int64_t n, const std::function<Status(int64_t)>& fn,
                                              MemoryPool::Current());
   }
 
+  // One worker or one task overlaps nothing: without a dispatch cost the
+  // simulated credit would be exactly zero, so the tasks run as a plain
+  // loop, untimed and outside any span of this module.
+  if ((n <= 1 || workers <= 1) && options.per_task_dispatch_s == 0.0) {
+    for (int64_t i = 0; i < n; ++i) BENTO_RETURN_NOT_OK(fn(i));
+    return Status::OK();
+  }
+
   BENTO_TRACE_SPAN(kSim, "parallel_for.sim");
   static obs::Counter* sim_tasks =
       obs::MetricsRegistry::Global().counter("sim.parallel_for.sim_tasks");

@@ -288,20 +288,8 @@ TEST(StreamingOpsTest, GroupByMatchesKernel) {
   auto expected = kern::GroupBy(t, {"k"}, aggs).ValueOrDie();
   TableChunkStream stream(t, 257);
   auto streaming = StreamingGroupBy(&stream, {"k"}, aggs, {}).ValueOrDie();
-  ASSERT_EQ(expected->num_rows(), streaming->num_rows());
-  // Compare after sorting by key; float agreement to 1e-9 relative.
-  auto se = kern::SortTable(expected, {{"k", true}}).ValueOrDie();
-  auto ss = kern::SortTable(streaming, {{"k", true}}).ValueOrDie();
-  for (int64_t r = 0; r < se->num_rows(); ++r) {
-    EXPECT_EQ(se->column(0)->int64_data()[r], ss->column(0)->int64_data()[r]);
-    for (const char* name : {"sum", "mean", "std", "lo", "hi"}) {
-      double a = se->GetColumn(name).ValueOrDie()->float64_data()[r];
-      double b = ss->GetColumn(name).ValueOrDie()->float64_data()[r];
-      EXPECT_NEAR(a, b, 1e-9 * (std::abs(a) + 1)) << name << " row " << r;
-    }
-    EXPECT_EQ(se->GetColumn("n").ValueOrDie()->int64_data()[r],
-              ss->GetColumn("n").ValueOrDie()->int64_data()[r]);
-  }
+  // Same groups in the same order, and every float bit for bit.
+  test::ExpectTablesEqual(expected, streaming);
 }
 
 /// Runs ExternalSortToFile over `stream` and reads the sorted file back.
@@ -348,26 +336,8 @@ TEST(StreamingOpsTest, PivotMatchesKernel) {
   TableChunkStream stream(t, 173);
   Op op = Op::Pivot("k", "s", "v", kern::AggKind::kMean);
   auto streaming = StreamingPivot(&stream, op, {}).ValueOrDie();
-  // Column order may differ (first-seen per execution order); compare by
-  // aligned column names after sorting rows by the index.
-  auto se = kern::SortTable(expected, {{"k", true}}).ValueOrDie();
-  auto ss = kern::SortTable(streaming, {{"k", true}}).ValueOrDie();
-  ASSERT_EQ(se->num_rows(), ss->num_rows());
-  for (const std::string& name : se->schema()->names()) {
-    if (name == "k") continue;
-    // Streaming pivot names cells "__pivot_value_<v>"; map accordingly.
-    std::string streaming_name = "__pivot_value_" + name.substr(2);
-    auto a = se->GetColumn(name).ValueOrDie();
-    auto b = ss->GetColumn(streaming_name);
-    ASSERT_TRUE(b.ok()) << streaming_name;
-    for (int64_t r = 0; r < se->num_rows(); ++r) {
-      ASSERT_EQ(a->IsNull(r), b.ValueOrDie()->IsNull(r));
-      if (!a->IsNull(r)) {
-        EXPECT_NEAR(a->float64_data()[r], b.ValueOrDie()->float64_data()[r],
-                    1e-9);
-      }
-    }
-  }
+  // Same rows, columns, names and bits.
+  test::ExpectTablesEqual(expected, streaming);
 }
 
 // --- device engine behaviour ---

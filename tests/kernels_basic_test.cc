@@ -220,6 +220,30 @@ TEST(FillNullTest, WithMean) {
   EXPECT_FALSE(FillNullWithMean(Str({"x"})).ok());
 }
 
+TEST(FillNullTest, MeanSkipsNaNAndFoldsInRowOrder) {
+  // A valid NaN is missing to the mean, as in GroupBy and Aggregate, and
+  // stays NaN itself.
+  auto v = F64({1.0, std::nan(""), 0.0, 2.0}, {true, true, false, true});
+  auto filled = FillNullWithMean(v).ValueOrDie();
+  EXPECT_TRUE(std::isnan(filled->float64_data()[1]));
+  EXPECT_EQ(filled->float64_data()[2], 1.5);
+  // Cells add one by one in row order, so folding a column's pieces in
+  // order gives the whole column's mean bit for bit: 0.1 + 0.2 + 0.3 is
+  // 0.6000000000000001, while 0.1 + (0.2 + 0.3) is 0.6.
+  auto w = F64({0.1, 0.2, 0.3, 0.0}, {true, true, true, false});
+  MeanFold whole;
+  ASSERT_TRUE(whole.Add(w).ok());
+  EXPECT_EQ(whole.Mean(), (0.1 + 0.2 + 0.3) / 3.0);
+  EXPECT_EQ(FillNullWithMean(w).ValueOrDie()->float64_data()[3], whole.Mean());
+  MeanFold pieces;
+  for (int64_t i = 0; i < w->length(); ++i) {
+    ASSERT_TRUE(pieces.Add(w->Slice(i, 1).ValueOrDie()).ok());
+  }
+  EXPECT_EQ(pieces.Mean(), whole.Mean());
+  EXPECT_EQ(MeanFold().Mean(), 0.0);
+  EXPECT_TRUE(MeanFold().Add(Str({"x"})).IsTypeError());
+}
+
 TEST(DropNullRowsTest, AllColumnsAndSubset) {
   auto t = MakeTable({{"a", I64({1, 2, 3}, {true, false, true})},
                       {"b", Str({"x", "y", "z"}, {true, true, false})}});

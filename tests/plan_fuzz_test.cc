@@ -4,7 +4,10 @@
 // results must agree. Optimized vs unoptimized on the SAME engine must be
 // bit-identical including row order (the optimizer's contract); against the
 // eager reference, plans containing breakers with engine-specific emission
-// order (group-by, join, dedup) are compared as sorted multisets.
+// order (group-by, join, dedup) are compared as sorted multisets. The
+// streaming engines also rerun each seed under a tight memory budget, where
+// the breakers stream and spill, and must reproduce their unbounded run bit
+// for bit at every chunk size and worker count.
 //
 // The default seed count keeps ctest bounded; set BENTO_FUZZ_SEEDS to fuzz
 // harder (the acceptance run uses >= 200).
@@ -12,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -386,13 +390,40 @@ int SeedCount() {
     const int n = std::atoi(env);
     if (n > 0) return n;
   }
-  return 200;  // bounded ctest default (~1 s); raise via env to fuzz harder
+  return 200;  // bounded ctest default (~9 s); raise via env to fuzz harder
 }
 
 const std::vector<std::string>& LazyEngines() {
   static const std::vector<std::string> ids = {"polars", "spark_sql",
                                                "spark_pd", "vaex"};
   return ids;
+}
+
+/// Scoped environment override; restores the previous value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The engines whose breakers stream under memory pressure.
+bool StreamsUnderTightBudget(const std::string& id) {
+  return id == "polars" || id == "spark_sql" || id == "vaex";
 }
 
 class TempFile {
@@ -470,6 +501,35 @@ TEST(PlanFuzzTest, OptimizedMatchesUnoptimizedAndEagerReference) {
       ASSERT_EQ(unoptimized.status.ok(), reference.status.ok())
           << "unoptimized: " << unoptimized.status.ToString()
           << "\nreference: " << reference.status.ToString();
+
+      // Tight arm: a budget of 4x the base table makes the source memory
+      // tight, so the breakers stream, spill and map their results back.
+      if (StreamsUnderTightBudget(id)) {
+        for (const char* chunk_rows : {"1", "7", "64"}) {
+          for (const char* workers : {"1", "4"}) {
+            SCOPED_TRACE(std::string("tight chunk_rows=") + chunk_rows +
+                         " workers=" + workers);
+            ScopedEnv rows_env("BENTO_CHUNK_ROWS", chunk_rows);
+            ScopedEnv workers_env("BENTO_PIPELINE_WORKERS", workers);
+            sim::MachineSpec tight = spec;
+            tight.ram_bytes = static_cast<uint64_t>(base->ByteSize() * 4);
+            sim::Session tight_session(tight);
+            tight_session.set_execution_mode(session.execution_mode());
+            const ArmResult streamed = RunPipeline(id, source, fuzz.ops);
+            ASSERT_EQ(streamed.status.ok(), optimized.status.ok())
+                << "tight: " << streamed.status.ToString()
+                << "\nunbounded: " << optimized.status.ToString();
+            if (optimized.status.ok()) {
+              test::ExpectTablesEqual(optimized.table, streamed.table);
+            } else {
+              EXPECT_EQ(streamed.status.code(), optimized.status.code())
+                  << streamed.status.ToString() << " vs "
+                  << optimized.status.ToString();
+            }
+          }
+        }
+      }
+
       if (!reference.status.ok()) {
         // The optimizer must preserve the *kind* of failure, not just
         // failure itself.
@@ -494,6 +554,26 @@ TEST(PlanFuzzTest, OptimizedMatchesUnoptimizedAndEagerReference) {
       } else {
         test::ExpectTablesEqual(reference.table, optimized.table);
       }
+    }
+  }
+}
+
+/// A filter that does not parse keeps its place behind an op that fails
+/// first, so the optimized plan fails like the unoptimized plan and the
+/// eager reference: with the cast's missing-column error, not the parse
+/// error.
+TEST(PlanFuzzTest, UnparsableFilterFailsLikeTheReference) {
+  SourceSpec source;
+  source.table = MakeTable({{"games", I64({1, 2, 3})}});
+  const std::vector<Op> ops = {Op::Cast("missing", TypeId::kFloat64),
+                               Op::Query("games >")};
+  const ArmResult reference = RunPipeline("pandas", source, ops);
+  ASSERT_TRUE(reference.status.IsKeyError()) << reference.status.ToString();
+  for (const std::string& id : LazyEngines()) {
+    for (const std::string& variant : {id, id + "_noopt"}) {
+      const ArmResult got = RunPipeline(variant, source, ops);
+      EXPECT_EQ(got.status.code(), reference.status.code())
+          << variant << ": " << got.status.ToString();
     }
   }
 }

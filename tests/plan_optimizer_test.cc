@@ -65,6 +65,14 @@ TEST(PredicatePushdownTest, BlockedByColumnDependency) {
             "query[age >= 20]\n");
 }
 
+TEST(PredicatePushdownTest, UnparsableFilterKeepsItsPlace) {
+  // The parse error must not pre-empt the cast's missing-column error.
+  EXPECT_EQ(OptimizeAndExplain({Op::Cast("missing", TypeId::kFloat64),
+                                Op::Query("games >")}),
+            "astype[missing -> float64]\n"
+            "query[games >]\n");
+}
+
 TEST(PredicatePushdownTest, BlockedByCatCodes) {
   // Categorical codes depend on first appearance among remaining rows;
   // filtering first would change code assignment.
@@ -171,8 +179,9 @@ TEST(QueryCanHopBeforeTest, EveryKind) {
   for (const auto& [prev, hops] : cases) {
     EXPECT_EQ(QueryCanHopBefore(query, prev, refs), hops) << OpSummary(prev);
   }
-  // A filter that does not parse references nothing, so it hops every
-  // column map.
+  // A filter that does not parse references nothing, so the rule lets it
+  // past a column map; PushDownPredicates never asks, because it leaves
+  // such a filter where it is.
   const Op bad = Op::Query("games >");
   EXPECT_TRUE(QueryReferences(bad).empty());
   EXPECT_TRUE(QueryCanHopBefore(bad, Op::Cast("games", TypeId::kFloat64),

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "obs/metrics.h"
 #include "sim/device.h"
 #include "sim/machine.h"
 #include "sim/memory.h"
@@ -152,6 +153,37 @@ TEST(ParallelForTest, WorksWithoutSession) {
                 return Status::OK();
               }).ok());
   EXPECT_EQ(sum, 10);
+}
+
+/// One worker or one task overlaps nothing, so without a dispatch cost the
+/// tasks run as a plain loop: no simulated task is counted and no credit is
+/// granted. A dispatch cost keeps the simulated path and its penalty.
+TEST(ParallelForTest, OneWorkerOrOneTaskRunsInline) {
+  Session session(MachineSpec::Laptop());  // 8 cores
+  obs::Counter* sim_tasks =
+      obs::MetricsRegistry::Global().counter("sim.parallel_for.sim_tasks");
+  const uint64_t before = sim_tasks->value();
+  ParallelOptions one_worker;
+  one_worker.max_workers = 1;
+  int ran = 0;
+  auto task = [&](int64_t) {
+    ++ran;
+    return Status::OK();
+  };
+  ASSERT_TRUE(ParallelFor(8, task, one_worker).ok());
+  ASSERT_TRUE(ParallelFor(1, task).ok());
+  EXPECT_EQ(ran, 9);
+  EXPECT_EQ(sim_tasks->value(), before);
+  EXPECT_EQ(session.credit_seconds(), 0.0);
+  EXPECT_TRUE(ParallelFor(3, [](int64_t) { return Status::Invalid("stop"); },
+                          one_worker)
+                  .IsInvalid());
+
+  ParallelOptions dispatched = one_worker;
+  dispatched.per_task_dispatch_s = 0.25;
+  ASSERT_TRUE(ParallelFor(4, task, dispatched).ok());
+  EXPECT_EQ(sim_tasks->value(), before + 4);
+  EXPECT_NEAR(session.credit_seconds(), -1.0, 0.05);
 }
 
 TEST(VirtualTimerTest, CreditsReduceElapsed) {

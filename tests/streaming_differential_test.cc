@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "kernels/flat_index.h"
 #include "kernels/groupby.h"
 #include "kernels/join.h"
+#include "kernels/pivot.h"
 #include "obs/metrics.h"
 #include "sim/parallel.h"
 #include "tests/test_util.h"
@@ -32,9 +34,9 @@
 
 // The out-of-core lock: every chunked / spilled / partitioned execution path
 // must be BIT-IDENTICAL to the in-memory eager result — same rows, same
-// order, same floats. Integer-valued numeric data makes float aggregation
-// exact, so any ordering or merge bug shows up as a hard mismatch instead of
-// an epsilon.
+// order, same floats. The fractional column `f` makes float aggregation
+// depend on the order its values are added in, so a fold that adds in any
+// other order than the kernel shows up as a hard mismatch, not an epsilon.
 
 namespace bento::eng {
 namespace {
@@ -47,25 +49,33 @@ using test::I64;
 using test::MakeTable;
 using test::Str;
 
-/// Random table whose numeric columns hold integer values (exact in
-/// float64 under any association), with nulls and a low-cardinality string.
-TablePtr IntValuedTable(int64_t rows, uint64_t seed, int64_t key_card = 23) {
+/// Random table: an integer key `k`, an integer-valued float `v` and an
+/// integer `n` with nulls, a low-cardinality string `s`, and a fractional
+/// float `f` with nulls, whose sums differ in the last bits when added in
+/// another order. `f` draws from its own generator, so the other columns
+/// hold the same values as without it.
+TablePtr RandomTable(int64_t rows, uint64_t seed, int64_t key_card = 23) {
   Rng rng(seed);
+  Rng frac_rng(seed + 0x5eed);
   col::Int64Builder k;
   col::Float64Builder v;
   col::Int64Builder n;
   col::StringBuilder s;
+  col::Float64Builder f;
   for (int64_t i = 0; i < rows; ++i) {
     k.Append(rng.UniformInt(0, key_card - 1));
     v.AppendMaybe(static_cast<double>(rng.UniformInt(0, 1000)),
                   !rng.Bernoulli(0.15));
     n.AppendMaybe(rng.UniformInt(-50, 50), !rng.Bernoulli(0.05));
     s.Append(std::string(1, static_cast<char>('a' + rng.Uniform(4))));
+    f.AppendMaybe(frac_rng.UniformDouble(-1000.0, 1000.0),
+                  !frac_rng.Bernoulli(0.1));
   }
   return MakeTable({{"k", k.Finish().ValueOrDie()},
                     {"v", v.Finish().ValueOrDie()},
                     {"n", n.Finish().ValueOrDie()},
-                    {"s", s.Finish().ValueOrDie()}});
+                    {"s", s.Finish().ValueOrDie()},
+                    {"f", f.Finish().ValueOrDie()}});
 }
 
 /// Scoped BENTO_CHUNK_ROWS override (nullptr = unset).
@@ -93,23 +103,23 @@ class PipelineWorkersGuard {
 std::vector<AggSpec> TestAggs() {
   return {{"v", AggKind::kSum, "v_sum"},   {"v", AggKind::kCount, "v_cnt"},
           {"v", AggKind::kMean, "v_mean"}, {"n", AggKind::kMin, "n_min"},
-          {"n", AggKind::kMax, "n_max"},   {"v", AggKind::kStd, "v_std"}};
+          {"n", AggKind::kMax, "n_max"},   {"v", AggKind::kStd, "v_std"},
+          {"f", AggKind::kSum, "f_sum"},   {"f", AggKind::kMean, "f_mean"},
+          {"f", AggKind::kStd, "f_std"}};
 }
 
 /// A pipeline that crosses every streaming breaker class: filter (streamable),
-/// one-hot + fillna-mean (two-pass), group-by (partial-agg), join (probe /
-/// grace), sort (external).
-///
-/// Accumulating aggregations (sum/mean/std) read only the all-integer column
-/// `n` here: FillNaMean fills `v` with a fractional mean (identical in both
-/// paths), but SUMMING fractional values chunk-wise legitimately differs
-/// from eager row-order summation by float association. `v` feeds only the
-/// order-independent min/max/count, keeping the whole plan bit-exact.
+/// one-hot + fillna-mean (two-pass), group-by (the in-order fold), join
+/// (probe / grace), sort (external). The fractional `f` and the
+/// mean-filled `v` feed sums, means and deviations, which match only when
+/// every fold adds in the kernel's order.
 std::vector<Op> BreakersPlan(const std::shared_ptr<frame::DataFrame>& labels) {
   std::vector<AggSpec> aggs = {
-      {"n", AggKind::kSum, "n_sum"}, {"n", AggKind::kMean, "n_mean"},
-      {"n", AggKind::kStd, "n_std"}, {"v", AggKind::kMin, "v_min"},
-      {"v", AggKind::kMax, "v_max"}, {"v", AggKind::kCount, "v_cnt"}};
+      {"n", AggKind::kSum, "n_sum"},  {"n", AggKind::kMean, "n_mean"},
+      {"n", AggKind::kStd, "n_std"},  {"v", AggKind::kMin, "v_min"},
+      {"v", AggKind::kMax, "v_max"},  {"v", AggKind::kCount, "v_cnt"},
+      {"v", AggKind::kSum, "v_sum"},  {"f", AggKind::kSum, "f_sum"},
+      {"f", AggKind::kMean, "f_mean"}, {"f", AggKind::kStd, "f_std"}};
   return {
       Op::Query("k >= 2"),
       Op::GetDummies("s"),
@@ -136,7 +146,7 @@ TablePtr LabelsTable() {
 /// simulated session runs the modeled 4-worker pipeline by default; the
 /// pinned one-worker arm runs the serial loop with streaming breakers.
 TEST(StreamingDifferentialTest, TightBudgetMatchesUnboundedAcrossChunkSizes) {
-  auto t = IntValuedTable(2500, /*seed=*/101);
+  auto t = RandomTable(2500, /*seed=*/101);
 
   struct NamedEngine {
     const char* name;
@@ -195,7 +205,7 @@ struct TempFile {
 /// on the lazy engines at this budget, so the same table also comes in as
 /// a CSV file, whose scan streams through the chunk driver.
 TEST(StreamingDifferentialTest, AllEnginesStableAcrossWorkersAndChunks) {
-  auto t = IntValuedTable(3000, /*seed=*/202);
+  auto t = RandomTable(3000, /*seed=*/202);
   TempFile csv("stable");
   ASSERT_TRUE(io::WriteCsv(t, csv.path).ok());
   std::vector<Op> plan = {
@@ -264,9 +274,9 @@ TablePtr MixedTable(int64_t rows, uint64_t seed) {
 
 /// An in-memory table runs whole-table unless the breakers stream. Without
 /// a budget the streaming engines stream no chunk through a stage map; under
-/// a budget of 4x the table they do. Both runs equal the plain
-/// frame::ExecTransform chain, in simulated and real sessions at 1 and 4
-/// workers.
+/// a budget of 4x the table they do, and the pivot streams. Both runs equal
+/// the plain frame::ExecTransform chain, column names included, in
+/// simulated and real sessions at 1 and 4 workers.
 TEST(StreamingDifferentialTest, InMemoryTableRunsWholeTableUnlessBreakersStream) {
   auto t = MixedTable(6000, /*seed=*/111);
   const std::vector<std::vector<Op>> plans = {
@@ -274,6 +284,7 @@ TEST(StreamingDifferentialTest, InMemoryTableRunsWholeTableUnlessBreakersStream)
        Op::GetDummies("s")},
       {Op::DropNa({"v"}), Op::ToDatetime("d"), Op::StrLower("s"),
        Op::FillNaMean("n")},
+      {Op::Query("k >= 2"), Op::Pivot("k", "s", "v", AggKind::kMean)},
   };
   LazySource source;
   source.kind = LazySource::Kind::kTable;
@@ -328,7 +339,7 @@ TEST(StreamingDifferentialTest, InMemoryTableRunsWholeTableUnlessBreakersStream)
 /// the same table, one charge per chunk the table spans. Real sessions take
 /// no modeled credit, so the credit is exactly the charge.
 TEST(StreamingDifferentialTest, VaexWholeTableChargesTheChunkStageOverhead) {
-  auto t = IntValuedTable(3000, /*seed=*/404);
+  auto t = RandomTable(3000, /*seed=*/404);
   VaexEngine vaex;
   ChunkRowsGuard chunk_guard("257");
   const std::vector<Op> plan = {Op::Query("k >= 1"), Op::StrLower("s")};
@@ -356,33 +367,38 @@ TEST(StreamingDifferentialTest, VaexWholeTableChargesTheChunkStageOverhead) {
   EXPECT_DOUBLE_EQ(whole, 12 * vaex.PerChunkOverheadSeconds());
 }
 
-/// Forced spill (threshold 0 spills the partial state from the first chunk)
-/// must still be bit-identical to the eager kernel, for any partition count.
+/// Forced spill must still be bit-identical to the eager kernel, for any
+/// partition count: threshold 0 spills every key from the first chunk, and
+/// a 16 KiB threshold engages after the first chunk, so the groups seen
+/// there fold in memory and the rest fold from disk.
 TEST(StreamingDifferentialTest, ForcedSpillGroupByBitIdentical) {
-  auto t = IntValuedTable(6000, /*seed=*/303, /*key_card=*/500);
+  auto t = RandomTable(6000, /*seed=*/303, /*key_card=*/500);
   auto aggs = TestAggs();
   auto eager = kern::GroupBy(t, {"k"}, aggs).ValueOrDie();
   frame::ExecPolicy policy;
 
   static obs::Counter* engaged =
       obs::MetricsRegistry::Global().counter("groupby.spill_engaged");
-  for (int partitions : {1, 3, 16}) {
-    SCOPED_TRACE(partitions);
-    const uint64_t engaged_before = engaged->value();
-    StreamingGroupByOptions options;
-    options.spill_partitions = partitions;
-    options.spill_threshold_bytes = 0;
-    TableChunkStream spilled_in(t, 257);
-    auto spilled =
-        StreamingGroupBy(&spilled_in, {"k"}, aggs, policy, options).ValueOrDie();
-    EXPECT_GT(engaged->value(), engaged_before);
-    test::ExpectTablesEqual(eager, spilled);
+  for (int64_t threshold : {int64_t{0}, int64_t{16} << 10}) {
+    for (int partitions : {1, 3, 16}) {
+      SCOPED_TRACE("threshold=" + std::to_string(threshold) +
+                   " partitions=" + std::to_string(partitions));
+      const uint64_t engaged_before = engaged->value();
+      StreamingGroupByOptions options;
+      options.spill_partitions = partitions;
+      options.spill_threshold_bytes = threshold;
+      TableChunkStream spilled_in(t, 257);
+      auto spilled = StreamingGroupBy(&spilled_in, {"k"}, aggs, policy, options)
+                         .ValueOrDie();
+      EXPECT_GT(engaged->value(), engaged_before);
+      test::ExpectTablesEqual(eager, spilled);
 
-    // And the default (never-spill without a session budget) path agrees.
-    TableChunkStream memory_in(t, 257);
-    auto in_memory =
-        StreamingGroupBy(&memory_in, {"k"}, aggs, policy).ValueOrDie();
-    test::ExpectTablesEqual(eager, in_memory);
+      // And the default (never-spill without a session budget) path agrees.
+      TableChunkStream memory_in(t, 257);
+      auto in_memory =
+          StreamingGroupBy(&memory_in, {"k"}, aggs, policy).ValueOrDie();
+      test::ExpectTablesEqual(eager, in_memory);
+    }
   }
 }
 
@@ -448,11 +464,11 @@ TEST(StreamingDifferentialTest, GraceJoinMatchesHashJoin) {
   }
 }
 
-/// End-to-end through the engine: a budget too small for the partial-agg
-/// state forces the group-by to spill, the plan still completes, and the
-/// frame matches the unbounded run.
+/// End-to-end through the engine: a budget too small for the group state
+/// forces the group-by to spill, the plan still completes, and the frame
+/// matches the unbounded run.
 TEST(StreamingDifferentialTest, EngineGroupBySpillsUnderTinyBudgetAndMatches) {
-  auto t = IntValuedTable(20000, /*seed=*/505, /*key_card=*/4000);
+  auto t = RandomTable(20000, /*seed=*/505, /*key_card=*/4000);
   SparkSqlEngine engine;
   LazySource source;
   source.kind = LazySource::Kind::kTable;
@@ -471,17 +487,17 @@ TEST(StreamingDifferentialTest, EngineGroupBySpillsUnderTinyBudgetAndMatches) {
   auto streamed = engine.Execute(source, plan);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_GT(engaged->value(), engaged_before)
-      << "budget/8 should be below the 4000-group partial state";
+      << "budget/8 should be below the 4000-group state";
   test::ExpectTablesEqual(unbounded, streamed.ValueOrDie());
 }
 
 /// The pipelined group-by fold must be bit-identical to the eager kernel for
 /// ANY worker count — including under forced hash collisions (every group in
-/// one bucket chain) and forced spill (partial state hash-partitioned to
-/// disk from the first chunk). Workers only parallelize the pure per-chunk
-/// partial aggregation; the merge stays serial in claim order.
+/// one bucket chain) and forced spill (every key's rows hash-partitioned to
+/// disk from the first chunk). Workers only run the per-chunk key hash; the
+/// fold stays serial in claim order.
 TEST(StreamingDifferentialTest, GroupByWorkerSweepBitIdentical) {
-  auto t = IntValuedTable(5000, /*seed=*/606, /*key_card=*/200);
+  auto t = RandomTable(5000, /*seed=*/606, /*key_card=*/200);
   auto aggs = TestAggs();
   frame::ExecPolicy policy;
 
@@ -509,13 +525,119 @@ TEST(StreamingDifferentialTest, GroupByWorkerSweepBitIdentical) {
   }
 }
 
+/// The streaming pivot is the streaming group-by plus an in-memory pivot of
+/// one value per cell, so every cell — fractional sums, means and
+/// deviations included — equals kern::PivotTable's bit for bit, under the
+/// kernel's column names, at chunk sizes from one row to the whole table,
+/// at 1 to 8 workers, under forced collisions and under forced spill.
+TEST(StreamingDifferentialTest, PivotMatchesKernelBitForBit) {
+  // Two edge cells after the random rows: (40, a) holds only nulls, which
+  // the kernel leaves null under every aggregation, count included, and
+  // (41, b) holds only -0.0.
+  auto edge = MakeTable({{"k", I64({40, 40, 41})},
+                         {"v", test::F64({0.0, 0.0, 0.0})},
+                         {"n", I64({0, 0, 0})},
+                         {"s", Str({"a", "a", "b"})},
+                         {"f", test::F64({1.0, 2.0, -0.0},
+                                         {false, false, true})}});
+  auto t = col::ConcatTables({RandomTable(1500, /*seed=*/313, /*key_card=*/40),
+                              edge})
+               .ValueOrDie();
+  frame::ExecPolicy policy;
+  struct Arm {
+    int64_t chunk;
+    int workers;
+    bool collisions;
+    int64_t spill_threshold;  // -1: never
+    int partitions;
+  };
+  std::vector<Arm> arms;
+  for (int64_t chunk :
+       {int64_t{1}, int64_t{7}, int64_t{64}, int64_t{1} << 30}) {
+    for (int workers : {1, 2, 4, 8}) {
+      arms.push_back({chunk, workers, false, -1, 16});
+    }
+  }
+  for (bool collisions : {false, true}) {
+    for (int partitions : {1, 3, 16}) {
+      for (int64_t threshold : {int64_t{0}, int64_t{4} << 10}) {
+        arms.push_back({64, 4, collisions, threshold, partitions});
+      }
+    }
+  }
+  for (AggKind agg : {AggKind::kSum, AggKind::kMean, AggKind::kStd,
+                      AggKind::kMin, AggKind::kMax, AggKind::kCount}) {
+    const Op op = Op::Pivot("k", "s", "f", agg);
+    for (const Arm& arm : arms) {
+      SCOPED_TRACE(std::string(kern::AggName(agg)) +
+                   " chunk=" + std::to_string(arm.chunk) +
+                   " workers=" + std::to_string(arm.workers) +
+                   " collisions=" + std::to_string(arm.collisions) +
+                   " threshold=" + std::to_string(arm.spill_threshold) +
+                   " partitions=" + std::to_string(arm.partitions));
+      std::optional<kern::ScopedForcedHashCollisions> forced;
+      if (arm.collisions) forced.emplace();
+      auto expected = kern::PivotTable(t, "k", "s", "f", agg).ValueOrDie();
+      StreamingGroupByOptions options;
+      options.pipeline.workers = arm.workers;
+      options.spill_threshold_bytes = arm.spill_threshold;
+      options.spill_partitions = arm.partitions;
+      TableChunkStream in(t, arm.chunk);
+      auto streamed = StreamingPivot(&in, op, policy, options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      test::ExpectTablesEqual(expected, streamed.ValueOrDie());
+    }
+  }
+}
+
+/// FillNaMean's streamed mean and the kernel's are one fold: the valid cells
+/// added one by one in row order, NaN skipped. A fractional column with
+/// nulls and NaN cells, streamed through the two-pass fill under a tight
+/// budget at chunk sizes 1, 7 and 64, fills exactly what frame::ExecTransform
+/// fills in memory.
+TEST(StreamingDifferentialTest, FillNaMeanMatchesInMemoryWithNaN) {
+  Rng rng(515);
+  col::Int64Builder k;
+  col::Float64Builder f;
+  for (int64_t i = 0; i < 3000; ++i) {
+    k.Append(rng.UniformInt(0, 22));
+    const bool nan = rng.Bernoulli(0.05);
+    f.AppendMaybe(nan ? std::nan("") : rng.UniformDouble(-100.0, 100.0),
+                  !rng.Bernoulli(0.2));
+  }
+  auto t = MakeTable(
+      {{"k", k.Finish().ValueOrDie()}, {"f", f.Finish().ValueOrDie()}});
+  const std::vector<Op> plan = {Op::Query("k >= 2"), Op::FillNaMean("f")};
+  TablePtr expected = t;
+  for (const Op& op : plan) {
+    expected = frame::ExecTransform(expected, op, {}).ValueOrDie();
+  }
+  LazySource source;
+  source.kind = LazySource::Kind::kTable;
+  source.table = t;
+  for (const char* engine_id : {"spark_sql", "polars", "vaex"}) {
+    auto created = frame::CreateEngine(engine_id).ValueOrDie();
+    auto* engine = dynamic_cast<LazyEngineBase*>(created.get());
+    ASSERT_NE(engine, nullptr);
+    for (const char* chunk_rows : {"1", "7", "64"}) {
+      SCOPED_TRACE(std::string(engine_id) + " chunk_rows=" + chunk_rows);
+      ChunkRowsGuard guard(chunk_rows);
+      sim::Session session(sim::MachineSpec{
+          "tight", 4, static_cast<uint64_t>(t->ByteSize() * 4), std::nullopt});
+      auto streamed = engine->Execute(source, plan);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      test::ExpectTablesEqual(expected, streamed.ValueOrDie());
+    }
+  }
+}
+
 /// Same contract for the pipelined dedup, checked against the kernel
 /// reference: hashing fans out across workers, the first-seen filter stays
 /// serial, and the kept rows equal kern::DropDuplicates for any worker count
 /// and chunking — also when every row hashes alike, where only the row
 /// equality check tells distinct rows apart.
 TEST(StreamingDifferentialTest, DedupWorkerSweepBitIdentical) {
-  auto t = IntValuedTable(4000, /*seed=*/707, /*key_card=*/37);
+  auto t = RandomTable(4000, /*seed=*/707, /*key_card=*/37);
   for (bool collisions : {false, true}) {
     std::optional<kern::ScopedForcedHashCollisions> forced;
     if (collisions) forced.emplace();
@@ -545,7 +667,7 @@ TEST(StreamingDifferentialTest, DedupWorkerSweepBitIdentical) {
 /// 2, 4 and 8 pipeline workers as the unbounded in-memory run — and stay
 /// under the budget while doing it.
 TEST(StreamingDifferentialTest, EnginePipelineWorkerSweepMatchesInMemory) {
-  auto t = IntValuedTable(6000, /*seed=*/808);
+  auto t = RandomTable(6000, /*seed=*/808);
 
   struct NamedEngine {
     const char* name;
@@ -826,7 +948,7 @@ TEST(StreamingDifferentialTest, BcfSourceMatchesWholeFileReadAcrossWorkers) {
 /// see only zero-row chunks. Each must return the typed empty frame of the
 /// unbounded run, for table, CSV and BCF sources at 1 and 4 workers.
 TEST(StreamingDifferentialTest, EmptiedStreamMatchesUnbounded) {
-  auto t = IntValuedTable(3000, /*seed=*/919);
+  auto t = RandomTable(3000, /*seed=*/919);
   TempFile csv("emptied");
   TempFile bcf("emptied", ".bcf");
   ASSERT_TRUE(io::WriteCsv(t, csv.path).ok());
