@@ -145,19 +145,6 @@ ChunkMapFn StageMap(const Op* ops, size_t n_ops, const ExecPolicy& policy,
   };
 }
 
-/// A transform stage: `map` over every chunk of `inner`, delivered in
-/// stream order (inline on the calling thread when `pipe` is serial).
-std::unique_ptr<ParallelPipelineDriver> MakeStage(ChunkStream* inner,
-                                                  ChunkMapFn map,
-                                                  const PipelineOptions& pipe) {
-  return std::make_unique<ParallelPipelineDriver>(
-      inner,
-      [map = std::move(map)](col::TablePtr chunk, int64_t) {
-        return map(std::move(chunk));
-      },
-      pipe);
-}
-
 /// Charges a finished stage's modeled per-chunk overhead on the calling
 /// thread, which owns the session clock (pipeline workers do not).
 void ChargeChunks(double per_chunk_seconds, int64_t chunks) {
@@ -317,7 +304,10 @@ Result<col::TablePtr> LazyEngineBase::Execute(
         (ops[j].kind == OpKind::kGroupByAgg || ops[j].kind == OpKind::kPivot ||
          ops[j].kind == OpKind::kDropDuplicates);
     std::unique_ptr<ParallelPipelineDriver> stage;
-    if (!fuse_into_breaker) stage = MakeStage(stream.get(), stage_map, pipe);
+    if (!fuse_into_breaker) {
+      stage = std::make_unique<ParallelPipelineDriver>(stream.get(), stage_map,
+                                                       pipe);
+    }
     ChunkStream* run_stream = stage != nullptr ? stage.get() : stream.get();
 
     // Joins the stage's workers — nothing may still hold the old stream
@@ -407,7 +397,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
           // Pass 1 reads the spill through a driver, so its row groups
           // decode on the pipeline workers; the fold stays in stream order.
           BENTO_ASSIGN_OR_RETURN(auto spill_stream, BcfChunkStream::Open(path));
-          auto pass1 = MakeStage(
+          auto pass1 = std::make_unique<ParallelPipelineDriver>(
               spill_stream.get(),
               [](col::TablePtr chunk) -> Result<col::TablePtr> {
                 return chunk;
@@ -555,7 +545,7 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
   ExecPolicy worker_policy = policy;
   if (pipe.parallel()) worker_policy.parallel = false;
   BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, {}));
-  const auto stage = MakeStage(
+  const auto stage = std::make_unique<ParallelPipelineDriver>(
       stream.get(), StageMap(ops.data(), ops.size(), worker_policy, nullptr),
       pipe);
 

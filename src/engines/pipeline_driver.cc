@@ -50,8 +50,9 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy) {
 // ParallelPipelineDriver
 // ---------------------------------------------------------------------------
 
-ParallelPipelineDriver::ParallelPipelineDriver(ChunkStream* inner, MapFn map,
-                                                 const PipelineOptions& options)
+ParallelPipelineDriver::ParallelPipelineDriver(ChunkStream* inner,
+                                               ChunkMapFn map,
+                                               const PipelineOptions& options)
     : inner_(inner),
       map_(std::move(map)),
       options_(options),
@@ -128,7 +129,7 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
     if (out.ok()) {
       chunk_counter->Increment();
       BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
-      out = map_(out.MoveValueUnsafe(), seq);
+      out = map_(out.MoveValueUnsafe());
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -194,10 +195,10 @@ Result<col::TablePtr> ParallelPipelineDriver::Next() {
       chunk_counter->Increment();
       BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
       const double t1 = sim::NowSeconds();
-      out = map_(out.MoveValueUnsafe(), seq);
+      out = map_(out.MoveValueUnsafe());
       sim_map_seconds_.push_back(sim::NowSeconds() - t1);
     } else if (out.ok()) {
-      out = map_(out.MoveValueUnsafe(), seq);
+      out = map_(out.MoveValueUnsafe());
     }
     if (!out.ok()) {
       terminal_ = true;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -88,12 +87,9 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 /// streaming loop.
 class ParallelPipelineDriver : public ChunkStream {
  public:
-  /// Pure per-chunk transform; `seq` is the chunk's 0-based claim index.
-  using MapFn =
-      std::function<Result<col::TablePtr>(col::TablePtr chunk, int64_t seq)>;
-
-  ParallelPipelineDriver(ChunkStream* inner, MapFn map,
-                          const PipelineOptions& options);
+  /// `map` is the pure per-chunk transform.
+  ParallelPipelineDriver(ChunkStream* inner, ChunkMapFn map,
+                         const PipelineOptions& options);
   ~ParallelPipelineDriver() override;
 
   /// Next mapped chunk in claim order, or nullptr at end of stream.
@@ -119,7 +115,7 @@ class ParallelPipelineDriver : public ChunkStream {
   static constexpr int kReadahead = 2;
 
   ChunkStream* inner_;
-  MapFn map_;
+  ChunkMapFn map_;
   PipelineOptions options_;
   sim::MemoryPool* pool_;  // consumer-thread pool, installed on workers
   int capacity_ = 0;       // max chunks in flight (claimed, not consumed)

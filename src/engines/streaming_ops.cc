@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -128,11 +129,15 @@ class StreamGrouper {
 
   int64_t num_groups() const { return seen_.num_groups(); }
 
-  /// Bytes the grouper, the row locations and the kept rows hold.
-  int64_t ByteSize() const {
-    return seen_.ByteSize() + kept_bytes_ +
+  /// Bytes the grouper and the row locations hold (heap the MemoryPool
+  /// does not allocate).
+  int64_t HeapBytes() const {
+    return seen_.ByteSize() +
            static_cast<int64_t>(where_.capacity() * sizeof(where_[0]));
   }
+
+  /// HeapBytes plus the kept rows.
+  int64_t ByteSize() const { return HeapBytes() + kept_bytes_; }
 
   /// The kept rows, one per group in group order; needs a group.
   Result<TablePtr> TakeKept() { return col::ConcatTablesReleasing(&kept_); }
@@ -199,6 +204,88 @@ Status StreamGrouper::Assign(const TablePtr& rows, const int64_t* hashes,
   return Status::OK();
 }
 
+/// One group-by fold over hashed chunks fed in stream order: the
+/// cross-chunk grouper numbers the groups, and each row feeds its group's
+/// kern::AggFold state, so a group's states are kern::GroupBy's.
+class GroupFold {
+ public:
+  /// A new group keeps its first row's `kept` columns: the keys, and the
+  /// stream position when folding spilled rows.
+  GroupFold(const std::vector<std::string>& keys,
+            std::vector<std::string> kept)
+      : grouper_(keys), kept_(std::move(kept)) {}
+  ~GroupFold() {
+    if (charged_ > 0) pool_->Release(charged_);
+  }
+
+  /// Feeds every row of the hashed `chunk` into its group. With `insert`
+  /// off, a row whose key has no group is not folded, and its index is
+  /// appended to `*unseen`.
+  Status Add(const TablePtr& chunk, const std::vector<AggSpec>& aggs,
+             bool insert, std::vector<int64_t>* unseen) {
+    BENTO_RETURN_NOT_OK(fold_.Bind(chunk, aggs));
+    BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
+    BENTO_ASSIGN_OR_RETURN(auto kept_rows, chunk->SelectColumns(kept_));
+    BENTO_RETURN_NOT_OK(grouper_.Assign(kept_rows, hash_column->int64_data(),
+                                        insert, &groups_));
+    for (int64_t i = 0; i < chunk->num_rows(); ++i) {
+      const int64_t group = groups_[static_cast<size_t>(i)];
+      if (group != kern::FlatGrouper::kNone) {
+        fold_.Add(group, i);
+      } else {
+        unseen->push_back(i);
+      }
+    }
+    // The grouper's slots and row locations and the states are plain heap:
+    // charge their growth to the pool, as the key rows' buffers are.
+    const auto heap =
+        static_cast<uint64_t>(grouper_.HeapBytes() + fold_.ByteSize());
+    if (heap <= charged_) return Status::OK();
+    BENTO_RETURN_NOT_OK(pool_->Reserve(heap - charged_));
+    charged_ = heap;
+    return Status::OK();
+  }
+
+  /// Bytes the fold holds, kept rows included.
+  int64_t ByteSize() const { return grouper_.ByteSize() + fold_.ByteSize(); }
+
+  /// One row per group in first-seen order: the kept columns, then one
+  /// column per aggregation; nullptr when no row was folded.
+  Result<TablePtr> Finish(const std::vector<AggSpec>& aggs) {
+    if (fold_.num_groups() == 0) return TablePtr(nullptr);
+    BENTO_ASSIGN_OR_RETURN(auto firsts, grouper_.TakeKept());
+    return fold_.Finish(firsts, aggs);
+  }
+
+ private:
+  StreamGrouper grouper_;
+  kern::AggFold fold_;
+  std::vector<std::string> kept_;
+  std::vector<int64_t> groups_;
+  std::shared_ptr<sim::MemoryPool::State> pool_ =
+      sim::MemoryPool::Current()->state();
+  uint64_t charged_ = 0;  // heap bytes reserved in `pool_`
+};
+
+/// Folds partition `p` of the spilled rows frame by frame. All rows of a
+/// spilled key are in one partition, in stream order, so its group's first
+/// row holds the key's first stream position (kept as kSeqColumn) and its
+/// states equal kern::GroupBy's. nullptr when the partition is empty.
+Result<TablePtr> FoldSpilledPartition(SpillFrameStore* store, int p,
+                                      const std::vector<std::string>& keys,
+                                      const std::vector<AggSpec>& aggs) {
+  std::vector<std::string> kept = keys;
+  kept.push_back(kSeqColumn);
+  GroupFold fold(keys, std::move(kept));
+  BENTO_ASSIGN_OR_RETURN(auto frames, store->OpenPartition(p));
+  while (true) {
+    BENTO_ASSIGN_OR_RETURN(auto frame, frames->Next());
+    if (frame == nullptr) break;
+    BENTO_RETURN_NOT_OK(fold.Add(frame, aggs, true, nullptr));
+  }
+  return fold.Finish(aggs);
+}
+
 }  // namespace
 
 Result<TablePtr> StreamingGroupBy(ChunkStream* input,
@@ -224,7 +311,7 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
   // worker count.
   ParallelPipelineDriver hashed_stream(
       input,
-      [&keys, pre_map = options.pre_map](TablePtr chunk, int64_t) {
+      [&keys, pre_map = options.pre_map](TablePtr chunk) {
         return HashKeys(std::move(chunk), keys, pre_map);
       },
       options.pipeline);
@@ -234,8 +321,7 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
   // with an unseen key goes, with its stream position, to the hash
   // partition of its key on disk, so all rows of such a key end up in one
   // partition in stream order.
-  StreamGrouper grouper(keys);
-  kern::AggFold fold;
+  auto fold = std::make_unique<GroupFold>(keys, keys);
   std::vector<std::string> spill_columns = keys;
   for (const AggSpec& spec : aggs) {
     if (std::find(spill_columns.begin(), spill_columns.end(), spec.column) ==
@@ -243,8 +329,9 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
       spill_columns.push_back(spec.column);
     }
   }
+  spill_columns.push_back(kHashColumn);
   std::unique_ptr<SpillFrameStore> store;  // non-null once spilling
-  std::vector<int64_t> groups;
+  std::vector<int64_t> unseen;
   int64_t stream_rows = 0;  // rows before the current chunk
   TablePtr empty_chunk;     // first zero-row mapped chunk
   while (true) {
@@ -256,32 +343,23 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
       continue;
     }
     BENTO_TRACE_SPAN(kEngine, "groupby.fold");
-    if (store == nullptr &&
-        grouper.ByteSize() + fold.ByteSize() >= spill_threshold) {
+    if (store == nullptr && fold->ByteSize() >= spill_threshold) {
       static obs::Counter* spilled =
           obs::MetricsRegistry::Global().counter("groupby.spill_engaged");
       spilled->Increment();
       BENTO_ASSIGN_OR_RETURN(store, SpillFrameStore::Create(n_partitions));
     }
-    BENTO_RETURN_NOT_OK(fold.Bind(chunk, aggs));
-    BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
-    const int64_t* hashes = hash_column->int64_data();
-    BENTO_ASSIGN_OR_RETURN(auto key_rows, chunk->SelectColumns(keys));
-    BENTO_RETURN_NOT_OK(
-        grouper.Assign(key_rows, hashes, store == nullptr, &groups));
-    std::vector<std::vector<int64_t>> spill_rows(
-        store != nullptr ? static_cast<size_t>(n_partitions) : 0);
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t group = groups[static_cast<size_t>(i)];
-      if (group != kern::FlatGrouper::kNone) {
-        fold.Add(group, i);
-      } else {
-        spill_rows[static_cast<uint64_t>(hashes[i]) %
+    unseen.clear();
+    BENTO_RETURN_NOT_OK(fold->Add(chunk, aggs, store == nullptr, &unseen));
+    if (!unseen.empty()) {
+      BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
+      std::vector<std::vector<int64_t>> spill_rows(
+          static_cast<size_t>(n_partitions));
+      for (int64_t i : unseen) {
+        spill_rows[static_cast<uint64_t>(hash_column->int64_data()[i]) %
                    static_cast<uint64_t>(n_partitions)]
             .push_back(i);
       }
-    }
-    if (store != nullptr) {
       BENTO_ASSIGN_OR_RETURN(auto spill_input,
                              chunk->SelectColumns(spill_columns));
       BENTO_ASSIGN_OR_RETURN(spill_input,
@@ -302,28 +380,22 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
   // In-memory groups were all seen before any spilled one, so they come
   // first, in group id order.
   std::vector<TablePtr> parts;
-  if (fold.num_groups() > 0) {
-    BENTO_ASSIGN_OR_RETURN(auto firsts, grouper.TakeKept());
-    BENTO_ASSIGN_OR_RETURN(auto folded, fold.Finish(firsts, aggs));
-    parts.push_back(std::move(folded));
-  }
+  BENTO_ASSIGN_OR_RETURN(auto folded, fold->Finish(aggs));
+  if (folded != nullptr) parts.push_back(std::move(folded));
+  fold.reset();
   if (store != nullptr) {
-    // kern::GroupBy folds each spilled key over all its rows in stream
-    // order, and the min stream position orders those groups as first seen.
+    // Each spilled key is folded over all its rows in stream order, and the
+    // first stream position orders those groups as first seen.
     BENTO_TRACE_SPAN(kEngine, "groupby.spill_fold");
-    std::vector<AggSpec> with_seq = aggs;
-    with_seq.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
-    std::vector<TablePtr> folded;
+    std::vector<TablePtr> spilled;
     for (int p = 0; p < n_partitions; ++p) {
-      BENTO_ASSIGN_OR_RETURN(auto frames, store->ReadPartition(p));
-      if (frames.empty()) continue;
-      BENTO_ASSIGN_OR_RETURN(auto rows, col::ConcatTablesReleasing(&frames));
-      BENTO_ASSIGN_OR_RETURN(auto part, kern::GroupBy(rows, keys, with_seq));
-      folded.push_back(std::move(part));
+      BENTO_ASSIGN_OR_RETURN(
+          auto part, FoldSpilledPartition(store.get(), p, keys, aggs));
+      if (part != nullptr) spilled.push_back(std::move(part));
     }
     store.reset();
-    if (!folded.empty()) {
-      BENTO_ASSIGN_OR_RETURN(auto all, col::ConcatTablesReleasing(&folded));
+    if (!spilled.empty()) {
+      BENTO_ASSIGN_OR_RETURN(auto all, col::ConcatTablesReleasing(&spilled));
       BENTO_ASSIGN_OR_RETURN(auto ordered, RestoreSeqOrder(all));
       parts.push_back(std::move(ordered));
     }
@@ -557,7 +629,7 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
   // count: the filter kern::DropDuplicates runs, across chunks.
   ParallelPipelineDriver hashed_stream(
       input,
-      [&subset, pre_map = options.pre_map](TablePtr chunk, int64_t) {
+      [&subset, pre_map = options.pre_map](TablePtr chunk) {
         return HashKeys(std::move(chunk), subset, pre_map);
       },
       options.pipeline);

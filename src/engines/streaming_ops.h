@@ -52,15 +52,16 @@ struct StreamingDedupOptions {
 
 /// \brief Streaming group-by as one fold in stream order: pipeline workers
 /// hash the keys, and the calling thread assigns every row to its group
-/// across chunks and feeds it into the group's kern::AggFold state. Peak
-/// memory O(#groups). Once the group state reaches the spill threshold,
-/// rows of keys already grouped keep folding in memory and rows of unseen
-/// keys hash-partition to a SpillFrameStore; kern::GroupBy folds each
-/// partition at the end, and a hidden min-stream-position column puts
-/// those groups after the in-memory ones in first-seen order. Every group
-/// is folded once, over its rows in stream order, so the result equals
-/// kern::GroupBy bit for bit — floats included — for any chunking, worker
-/// count and spill.
+/// across chunks and feeds it into the group's kern::AggFold state, whose
+/// heap is charged to the current MemoryPool. Once the group state reaches
+/// the spill threshold, rows of keys already grouped keep folding in memory
+/// and rows of unseen keys hash-partition to a SpillFrameStore. At the end
+/// each partition folds frame by frame, and a hidden stream-position column
+/// puts those groups after the in-memory ones in first-seen order. Peak
+/// memory: the in-memory groups, then one partition's groups and frame.
+/// Every group is folded once, over its rows in stream order, so the result
+/// equals kern::GroupBy bit for bit — floats included — for any chunking,
+/// worker count and spill.
 Result<col::TablePtr> StreamingGroupBy(
     ChunkStream* input, const std::vector<std::string>& keys,
     const std::vector<kern::AggSpec>& aggs, const frame::ExecPolicy& policy,

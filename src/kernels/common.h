@@ -18,8 +18,7 @@ using col::TablePtr;
 using col::TypeId;
 
 /// \brief Aggregations supported by group-by, describe, and pivot.
-/// kSumSq is the sum of squares, the moment kStd is finalized from.
-enum class AggKind { kSum, kMean, kMin, kMax, kCount, kStd, kSumSq };
+enum class AggKind { kSum, kMean, kMin, kMax, kCount, kStd };
 
 const char* AggName(AggKind kind);
 

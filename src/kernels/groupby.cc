@@ -49,8 +49,6 @@ double AggState::Result(AggKind kind, bool* is_null) const {
       double var = (sum_sq - sum * sum / n) / (n - 1.0);
       return var > 0.0 ? std::sqrt(var) : 0.0;
     }
-    case AggKind::kSumSq:
-      return sum_sq;
   }
   return 0.0;
 }
@@ -74,8 +72,6 @@ const char* AggName(AggKind kind) {
       return "count";
     case AggKind::kStd:
       return "std";
-    case AggKind::kSumSq:
-      return "sumsq";
   }
   return "?";
 }

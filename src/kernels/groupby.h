@@ -34,6 +34,29 @@ struct AggState {
     ++count;
   }
 
+  /// \brief Folds `other` into this state, where `other` accumulated rows
+  /// that all come after this state's rows. min/max/count/rows compose
+  /// exactly; sum and sum_sq compose by addition, which is bit-identical to
+  /// serial accumulation whenever the operands are exactly representable
+  /// (integer-valued inputs) and within 1 ulp per merge otherwise. No
+  /// group-by merges states: each group is folded by exactly one AggFold,
+  /// so no output depends on this rounding.
+  void Merge(const AggState& other) {
+    if (other.count > 0) {
+      if (count == 0) {
+        min = other.min;
+        max = other.max;
+      } else {
+        if (other.min < min) min = other.min;
+        if (other.max > max) max = other.max;
+      }
+    }
+    sum += other.sum;
+    sum_sq += other.sum_sq;
+    count += other.count;
+    rows += other.rows;
+  }
+
   /// \brief Finalized value for `kind`; sets *is_null for empty groups
   /// (kStd additionally needs count >= 2).
   double Result(AggKind kind, bool* is_null) const;

@@ -114,9 +114,6 @@ Result<TablePtr> PivotTable(const TablePtr& table, const std::string& index,
         case AggKind::kCount:
           v = static_cast<double>(cell.count);
           break;
-        case AggKind::kSumSq:
-          v = cell.sum_sq;
-          break;
         case AggKind::kStd: {
           if (cell.count < 2) {
             b.AppendNull();

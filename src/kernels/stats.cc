@@ -123,8 +123,6 @@ Result<Scalar> MomentsToScalar(const Moments& m, AggKind kind) {
       double var = (m.sum_sq - m.sum * m.sum / n) / (n - 1.0);
       return Scalar::Double(var > 0.0 ? std::sqrt(var) : 0.0);
     }
-    case AggKind::kSumSq:
-      return Scalar::Double(m.sum_sq);
     case AggKind::kCount:
       break;
   }

@@ -11,7 +11,6 @@
 #include "kernels/cast.h"
 #include "kernels/datetime.h"
 #include "kernels/encode.h"
-#include "kernels/groupby.h"
 #include "kernels/pivot.h"
 #include "kernels/stats.h"
 #include "util/random.h"
@@ -601,33 +600,6 @@ TEST(PivotTest, CountAndSum) {
   auto sum = PivotTable(t, "r", "c", "v", AggKind::kSum).ValueOrDie();
   EXPECT_DOUBLE_EQ(sum->GetColumn("v_a").ValueOrDie()->float64_data()[0], 12.0);
   EXPECT_FALSE(PivotTable(t, "r", "c", "c").ok());  // non-numeric values
-}
-
-TEST(PivotTest, SumSqMatchesGroupBy) {
-  // Each cell of a sum-of-squares pivot is its (index, columns) group's
-  // kSumSq; both kernels skip null and NaN values, so (2, b) is empty.
-  auto t = MakeTable({{"r", I64({1, 1, 2, 2, 1, 2, 1})},
-                      {"c", Str({"a", "b", "a", "a", "a", "b", "b"})},
-                      {"v", F64({3, -2, 0.5, 4, 1, NAN, 1.5},
-                                {true, true, true, true, false, true, true})}});
-  auto pivot = PivotTable(t, "r", "c", "v", AggKind::kSumSq).ValueOrDie();
-  auto grouped =
-      GroupBy(t, {"r", "c"}, {{"v", AggKind::kSumSq, "sumsq"}}).ValueOrDie();
-  ASSERT_EQ(grouped->num_rows(), 4);
-  auto pivot_r = pivot->GetColumn("r").ValueOrDie();
-  auto r = grouped->GetColumn("r").ValueOrDie();
-  auto c = grouped->GetColumn("c").ValueOrDie();
-  auto sumsq = grouped->GetColumn("sumsq").ValueOrDie();
-  for (int64_t g = 0; g < grouped->num_rows(); ++g) {
-    SCOPED_TRACE("group " + std::to_string(g));
-    int64_t row = 0;
-    while (pivot_r->int64_data()[row] != r->int64_data()[g]) ++row;
-    auto cell = pivot->GetColumn("v_" + test::CellStr(*c, g)).ValueOrDie();
-    EXPECT_EQ(test::CellStr(*cell, row), test::CellStr(*sumsq, g));
-  }
-  EXPECT_DOUBLE_EQ(pivot->GetColumn("v_b").ValueOrDie()->float64_data()[0],
-                   6.25);
-  EXPECT_TRUE(pivot->GetColumn("v_b").ValueOrDie()->IsNull(1));
 }
 
 // --- apply ---

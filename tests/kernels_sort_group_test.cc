@@ -562,6 +562,90 @@ TEST(GroupByTest, PartitionedForcedHashCollisions) {
   test::ExpectTablesEqual(serial, partitioned);
 }
 
+TEST(AggStateTest, MergeMatchesSerialOnIntegerData) {
+  // Integer-valued doubles: the moment sums are exact, so any split of the
+  // sequence must merge to the bit-identical state.
+  Rng rng(44);
+  std::vector<double> values;
+  for (int i = 0; i < 3000; ++i) {
+    values.push_back(static_cast<double>(rng.UniformInt(-1000, 1000)));
+  }
+  AggState serial;
+  for (double v : values) {
+    serial.rows += 1;
+    serial.Add(v);
+  }
+  // Skewed splits: 1 | n-1, n-1 | 1, and several random cut sets.
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<size_t> cuts = {0, values.size()};
+    if (trial == 0) cuts.insert(cuts.begin() + 1, 1);
+    else if (trial == 1) cuts.insert(cuts.begin() + 1, values.size() - 1);
+    else {
+      for (int c = 0; c < trial % 5 + 1; ++c) {
+        cuts.push_back(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(values.size()))));
+      }
+      std::sort(cuts.begin(), cuts.end());
+    }
+    AggState merged;
+    for (size_t s = 0; s + 1 < cuts.size(); ++s) {
+      AggState part;
+      for (size_t i = cuts[s]; i < cuts[s + 1]; ++i) {
+        part.rows += 1;
+        part.Add(values[i]);
+      }
+      merged.Merge(part);
+    }
+    EXPECT_EQ(serial.count, merged.count);
+    EXPECT_EQ(serial.rows, merged.rows);
+    EXPECT_EQ(serial.sum, merged.sum);
+    EXPECT_EQ(serial.sum_sq, merged.sum_sq);
+    EXPECT_EQ(serial.min, merged.min);
+    EXPECT_EQ(serial.max, merged.max);
+    for (AggKind kind : {AggKind::kSum, AggKind::kMean, AggKind::kMin,
+                         AggKind::kMax, AggKind::kStd, AggKind::kCount}) {
+      bool sn = false, mn = false;
+      EXPECT_EQ(serial.Result(kind, &sn), merged.Result(kind, &mn));
+      EXPECT_EQ(sn, mn);
+    }
+  }
+}
+
+TEST(AggStateTest, MergeNumericallyStableOnRealData) {
+  // Arbitrary doubles: sum/sum_sq compose by addition (tolerance-checked);
+  // min/max/count stay exact under any split, including empty segments.
+  Rng rng(45);
+  std::vector<double> values;
+  for (int i = 0; i < 5000; ++i) values.push_back(rng.UniformDouble(-1e6, 1e6));
+  AggState serial;
+  for (double v : values) {
+    serial.rows += 1;
+    serial.Add(v);
+  }
+  AggState merged;
+  merged.Merge(AggState());  // empty-segment merge is a no-op
+  size_t i = 0;
+  while (i < values.size()) {
+    size_t len = static_cast<size_t>(rng.UniformInt(0, 400));
+    AggState part;
+    for (size_t j = i; j < std::min(values.size(), i + len); ++j) {
+      part.rows += 1;
+      part.Add(values[j]);
+    }
+    merged.Merge(part);
+    i += len;
+  }
+  EXPECT_EQ(serial.count, merged.count);
+  EXPECT_EQ(serial.min, merged.min);
+  EXPECT_EQ(serial.max, merged.max);
+  EXPECT_NEAR(serial.sum, merged.sum, 1e-9 * std::abs(serial.sum) + 1e-4);
+  EXPECT_NEAR(serial.sum_sq, merged.sum_sq, 1e-10 * serial.sum_sq);
+  bool sn = false, mn = false;
+  EXPECT_NEAR(serial.Result(AggKind::kStd, &sn),
+              merged.Result(AggKind::kStd, &mn), 1e-6);
+  EXPECT_EQ(sn, mn);
+}
+
 TEST(JoinTest, InnerJoin) {
   auto left = MakeTable({{"k", I64({1, 2, 3})}, {"lv", Str({"a", "b", "c"})}});
   auto right = MakeTable({{"k", I64({2, 3, 4})}, {"rv", F64({20, 30, 40})}});

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -55,19 +56,20 @@ std::vector<TablePtr> RaggedChunks(uint64_t seed, int n_chunks) {
   return chunks;
 }
 
-/// The map under test: a real per-chunk transform (v -> v * 2 + seq tag)
-/// with a completion-order scrambler — earlier chunks sleep longer, so with
-/// several workers chunk k+1 routinely finishes before chunk k and the
-/// reorder buffer must restore claim order.
-ParallelPipelineDriver::MapFn ScrambledDouble() {
-  return [](TablePtr chunk, int64_t seq) -> Result<TablePtr> {
+/// The map under test: a real per-chunk transform (v -> v * 2) with a
+/// completion-order scrambler — every fourth call sleeps longer, so with
+/// several workers a later chunk routinely finishes before an earlier one
+/// and the reorder buffer must restore claim order.
+ChunkMapFn ScrambledDouble() {
+  auto calls = std::make_shared<std::atomic<int64_t>>(0);
+  return [calls](TablePtr chunk) -> Result<TablePtr> {
     std::this_thread::sleep_for(
-        std::chrono::microseconds(seq % 4 == 0 ? 800 : 50));
+        std::chrono::microseconds(calls->fetch_add(1) % 4 == 0 ? 800 : 50));
     BENTO_ASSIGN_OR_RETURN(auto v, chunk->GetColumn("v"));
     col::Int64Builder b;
     b.Reserve(v->length());
     for (int64_t i = 0; i < v->length(); ++i) {
-      b.Append(v->int64_data()[i] * 2 + seq);
+      b.Append(v->int64_data()[i] * 2);
     }
     BENTO_ASSIGN_OR_RETURN(auto doubled, b.Finish());
     return chunk->SetColumn("v", std::move(doubled));
@@ -81,9 +83,8 @@ TEST(ParallelPipelineDriverTest, OrderedSinkMatchesSerialAcrossWorkers) {
   std::vector<TablePtr> expected;
   {
     auto map = ScrambledDouble();
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      expected.push_back(
-          map(chunks[c], static_cast<int64_t>(c)).ValueOrDie());
+    for (const TablePtr& chunk : chunks) {
+      expected.push_back(map(chunk).ValueOrDie());
     }
   }
 
@@ -121,12 +122,13 @@ TEST(ParallelPipelineDriverTest, ErrorSurfacesAtItsStreamPosition) {
     VectorChunkStream inner(chunks);
     PipelineOptions options;
     options.workers = workers;
+    const TablePtr poisoned = chunks[static_cast<size_t>(kBadSeq)];
     ParallelPipelineDriver driver(
         &inner,
-        [](TablePtr chunk, int64_t seq) -> Result<TablePtr> {
+        [poisoned](TablePtr chunk) -> Result<TablePtr> {
           std::this_thread::sleep_for(
-              std::chrono::microseconds(seq == kBadSeq ? 500 : 20));
-          if (seq == kBadSeq) return Status::Invalid("poisoned chunk");
+              std::chrono::microseconds(chunk == poisoned ? 500 : 20));
+          if (chunk == poisoned) return Status::Invalid("poisoned chunk");
           return chunk;
         },
         options);
@@ -157,7 +159,7 @@ TEST(ParallelPipelineDriverTest, EarlyDestructionJoinsWorkersCleanly) {
     options.workers = 4;
     ParallelPipelineDriver driver(
         &inner,
-        [](TablePtr chunk, int64_t) -> Result<TablePtr> {
+        [](TablePtr chunk) -> Result<TablePtr> {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
           return chunk;
         },
@@ -181,7 +183,7 @@ TEST(ParallelPipelineDriverTest, ConcurrentMapsNeverExceedWorkerCount) {
     options.workers = workers;
     ParallelPipelineDriver driver(
         &inner,
-        [&](TablePtr chunk, int64_t) -> Result<TablePtr> {
+        [&](TablePtr chunk) -> Result<TablePtr> {
           const int now = inflight.fetch_add(1) + 1;
           int seen = high_water.load();
           while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
@@ -335,10 +337,10 @@ TEST(ParallelPipelineDriverTest, CsvSourceDecodesOnWorkersMatchesSerial) {
   {
     auto reader = io::CsvChunkReader::Open(path, read_options).ValueOrDie();
     auto map = ScrambledDouble();
-    for (int64_t seq = 0;; ++seq) {
+    while (true) {
       auto chunk = reader->Next().ValueOrDie();
       if (chunk == nullptr) break;
-      expected.push_back(map(chunk, seq).ValueOrDie());
+      expected.push_back(map(chunk).ValueOrDie());
     }
   }
 
@@ -392,7 +394,7 @@ TEST(ParallelPipelineDriverTest, BcfSourceDecodesOnWorkersMatchesSerial) {
           auto map = ScrambledDouble();
           for (int g = 0; g < reader->num_row_groups(); ++g) {
             expected.push_back(
-                map(reader->ReadRowGroup(g, projection).ValueOrDie(), g)
+                map(reader->ReadRowGroup(g, projection).ValueOrDie())
                     .ValueOrDie());
           }
         }
@@ -497,7 +499,7 @@ TEST(ParallelPipelineDriverTest, InFlightBcfDecodesChargeThePool) {
   options.workers = 4;
   ParallelPipelineDriver driver(
       source.get(),
-      [](TablePtr chunk, int64_t) -> Result<TablePtr> { return chunk; },
+      [](TablePtr chunk) -> Result<TablePtr> { return chunk; },
       options);
   // Polling the peak (instead of pacing the consumer with a fixed sleep)
   // keeps the test deterministic under sanitizers and on one core.
@@ -549,7 +551,7 @@ TEST(ParallelPipelineDriverTest, BcfStageDestroyedMidStreamIsClean) {
     options.workers = 4;
     auto driver = std::make_unique<ParallelPipelineDriver>(
         source.get(),
-        [](TablePtr chunk, int64_t) -> Result<TablePtr> {
+        [](TablePtr chunk) -> Result<TablePtr> {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
           return chunk;
         },

@@ -491,6 +491,63 @@ TEST(StreamingDifferentialTest, EngineGroupBySpillsUnderTinyBudgetAndMatches) {
   test::ExpectTablesEqual(unbounded, streamed.ValueOrDie());
 }
 
+/// The fold's group states are plain heap, not pool buffers, so the fold
+/// charges them to the session pool: a stream of distinct keys peaks at
+/// least at its aggregation states, and the group-by returns the charge.
+TEST(StreamingDifferentialTest, GroupByFoldStateChargesThePool) {
+  auto t = RandomTable(20000, /*seed=*/707, /*key_card=*/int64_t{1} << 40);
+  auto aggs = TestAggs();
+  sim::Session session(sim::MachineSpec{"m", 4, 8ULL << 30, std::nullopt});
+  sim::MemoryPool* pool = session.host_pool();
+  const uint64_t before = pool->bytes_allocated();
+  pool->ResetPeak();
+  int64_t groups = 0;
+  {
+    TableChunkStream in(t, 1000);
+    auto grouped = StreamingGroupBy(&in, {"k"}, aggs, frame::ExecPolicy())
+                       .ValueOrDie();
+    groups = grouped->num_rows();
+  }
+  ASSERT_GT(groups, 19000);  // nearly every key is distinct
+  EXPECT_GE(pool->peak_bytes() - before,
+            static_cast<uint64_t>(groups) * aggs.size() *
+                sizeof(kern::AggState));
+  EXPECT_EQ(pool->bytes_allocated(), before);
+}
+
+/// With every row spilled, each spill partition folds one frame at a time,
+/// so a key-clustered stream never holds a partition's rows at once: the
+/// peak stays far below the spilled bytes (key, value, hash and stream
+/// position: 32 bytes a row), and the result is still the kernel's.
+TEST(StreamingDifferentialTest, SpilledGroupByFoldsOneFrameAtATime) {
+  constexpr int64_t kRows = 60000;
+  Rng rng(808);
+  std::vector<int64_t> keys;
+  std::vector<double> values;
+  for (int64_t i = 0; i < kRows; ++i) {
+    keys.push_back(i / 100);  // 600 keys, each in one run of rows
+    values.push_back(rng.UniformDouble(-1000.0, 1000.0));
+  }
+  auto t = MakeTable({{"k", I64(keys)}, {"f", test::F64(values)}});
+  const std::vector<AggSpec> aggs = {{"f", AggKind::kSum, "f_sum"},
+                                     {"f", AggKind::kStd, "f_std"}};
+  auto eager = kern::GroupBy(t, {"k"}, aggs).ValueOrDie();
+
+  sim::Session session(sim::MachineSpec{"m", 4, 8ULL << 30, std::nullopt});
+  sim::MemoryPool* pool = session.host_pool();
+  const uint64_t before = pool->bytes_allocated();
+  pool->ResetPeak();
+  StreamingGroupByOptions options;
+  options.spill_threshold_bytes = 0;
+  options.spill_partitions = 1;
+  TableChunkStream in(t, 1000);
+  auto spilled =
+      StreamingGroupBy(&in, {"k"}, aggs, frame::ExecPolicy(), options)
+          .ValueOrDie();
+  test::ExpectTablesEqual(eager, spilled);
+  EXPECT_LT(pool->peak_bytes() - before, static_cast<uint64_t>(kRows) * 32 / 4);
+}
+
 /// The pipelined group-by fold must be bit-identical to the eager kernel for
 /// ANY worker count — including under forced hash collisions (every group in
 /// one bucket chain) and forced spill (every key's rows hash-partitioned to
